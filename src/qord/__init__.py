@@ -80,7 +80,7 @@ from .rings import (
     quotient_reduce,
     quotient_ring,
 )
-from .sampling import Bounds, SampleUniverse, generate
+from .sampling import Bounds, SampleUniverse
 from .valuations import (
     Valuation,
     check_val_axioms,
@@ -96,7 +96,6 @@ from .valuations import (
     quotient_val,
     transport_to_residue,
     trivial_valuation,
-    val_eval,
 )
 
 __version__ = "0.1.0"

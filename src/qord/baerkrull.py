@@ -28,7 +28,7 @@ from .groups import (
     value_neg,
 )
 from .quasiorders import ORDER, PROPER, QuasiOrder, classify_qo, transport_qo
-from .report import FAIL, PASS, CheckResult, PreconditionError
+from .report import PASS, CheckResult, PreconditionError, result, sweep
 from .residues import compatible, is_compatible, residue_qo, residue_universe
 from .rings import RingElement, RingMismatchError
 from .sampling import SampleUniverse
@@ -38,17 +38,6 @@ from .valuations import (
     frac_extend_val,
     in_rv,
 )
-
-
-def _result(name, ok, witness, n, seed, detail=None):
-    return CheckResult(
-        name=name,
-        status=PASS if ok else FAIL,
-        witness=None if ok else witness,
-        samples_used=n,
-        seed=seed,
-        detail=detail,
-    )
 
 
 @dataclass(frozen=True)
@@ -269,11 +258,16 @@ def psi(
             f"{q.name} is not {v.name}-compatible", witness=comp.witness
         )
     zero = q.ring.zero()
-    for x in universe.singles(samples, "psi.support"):
-        if q.sim(x, zero) != (v(x) is INF):
-            raise PreconditionError(
-                f"supports of {q.name} and {v.name} disagree", witness=(str(x),)
-            )
+    supports = sweep(
+        "psi.support",
+        universe.tuples(1, samples, "psi.support"),
+        lambda x: q.sim(x, zero) != (v(x) is INF),
+        universe.seed,
+    )
+    if supports.witness:
+        raise PreconditionError(
+            f"supports of {q.name} and {v.name} disagree", witness=supports.witness
+        )
     return LiftData(basis, extract_eta(q, basis), residue_qo(q, v))
 
 
@@ -287,30 +281,26 @@ def roundtrip_check(
     quasi-order must agree with the input on sampled residue pairs."""
     v = data.basis.valuation
     seed = universe.seed
-    out: List[CheckResult] = []
     lifted = lift(data)
 
     got_eta = extract_eta(lifted, data.basis)
-    out.append(
-        _result(
-            f"{label}.eta",
-            got_eta == data.eta,
-            (str(got_eta.signs), str(data.eta.signs)),
-            len(data.eta.signs),
-            seed,
-        )
+    eta = result(
+        f"{label}.eta",
+        got_eta == data.eta,
+        (str(got_eta.signs), str(data.eta.signs)),
+        len(data.eta.signs),
+        seed,
     )
 
     rq_back = residue_qo(lifted, v)
     runiverse = residue_universe(v, universe)
-    witness = None
-    pairs = runiverse.pairs(samples, f"{label}.residue")
-    for a, b in pairs:
-        if rq_back.le(a, b) != data.residue_qo.le(a, b):
-            witness = (str(a), str(b))
-            break
-    out.append(_result(f"{label}.residue-agree", witness is None, witness, len(pairs), seed))
-    return out
+    agree = sweep(
+        f"{label}.residue-agree",
+        runiverse.pairs(samples, f"{label}.residue"),
+        lambda a, b: rq_back.le(a, b) != data.residue_qo.le(a, b),
+        seed,
+    )
+    return [eta, agree]
 
 
 def reconstruct_check(
@@ -323,14 +313,13 @@ def reconstruct_check(
     """psi then lift: the reconstruction must agree with q on sampled pairs."""
     data = psi(q, basis, universe, samples)
     lifted = lift(data)
-    witness = None
-    pairs = universe.pairs(samples, label)
-    for x, y in pairs:
-        if q.le(x, y) != lifted.le(x, y):
-            witness = (str(x), str(y))
-            break
     return [
-        _result(f"{label}.agree", witness is None, witness, len(pairs), universe.seed)
+        sweep(
+            f"{label}.agree",
+            universe.pairs(samples, label),
+            lambda x, y: q.le(x, y) != lifted.le(x, y),
+            universe.seed,
+        )
     ]
 
 
@@ -350,37 +339,39 @@ def lift_properties_check(
     out = check_qo_axioms(lifted, universe, samples, label=f"{label}.axioms")
 
     zero = lifted.ring.zero()
-    witness = None
-    singles = universe.singles(samples, f"{label}.support")
-    for x in singles:
-        if lifted.sim(x, zero) != (v(x) is INF):
-            witness = (str(x),)
-            break
-    out.append(_result(f"{label}.support", witness is None, witness, len(singles), seed))
+    out.append(
+        sweep(
+            f"{label}.support",
+            universe.tuples(1, samples, f"{label}.support"),
+            lambda x: lifted.sim(x, zero) != (v(x) is INF),
+            seed,
+        )
+    )
 
     out.append(is_compatible(v, lifted, universe, samples, label=f"{label}.compatible"))
 
-    witness = None
-    pairs = universe.pairs(samples, f"{label}.residue-landing")
     zero_v = v.group.zero()
-    n = 0
-    for x, y in pairs:
-        if v(x) is INF and v(y) is INF:
-            continue
-        n += 1
+
+    def landing_fails(x, y):
         _dec, m, _a = gamma_data(v, x, y, data.basis)
         xm, ym = x * m, y * m
         if not (in_rv(v, xm) and in_rv(v, ym)):
-            witness = (str(x), str(y))
-            break
+            return True
         # the cleared product vanishes in the residue exactly for the
         # argument of strictly larger value
-        if value_lt(zero_v, v(xm)) != (value_cmp(v(x), v(y)) > 0) or value_lt(
+        return value_lt(zero_v, v(xm)) != (value_cmp(v(x), v(y)) > 0) or value_lt(
             zero_v, v(ym)
-        ) != (value_cmp(v(y), v(x)) > 0):
-            witness = (str(x), str(y))
-            break
-    out.append(_result(f"{label}.residue-landing", witness is None, witness, n, seed))
+        ) != (value_cmp(v(y), v(x)) > 0)
+
+    out.append(
+        sweep(
+            f"{label}.residue-landing",
+            universe.pairs(samples, f"{label}.residue-landing"),
+            landing_fails,
+            seed,
+            given=lambda x, y: not (v(x) is INF and v(y) is INF),
+        )
+    )
     return out
 
 
@@ -436,20 +427,18 @@ def bk3_lift(
         expected_kind=lifted.expected_kind,
     )
 
-    out: List[CheckResult] = []
     ku = SampleUniverse(K, seed=universe.seed, count=universe.count, bounds=universe.bounds)
     verdict_r = compatible(v, restricted, universe, samples)
     verdict_k = compatible(nu, lifted, ku, samples)
-    out.append(
-        CheckResult(
-            name=f"{label}.compat-levels-agree",
-            status=PASS if verdict_r == verdict_k else FAIL,
-            samples_used=samples,
-            seed=universe.seed,
-            detail=f"R:{verdict_r} K:{verdict_k}",
-        )
+    agree = result(
+        f"{label}.compat-levels-agree",
+        verdict_r == verdict_k,
+        None,
+        samples,
+        universe.seed,
+        detail=f"R:{verdict_r} K:{verdict_k}",
     )
-    return restricted, lifted, out
+    return restricted, lifted, [agree]
 
 
 def _field_embedding(qring, nu):

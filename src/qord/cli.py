@@ -35,10 +35,17 @@ def _emit(report: Report, fmt: str) -> int:
     return report.exit_code()
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--samples", type=int, default=500)
+    common.add_argument("--samples", type=_positive_int, default=500)
     common.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = argparse.ArgumentParser(

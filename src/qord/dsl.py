@@ -46,7 +46,7 @@ from .quasiorders import (
     natural_order,
     transport_qo,
 )
-from .report import FAIL, PASS, CheckResult, PreconditionError, Report
+from .report import FAIL, PASS, CheckResult, PreconditionError, Report, result, sweep
 from .residues import (
     is_compatible,
     is_convex,
@@ -658,7 +658,7 @@ def _c_residue_qo(ctx, node: Call, on):
     return residue_qo(q, v)
 
 
-def _lift_data(ctx, node: Call, v, kw) -> LiftData:
+def _lift_data(node: Call, v, kw) -> LiftData:
     rq = kw.get("residue")
     if not isinstance(rq, QuasiOrder):
         raise DslError("lift needs residue=<quasi-order>", node.line, node.col)
@@ -684,7 +684,7 @@ def _c_lift(ctx, node: Call, on):
     _arity(node, 1, kw_allowed=("eta", "residue", "pis", "signs"))
     v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
     kw = _kwargs(ctx, node)
-    return lift(_lift_data(ctx, node, v, kw))
+    return lift(_lift_data(node, v, kw))
 
 
 CONSTRUCTORS: Dict[str, Callable] = {
@@ -724,46 +724,37 @@ def _subject_ring(args) -> Ring:
     raise PreconditionError("check has no subject carrying a ring")
 
 
-def _ck_val_axioms(ctx, label, args, kw, U, n):
+def _ck_val_axioms(call, label, args, kw, U, n):
     (v,) = args
     return check_val_axioms(v, U, samples=n, label=label)
 
 
-def _ck_qo_axioms(ctx, label, args, kw, U, n):
+def _ck_qo_axioms(call, label, args, kw, U, n):
     (q,) = args
     return check_qo_axioms(q, U, samples=n, label=label)
 
 
-def _ck_derived(ctx, label, args, kw, U, n):
+def _ck_derived(call, label, args, kw, U, n):
     (q,) = args
     return check_derived_lemmas(q, U, samples=n, label=label)
 
 
-def _ck_classify(ctx, label, args, kw, U, n):
+def _ck_classify(call, label, args, kw, U, n):
     (q,) = args
     kind = classify_qo(q)
     expect = kw.get("expect")
     ok = expect is None or kind == {"order": "order", "proper": "proper-quasi-order"}.get(
         expect, expect
     )
-    return [
-        CheckResult(
-            name=label,
-            status=PASS if ok else FAIL,
-            witness=None if ok else (kind,),
-            samples_used=1,
-            seed=U.seed,
-            detail=kind,
-        )
-    ]
+    return [result(label, ok, (kind,), 1, U.seed, detail=kind)]
 
 
-def _ck_compat(ctx, label, args, kw, U, n):
+def _ck_compat(call, label, args, kw, U, n):
     v, q = args
     return [is_compatible(v, q, U, samples=n, label=label)]
 
 
-def _ck_convex(ctx, label, args, kw, U, n):
+def _ck_convex(call, label, args, kw, U, n):
     v, q = args
     which = kw.get("set", "iv")
     if which == "iv":
@@ -775,7 +766,7 @@ def _ck_convex(ctx, label, args, kw, U, n):
     return [is_convex(member, q, U, samples=n, label=label)]
 
 
-def _ck_table(ctx, label, args, kw, U, n):
+def _ck_table(call, label, args, kw, U, n):
     v, q = args
     rep = table_conditions(v, q, U, samples=n, label=label)
     flags = rep.as_dict()
@@ -789,32 +780,32 @@ def _ck_table(ctx, label, args, kw, U, n):
     return rep.checks + [summary]
 
 
-def _ck_compat_equivalence(ctx, label, args, kw, U, n):
+def _ck_compat_equivalence(call, label, args, kw, U, n):
     v, q = args
     return theorem_compat_report(v, q, U, samples=n, label=label)
 
 
-def _ck_iv1(ctx, label, args, kw, U, n):
+def _ck_iv1(call, label, args, kw, U, n):
     v, q = args
     return iv_prec_one(v, q, U, samples=n, label=label)
 
 
-def _ck_special_star(ctx, label, args, kw, U, n):
+def _ck_special_star(call, label, args, kw, U, n):
     (v,) = args
     return special_star_check(v, U, samples=n, label=label)
 
 
-def _ck_coarsening(ctx, label, args, kw, U, n):
+def _ck_coarsening(call, label, args, kw, U, n):
     v, w = args
     return coarsening_check(v, w, U, samples=n, label=label)
 
 
-def _ck_equivalent(ctx, label, args, kw, U, n):
+def _ck_equivalent(call, label, args, kw, U, n):
     v, w = args
     return equivalent_check(v, w, U, samples=n, label=label)
 
 
-def _ck_rank(ctx, label, args, kw, U, n):
+def _ck_rank(call, label, args, kw, U, n):
     q = args[0]
     if not isinstance(q, QuasiOrder):
         raise PreconditionError("rank wants a quasi-order first")
@@ -826,19 +817,19 @@ def _ck_rank(ctx, label, args, kw, U, n):
     return checks
 
 
-def _ck_roundtrip(ctx, label, args, kw, U, n):
+def _ck_roundtrip(call, label, args, kw, U, n):
     (v,) = args
-    data = _lift_data(ctx, _FAKE_NODE, v, kw)
+    data = _lift_data(call, v, kw)
     return roundtrip_check(data, U, samples=n, label=label)
 
 
-def _ck_lift_props(ctx, label, args, kw, U, n):
+def _ck_lift_props(call, label, args, kw, U, n):
     (v,) = args
-    data = _lift_data(ctx, _FAKE_NODE, v, kw)
+    data = _lift_data(call, v, kw)
     return lift_properties_check(data, U, samples=n, label=label)
 
 
-def _ck_reconstruct(ctx, label, args, kw, U, n):
+def _ck_reconstruct(call, label, args, kw, U, n):
     q, v = args
     if "pis" in kw:
         pis = [v.ring.parse(t) for t in kw["pis"]]
@@ -849,7 +840,7 @@ def _ck_reconstruct(ctx, label, args, kw, U, n):
     return reconstruct_check(q, basis, U, samples=n, label=label)
 
 
-def _ck_val_value(ctx, label, args, kw, U, n):
+def _ck_val_value(call, label, args, kw, U, n):
     v = args[0]
     x = v.ring.parse(args[1])
     got = v(x)
@@ -859,57 +850,25 @@ def _ck_val_value(ctx, label, args, kw, U, n):
     else:
         want = tuple(int(t) for t in re.findall(r"-?\d+", want_text))
         ok = got is not INF and got == want
-    return [
-        CheckResult(
-            name=label,
-            status=PASS if ok else FAIL,
-            witness=None if ok else (str(x), format_value(got)),
-            samples_used=1,
-            seed=U.seed,
-            detail=f"{v.name}({x}) = {format_value(got)}",
-        )
-    ]
+    detail = f"{v.name}({x}) = {format_value(got)}"
+    return [result(label, ok, (str(x), format_value(got)), 1, U.seed, detail=detail)]
 
 
-def _ck_val_agree(ctx, label, args, kw, U, n):
+def _ck_val_agree(call, label, args, kw, U, n):
     v, w = args
-    witness = None
     singles = U.singles(n, label)
-    for x in singles:
-        if v(x) != w(x):
-            witness = (str(x), format_value(v(x)), format_value(w(x)))
-            break
-    return [
-        CheckResult(
-            name=label,
-            status=PASS if witness is None else FAIL,
-            witness=witness,
-            samples_used=len(singles),
-            seed=U.seed,
-        )
-    ]
+    # the witness carries both values, so this is not a plain sweep
+    x = next((x for x in singles if v(x) != w(x)), None)
+    witness = None if x is None else (x, format_value(v(x)), format_value(w(x)))
+    return [result(label, x is None, witness, len(singles), U.seed)]
 
 
-def _ck_qo_agree(ctx, label, args, kw, U, n):
+def _ck_qo_agree(call, label, args, kw, U, n):
     q1, q2 = args
-    witness = None
-    pairs = U.pairs(n, label)
-    for x, y in pairs:
-        if q1.le(x, y) != q2.le(x, y):
-            witness = (str(x), str(y))
-            break
-    return [
-        CheckResult(
-            name=label,
-            status=PASS if witness is None else FAIL,
-            witness=witness,
-            samples_used=len(pairs),
-            seed=U.seed,
-        )
-    ]
+    return [sweep(label, U.pairs(n, label), lambda x, y: q1.le(x, y) != q2.le(x, y), U.seed)]
 
 
-def _ck_unbounded_above(ctx, label, args, kw, U, n):
+def _ck_unbounded_above(call, label, args, kw, U, n):
     q = args[0]
     x = q.ring.parse(args[1])
     import random as _random
@@ -918,24 +877,16 @@ def _ck_unbounded_above(ctx, label, args, kw, U, n):
     ns = [1, 2, 3, 5, 10, 100, 1000, 10 ** 6]
     while len(ns) < n:
         ns.append(rng.randint(1, 10 ** 6))
-    witness = None
-    for k in ns:
-        if not q.strict(q.ring.from_int(k), x):
-            witness = (str(k),)
-            break
     return [
-        CheckResult(
-            name=label,
-            status=PASS if witness is None else FAIL,
-            witness=witness,
-            samples_used=len(ns),
-            seed=U.seed,
+        sweep(
+            label,
+            [(k,) for k in ns],
+            lambda k: not q.strict(q.ring.from_int(k), x),
+            U.seed,
             detail=f"{x} exceeds all sampled integers up to 10^6",
         )
     ]
 
-
-_FAKE_NODE = Call("lift", (), (), 0, 0)
 
 CHECKS: Dict[str, Callable] = {
     "val_axioms": _ck_val_axioms,
@@ -1032,6 +983,8 @@ def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[Chec
     params = dict(stmt.params)
     seed = params.get("seed", ctx.seed)
     n = params.get("count", ctx.samples)
+    if n < 1:
+        raise DslError(f"sample count must be at least 1, got {n}", stmt.line, stmt.col)
     args = [_eval(ctx, a) for a in call.args]
     kw = _kwargs(ctx, call)
     label = label_prefix + node_text(call)
@@ -1039,7 +992,7 @@ def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[Chec
         ring = _subject_ring(args)
         universe = ctx.universe(ring, seed, params.get("universe", max(50, n // 2)))
         start = time.perf_counter()
-        results = runner(ctx, label, args, kw, universe, n)
+        results = runner(call, label, args, kw, universe, n)
         elapsed = (time.perf_counter() - start) * 1000.0
         for r in results:
             r.elapsed_ms = elapsed / max(len(results), 1)

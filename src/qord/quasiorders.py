@@ -10,10 +10,10 @@ them are only ever compared by agreement on a sample universe.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from .groups import value_le
-from .report import FAIL, PASS, CheckResult, PreconditionError
+from .report import PASS, CheckResult, PreconditionError, result, sweep
 from .rings import (
     Ideal,
     IntegerRing,
@@ -64,10 +64,7 @@ class QuasiOrder:
                 f"{self.name} compares elements of {self.ring.name}"
             )
         key = (x.payload, y.payload)
-        try:
-            cached = self._memo.get(key)
-        except TypeError:
-            return bool(self._compare_payload(x.payload, y.payload))
+        cached = self._memo.get(key)
         if cached is None:
             cached = bool(self._compare_payload(x.payload, y.payload))
             self._memo[key] = cached
@@ -311,124 +308,65 @@ def classify_qo(q: QuasiOrder) -> str:
     )
 
 
-def classify_check(q: QuasiOrder, label: str = None, seed: int = 0) -> CheckResult:
-    label = label or q.name
-    kind = classify_qo(q)
-    mismatch = q.expected_kind is not None and q.expected_kind != kind
-    return CheckResult(
-        name=f"{label}.classify",
-        status=FAIL if mismatch else PASS,
-        witness=None if not mismatch else (kind, q.expected_kind),
-        samples_used=1,
-        seed=seed,
-        detail=kind if not mismatch else f"classified {kind}, provenance expected {q.expected_kind}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # axiom checker
-
-
-def _result(name, ok, witness, n, seed, detail=None):
-    return CheckResult(
-        name=name,
-        status=PASS if ok else FAIL,
-        witness=None if ok else witness,
-        samples_used=n,
-        seed=seed,
-        detail=detail,
-    )
 
 
 def check_qo_axioms(q: QuasiOrder, universe, samples: int = 500, label: str = None):
     """Reflexivity, totality, transitivity, QR1-QR5, and primeness of E_0."""
     label = label or q.name
     seed = universe.seed
-    out: List[CheckResult] = []
     zero = q.ring.zero()
     one = q.ring.one()
 
-    singles = universe.singles(samples, f"qo:{label}:1")
+    singles = universe.tuples(1, samples, f"qo:{label}:1")
     pairs = universe.pairs(samples, f"qo:{label}:2")
     triples = universe.triples(samples, f"qo:{label}:3")
 
-    w = next(((str(x),) for x in singles if not q.le(x, x)), None)
-    out.append(_result(f"{label}.reflexive", w is None, w, len(singles), seed))
-
-    w = next(
-        ((str(x), str(y)) for x, y in pairs if not (q.le(x, y) or q.le(y, x))), None
-    )
-    out.append(_result(f"{label}.total", w is None, w, len(pairs), seed))
-
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if q.le(x, y) and q.le(y, z) and not q.le(x, z)
-        ),
-        None,
-    )
-    out.append(_result(f"{label}.transitive", w is None, w, len(triples), seed))
-
-    out.append(_result(f"{label}.QR1", q.strict(zero, one), ("0", "1"), 1, seed))
-
-    w = next(
-        (
-            (str(x), str(y))
-            for x, y in pairs
-            if q.le(x * y, zero) and not (q.le(x, zero) or q.le(y, zero))
-        ),
-        None,
-    )
-    out.append(_result(f"{label}.QR2", w is None, w, len(pairs), seed))
-
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if q.le(x, y) and q.le(zero, z) and not q.le(x * z, y * z)
-        ),
-        None,
-    )
-    out.append(_result(f"{label}.QR3", w is None, w, len(triples), seed))
-
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if q.le(x, y) and not q.sim(z, y) and not q.le(x + z, y + z)
-        ),
-        None,
-    )
-    out.append(_result(f"{label}.QR4", w is None, w, len(triples), seed))
-
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if q.strict(zero, z) and q.le(x * z, y * z) and not q.le(x, y)
-        ),
-        None,
-    )
-    out.append(_result(f"{label}.QR5", w is None, w, len(triples), seed))
-
-    def support_ok(x, y):
+    def support_fails(x, y):
         sx, sy = q.sim(x, zero), q.sim(y, zero)
         if sx and sy and not q.sim(x + y, zero):
-            return False
+            return True
         if sx and not q.sim(x * y, zero):
-            return False
-        if q.sim(x * y, zero) and not (sx or sy):
-            return False
-        return True
+            return True
+        return q.sim(x * y, zero) and not (sx or sy)
 
-    w = next(((str(x), str(y)) for x, y in pairs if not support_ok(x, y)), None)
-    out.append(_result(f"{label}.support-ideal", w is None, w, len(pairs), seed))
-    return out
-
-
-def passes_qo_axioms(q: QuasiOrder, universe, samples: int = 300) -> bool:
-    return all(r.status == PASS for r in check_qo_axioms(q, universe, samples))
+    return [
+        sweep(f"{label}.reflexive", singles, lambda x: not q.le(x, x), seed),
+        sweep(f"{label}.total", pairs, lambda x, y: not (q.le(x, y) or q.le(y, x)), seed),
+        sweep(
+            f"{label}.transitive",
+            triples,
+            lambda x, y, z: q.le(x, y) and q.le(y, z) and not q.le(x, z),
+            seed,
+        ),
+        result(f"{label}.QR1", q.strict(zero, one), ("0", "1"), 1, seed),
+        sweep(
+            f"{label}.QR2",
+            pairs,
+            lambda x, y: q.le(x * y, zero) and not (q.le(x, zero) or q.le(y, zero)),
+            seed,
+        ),
+        sweep(
+            f"{label}.QR3",
+            triples,
+            lambda x, y, z: q.le(x, y) and q.le(zero, z) and not q.le(x * z, y * z),
+            seed,
+        ),
+        sweep(
+            f"{label}.QR4",
+            triples,
+            lambda x, y, z: q.le(x, y) and not q.sim(z, y) and not q.le(x + z, y + z),
+            seed,
+        ),
+        sweep(
+            f"{label}.QR5",
+            triples,
+            lambda x, y, z: q.strict(zero, z) and q.le(x * z, y * z) and not q.le(x, y),
+            seed,
+        ),
+        sweep(f"{label}.support-ideal", pairs, support_fails, seed),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -444,60 +382,45 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
     """
     label = label or q.name
     seed = universe.seed
-    out: List[CheckResult] = []
     zero = q.ring.zero()
 
     singles = universe.singles(samples, f"dl:{label}:1")
     pairs = universe.pairs(samples, f"dl:{label}:2")
     triples = universe.triples(samples, f"dl:{label}:3")
 
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if not q.sim(z, zero) and q.sim(x * z, y * z) and not q.sim(x, y)
+    out = [
+        sweep(
+            f"{label}.cancel-sim",
+            triples,
+            lambda x, y, z: not q.sim(z, zero) and q.sim(x * z, y * z) and not q.sim(x, y),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.cancel-sim", w is None, w, len(triples), seed))
-
-    w = next(
-        (
-            (str(x), str(y))
-            for x, y in pairs
-            if q.sim(x, zero) and not q.sim(y, zero) and not q.sim(x + y, y)
+        sweep(
+            f"{label}.support-translate",
+            pairs,
+            lambda x, y: q.sim(x, zero) and not q.sim(y, zero) and not q.sim(x + y, y),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.support-translate", w is None, w, len(pairs), seed))
-
-    w = next(
-        (
-            (str(x),)
-            for x in singles
-            if q.sim(x, -x) != (q.le(zero, x) and q.le(zero, -x))
+        sweep(
+            f"{label}.sym-criterion",
+            [(x,) for x in singles],
+            lambda x: q.sim(x, -x) != (q.le(zero, x) and q.le(zero, -x)),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.sym-criterion", w is None, w, len(singles), seed))
-
-    w = next(
-        (
-            (str(a), str(x), str(y))
-            for a, x, y in triples
-            if q.sim(x, y) and not q.sim(a * x, a * y)
+        sweep(
+            f"{label}.mul-preserves-sim",
+            triples,
+            lambda a, x, y: q.sim(x, y) and not q.sim(a * x, a * y),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.mul-preserves-sim", w is None, w, len(triples), seed))
+    ]
 
     if q.strict(zero, -q.ring.one()):
-        def below_max(x, y):
+        def above_max(x, y):
             hi = y if q.le(x, y) else x
-            return q.le(x + y, hi)
+            return not q.le(x + y, hi)
 
-        w = next(((str(x), str(y)) for x, y in pairs if not below_max(x, y)), None)
-        out.append(_result(f"{label}.sum-below-max", w is None, w, len(pairs), seed))
+        out.append(sweep(f"{label}.sum-below-max", pairs, above_max, seed))
     else:
         out.append(
             CheckResult(
@@ -509,35 +432,26 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
             )
         )
 
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if q.le(x, y) and q.le(z, zero) and not q.le(y * z, x * z)
+    out += [
+        sweep(
+            f"{label}.QR3-neg",
+            triples,
+            lambda x, y, z: q.le(x, y) and q.le(z, zero) and not q.le(y * z, x * z),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.QR3-neg", w is None, w, len(triples), seed))
-
-    w = next(
-        (
-            (str(x), str(y), str(z))
-            for x, y, z in triples
-            if q.le(x * z, y * z) and q.strict(z, zero) and not q.le(y, x)
+        sweep(
+            f"{label}.QR5-neg",
+            triples,
+            lambda x, y, z: q.le(x * z, y * z) and q.strict(z, zero) and not q.le(y, x),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.QR5-neg", w is None, w, len(triples), seed))
-
-    w = next(
-        (
-            (str(c), str(x))
-            for c, x in pairs
-            if q.sim(c, zero) and not q.sim(c + x, x)
+        sweep(
+            f"{label}.class-translate",
+            pairs,
+            lambda c, x: q.sim(c, zero) and not q.sim(c + x, x),
+            seed,
         ),
-        None,
-    )
-    out.append(_result(f"{label}.class-translate", w is None, w, len(pairs), seed))
+    ]
 
     # symmetric classes: once some y ~ x leaves the translate coset, the
     # whole class of x is closed under negation
@@ -557,7 +471,7 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
         if witness:
             break
     out.append(
-        _result(
+        result(
             f"{label}.class-symmetric",
             witness is None,
             witness,

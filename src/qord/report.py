@@ -49,6 +49,37 @@ class CheckResult:
         return self.status in (PASS, INCONCLUSIVE)
 
 
+def result(name, ok, witness, n, seed, detail=None) -> CheckResult:
+    """A pass or a fail; the witness is kept only on a fail."""
+    return CheckResult(
+        name=name,
+        status=PASS if ok else FAIL,
+        witness=None if ok else witness,
+        samples_used=n,
+        seed=seed,
+        detail=detail,
+    )
+
+
+def sweep(name, tuples, fails, seed, *, given=None, detail=None) -> CheckResult:
+    """Sweep a universal claim over a list of tuples, stopping at the first
+    tuple t with fails(*t); that tuple is the witness and no later tuple is
+    evaluated.
+
+    samples_used is len(tuples).  With given, fails is evaluated only on
+    the tuples meeting that hypothesis, and samples_used counts those, up
+    to and including the witness.
+    """
+    hits = 0
+    for t in tuples:
+        if given is None or given(*t):
+            hits += 1
+            if fails(*t):
+                n = len(tuples) if given is None else hits
+                return result(name, False, t, n, seed, detail)
+    return result(name, True, None, hits, seed, detail)
+
+
 @dataclass
 class Report:
     seed: int

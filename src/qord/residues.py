@@ -19,7 +19,16 @@ from .quasiorders import (
     classify_qo,
     frac_extend_qo,
 )
-from .report import FAIL, HARD, INCONCLUSIVE, PASS, CheckResult, PreconditionError
+from .report import (
+    FAIL,
+    HARD,
+    INCONCLUSIVE,
+    PASS,
+    CheckResult,
+    PreconditionError,
+    result,
+    sweep,
+)
 from .rings import (
     RingElement,
     RingMismatchError,
@@ -39,17 +48,6 @@ from .valuations import (
 )
 
 
-def _result(name, ok, witness, n, seed, detail=None):
-    return CheckResult(
-        name=name,
-        status=PASS if ok else FAIL,
-        witness=None if ok else witness,
-        samples_used=n,
-        seed=seed,
-        detail=detail,
-    )
-
-
 # ---------------------------------------------------------------------------
 # convexity and compatibility
 
@@ -65,21 +63,27 @@ def is_convex(
     """For symmetric S containing 0: sweep 0 <= y <= z, z in S implies y in S."""
     seed = universe.seed
     if require_symmetric:
-        for x in universe.singles(min(samples, 100), f"{label}:sym"):
-            if member(x) != member(-x):
-                raise PreconditionError(
-                    f"{label}: set is not symmetric at {x}", witness=(str(x),)
-                )
+        sym = sweep(
+            f"{label}:sym",
+            universe.tuples(1, min(samples, 100), f"{label}:sym"),
+            lambda x: member(x) != member(-x),
+            seed,
+        )
+        if sym.witness:
+            raise PreconditionError(
+                f"{label}: set is not symmetric at {sym.witness[0]}", witness=sym.witness
+            )
     zero = q.ring.zero()
-    pairs = universe.pairs(samples, label)
-    witness = None
     # z-major: each candidate upper bound is tried against all middles, so
-    # the first reported witness has the smallest possible bound
-    for z, y in pairs:
-        if member(z) and q.le(zero, y) and q.le(y, z) and not member(y):
-            witness = (str(y), str(z))
-            break
-    return _result(label, witness is None, witness, len(pairs), seed)
+    # the first reported witness has the smallest possible bound; pairs are
+    # drawn as (z, y) and swept as (y, z), the order the witness is reported in
+    pairs = [(y, z) for z, y in universe.pairs(samples, label)]
+    return sweep(
+        label,
+        pairs,
+        lambda y, z: member(z) and q.le(zero, y) and q.le(y, z) and not member(y),
+        seed,
+    )
 
 
 def is_compatible(
@@ -94,13 +98,12 @@ def is_compatible(
         raise RingMismatchError("valuation and quasi-order live on different rings")
     label = label or f"compat({v.name},{q.name})"
     zero = q.ring.zero()
-    pairs = universe.pairs(samples, label)
-    witness = None
-    for y, z in pairs:
-        if q.le(zero, y) and q.le(y, z) and not value_le(v(z), v(y)):
-            witness = (str(y), str(z))
-            break
-    return _result(label, witness is None, witness, len(pairs), universe.seed)
+    return sweep(
+        label,
+        universe.pairs(samples, label),
+        lambda y, z: q.le(zero, y) and q.le(y, z) and not value_le(v(z), v(y)),
+        universe.seed,
+    )
 
 
 def compatible(v, q, universe, samples=500) -> bool:
@@ -222,36 +225,25 @@ def residue_rule_report(
                 witness = (str(x), str(y), str(c))
                 break
     out.append(
-        _result(
-            f"{label}.representative-invariance",
-            witness is None,
-            witness,
-            used,
-            seed,
-        )
+        result(f"{label}.representative-invariance", witness is None, witness, used, seed)
     )
 
     residue = v.residue_ring()
     rq = residue_qo(q, v)
-    witness = None
-    n_seen = 0
-    for x in rv_elems:
-        if in_uv(v, x):
-            n_seen += 1
-            xbar = residue.el(x.payload)
-            if rq.sim(xbar, residue.zero()):
-                witness = (str(x),)
-                break
-    out.append(_result(f"{label}.support-zero", witness is None, witness, n_seen, seed))
+    out.append(
+        sweep(
+            f"{label}.support-zero",
+            [(x,) for x in rv_elems],
+            lambda x: rq.sim(residue.el(x.payload), residue.zero()),
+            seed,
+            given=lambda x: in_uv(v, x),
+        )
+    )
 
     runiverse = residue_universe(v, universe)
     axioms = check_qo_axioms(rq, runiverse, samples=samples, label=f"{label}.axioms")
     out.extend(axioms)
     return out
-
-
-def residue_rule_holds(q, v, universe, samples=400) -> bool:
-    return all(r.status == PASS for r in residue_rule_report(q, v, universe, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +299,11 @@ def table_conditions(
     if r3.witness:
         witnesses["c3"] = r3.witness
 
-    one = q.ring.one()
-    witness = None
-    members = 0
-    for x in universe.singles(samples, f"{label}.Iv-below-1"):
-        if in_iv(v, x):
-            members += 1
-            if not q.strict(x, one):
-                witness = (str(x),)
-                break
-    r4 = _result(f"{label}.Iv-below-1", witness is None, witness, members, seed)
+    name = f"{label}.Iv-below-1"
+    r4 = _iv_below_one(v, q, universe, samples, name, name)
     checks.append(r4)
-    if witness:
-        witnesses["c4"] = witness
+    if r4.witness:
+        witnesses["c4"] = r4.witness
 
     residue_checks = residue_rule_report(q, v, universe, samples, label=f"{label}.residue")
     checks.extend(residue_checks)
@@ -445,7 +429,7 @@ def theorem_compat_report(
     )
     if t1:
         out.append(
-            _result(
+            result(
                 f"{label}.compat-implies-Iv-below-1",
                 rep.c4,
                 rep.witnesses.get("c4"),
@@ -456,7 +440,7 @@ def theorem_compat_report(
         rq = residue_qo(q, v)
         same = classify_qo(rq) == classify_qo(q)
         out.append(
-            _result(
+            result(
                 f"{label}.residue-class-matches",
                 same,
                 (classify_qo(rq), classify_qo(q)) if not same else None,
@@ -484,32 +468,29 @@ def iv_prec_one(
             f"iv_prec_one needs a local Manis valuation, {v.name} is not"
         )
     label = label or f"iv1({v.name},{q.name})"
-    seed = universe.seed
-    one = q.ring.one()
-    below = None
-    members = 0
-    for x in universe.singles(samples, label):
-        if in_iv(v, x):
-            members += 1
-            if not q.strict(x, one):
-                below = (str(x),)
-                break
+    below = _iv_below_one(v, q, universe, samples, f"{label}.Iv-below-1", label)
     compat = is_compatible(v, q, universe, samples, label=f"{label}.compatible")
-    out = [
-        _result(f"{label}.Iv-below-1", below is None, below, members, seed),
-        compat,
-    ]
-    sides_agree = (below is None) == (compat.status == PASS)
-    out.append(
-        CheckResult(
-            name=f"{label}.equivalence",
-            status=PASS if sides_agree else HARD,
-            witness=None if sides_agree else (str(below), compat.status),
-            samples_used=samples,
-            seed=seed,
-        )
+    sides_agree = (below.status == PASS) == (compat.status == PASS)
+    equivalence = CheckResult(
+        name=f"{label}.equivalence",
+        status=PASS if sides_agree else HARD,
+        witness=None if sides_agree else (str(below.witness), compat.status),
+        samples_used=samples,
+        seed=universe.seed,
     )
-    return out
+    return [below, compat, equivalence]
+
+
+def _iv_below_one(v, q, universe, samples, name, tag) -> CheckResult:
+    """Every sampled x in I_v has x < 1; samples_used counts the I_v members."""
+    one = q.ring.one()
+    return sweep(
+        name,
+        universe.tuples(1, samples, tag),
+        lambda x: not q.strict(x, one),
+        universe.seed,
+        given=lambda x: in_iv(v, x),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -731,14 +712,13 @@ def rank_check(
         )
 
     chain = sorted(deduped, key=lambda v: -coarseness(v))
-    ok = expect is None or expect == len(chain)
     out.append(
-        CheckResult(
-            name=f"{label}.length",
-            status=PASS if ok else FAIL,
-            witness=None if ok else (str(len(chain)), f"expected {expect}"),
-            samples_used=samples,
-            seed=seed,
+        result(
+            f"{label}.length",
+            expect is None or expect == len(chain),
+            (str(len(chain)), f"expected {expect}"),
+            samples,
+            seed,
             detail=f"rank {len(chain)}: " + (" < ".join(v.name for v in chain) or "empty"),
         )
     )
@@ -765,21 +745,18 @@ def associated_qofield(
     support = q.support_ideal
     if support is None:
         raise PreconditionError(f"{q.name} has no declared support ideal")
-    out: List[CheckResult] = []
     seed = universe.seed
-
-    witness = None
-    n = 0
-    for x in universe.singles(samples, f"{label}.support-agree"):
-        n += 1
-        if q.sim(x, ring.zero()) != support.contains(x.payload):
-            witness = (str(x),)
-            break
-    out.append(_result(f"{label}.support-agree", witness is None, witness, n, seed))
-    if witness is not None:
+    agree = sweep(
+        f"{label}.support-agree",
+        universe.tuples(1, samples, f"{label}.support-agree"),
+        lambda x: q.sim(x, ring.zero()) != support.contains(x.payload),
+        seed,
+    )
+    if agree.witness:
         raise PreconditionError(
-            f"{q.name}: support ideal disagrees with the relation", witness=witness
+            f"{q.name}: support ideal disagrees with the relation", witness=agree.witness
         )
+    out = [agree]
 
     qring, project, section = _quotient_maps(ring, support)
     if qring is ring:

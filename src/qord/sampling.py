@@ -168,8 +168,3 @@ class SampleUniverse:
 
     def triples(self, n: int, tag: str):
         return self.tuples(3, n, tag)
-
-
-def generate(universe: SampleUniverse) -> List[RingElement]:
-    """The deterministic element list of a universe."""
-    return universe.elements()

@@ -12,7 +12,7 @@ explicit preimage witnesses; they are never inferred by search.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .groups import (
     INF,
@@ -29,7 +29,7 @@ from .groups import (
     value_neg,
     value_sub,
 )
-from .report import FAIL, PASS, CheckResult, PreconditionError
+from .report import PASS, PreconditionError, result, sweep
 from .rings import (
     Ideal,
     IntegerModRing,
@@ -90,10 +90,7 @@ class Valuation:
 
     # ------------------------------------------------------------------
     def _eval_memo(self, payload):
-        try:
-            v = self._memo.get(payload)
-        except TypeError:  # unhashable payload: evaluate directly
-            return self._eval_payload(payload)
+        v = self._memo.get(payload)
         if v is None:
             v = self._eval_payload(payload)
             self._memo[payload] = v
@@ -133,10 +130,6 @@ class Valuation:
 
     def __repr__(self):
         return f"Valuation({self.name} on {self.ring.name} -> {self.group.name})"
-
-
-def val_eval(v: Valuation, x: RingElement):
-    return v(x)
 
 
 def classify_position(v: Valuation, x: RingElement) -> str:
@@ -755,12 +748,18 @@ def quotient_val(
         raise RingMismatchError("w and v must live on the same ring")
     if not v.manis:
         raise PreconditionError(f"quotient valuation needs Manis v, {v.name} is not")
-    for y, z in universe.pairs(samples, f"quotient_val({w.name},{v.name})"):
-        if value_le(w(z), w(y)) and not value_le(v(z), v(y)):
-            raise PreconditionError(
-                f"{v.name} is not compatible with the quasi-order of {w.name}",
-                witness=(str(y), str(z)),
-            )
+    tag = f"quotient_val({w.name},{v.name})"
+    compat = sweep(
+        tag,
+        universe.pairs(samples, tag),
+        lambda y, z: value_le(w(z), w(y)) and not value_le(v(z), v(y)),
+        universe.seed,
+    )
+    if compat.witness:
+        raise PreconditionError(
+            f"{v.name} is not compatible with the quasi-order of {w.name}",
+            witness=compat.witness,
+        )
     residue = v.residue_ring()
     supports_equal = all(
         (v(x) is INF) == (w(x) is INF)
@@ -852,72 +851,45 @@ def scaled_valuation(v: Valuation, k: int) -> Valuation:
 # checks
 
 
-def _result(name, ok, witness, n, seed, detail=None):
-    return CheckResult(
-        name=name,
-        status=PASS if ok else FAIL,
-        witness=None if ok else witness,
-        samples_used=n,
-        seed=seed,
-        detail=detail,
-    )
-
-
 def check_val_axioms(v: Valuation, universe, samples: int = 500, label: str = None):
     """V1-V4, the min-equality lemma, and primeness of the support."""
     label = label or v.name
     seed = universe.seed
-    out: List[CheckResult] = []
     zero = v.group.zero()
-
-    out.append(
-        _result(f"{label}.V1", v(v.ring.zero()) is INF, ("0",), 1, seed)
-    )
-    out.append(
-        _result(f"{label}.V2", v(v.ring.one()) == zero, ("1",), 1, seed)
-    )
 
     pairs = universe.pairs(samples, f"val_axioms:{label}")
 
-    def sweep(name, pred):
-        witness = None
-        for x, y in pairs:
-            if not pred(x, y):
-                witness = (str(x), str(y))
-                break
-        out.append(_result(f"{label}.{name}", witness is None, witness, len(pairs), seed))
-
-    sweep("V3", lambda x, y: v(x * y) == value_add(v(x), v(y)))
-    sweep(
-        "V4",
-        lambda x, y: value_le(
-            v(x) if value_le(v(x), v(y)) else v(y), v(x + y)
-        ),
-    )
-
-    def valmin(x, y):
+    def valmin_fails(x, y):
         vx, vy = v(x), v(y)
         if vx == vy:
-            return True
+            return False
         lo = vx if value_le(vx, vy) else vy
-        return v(x + y) == lo
+        return v(x + y) != lo
 
-    sweep("valmin", valmin)
-    sweep(
-        "support-prime",
-        lambda x, y: (v(x * y) is not INF) or (v(x) is INF) or (v(y) is INF),
-    )
-
-    witness = None
-    singles = universe.singles(samples, f"support-agree:{label}")
-    for x in singles:
-        if v.support.contains(x.payload) != (v(x) is INF):
-            witness = (str(x),)
-            break
-    out.append(
-        _result(f"{label}.support-agree", witness is None, witness, len(singles), seed)
-    )
-    return out
+    return [
+        result(f"{label}.V1", v(v.ring.zero()) is INF, ("0",), 1, seed),
+        result(f"{label}.V2", v(v.ring.one()) == zero, ("1",), 1, seed),
+        sweep(f"{label}.V3", pairs, lambda x, y: v(x * y) != value_add(v(x), v(y)), seed),
+        sweep(
+            f"{label}.V4",
+            pairs,
+            lambda x, y: not value_le(v(x) if value_le(v(x), v(y)) else v(y), v(x + y)),
+            seed,
+        ),
+        sweep(f"{label}.valmin", pairs, valmin_fails, seed),
+        sweep(
+            f"{label}.support-prime",
+            pairs,
+            lambda x, y: v(x * y) is INF and v(x) is not INF and v(y) is not INF,
+            seed,
+        ),
+        sweep(
+            f"{label}.support-agree",
+            universe.tuples(1, samples, f"support-agree:{label}"),
+            lambda x: v.support.contains(x.payload) != (v(x) is INF),
+            seed,
+        ),
+    ]
 
 
 def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
@@ -931,67 +903,65 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
         raise RingMismatchError("coarsening_check wants valuations on one ring")
     label = label or f"coarsening({v.name},{w.name})"
     seed = universe.seed
-    out: List[CheckResult] = []
-    singles = universe.singles(samples, label)
+    singles = universe.tuples(1, samples, label)
     pairs = universe.pairs(samples, label)
     zv, zw = v.group.zero(), w.group.zero()
 
-    def sweep_single(name, pred):
-        witness = None
-        for x in singles:
-            if not pred(x):
-                witness = (str(x),)
-                break
-        out.append(_result(f"{label}.{name}", witness is None, witness, len(singles), seed))
-        return witness is None
-
-    rw_ok = sweep_single(
-        "Rw-in-Rv", lambda x: not value_le(zw, w(x)) or value_le(zv, v(x))
-    )
-    iv_ok = sweep_single(
-        "Iv-in-Iw", lambda x: not value_lt(zv, v(x)) or value_lt(zw, w(x))
-    )
-
-    def sweep_pair(name, pred):
-        witness = None
-        for x, y in pairs:
-            if not pred(x, y):
-                witness = (str(x), str(y))
-                break
-        out.append(_result(f"{label}.{name}", witness is None, witness, len(pairs), seed))
-
-    sweep_pair(
-        "transfer-1", lambda x, y: not value_le(w(x), w(y)) or value_le(v(x), v(y))
-    )
-    sweep_pair(
-        "transfer-2",
-        lambda x, y: not (value_le(w(x), w(y)) and value_le(zv, v(x)))
-        or value_le(zv, v(y)),
-    )
-    sweep_pair(
-        "transfer-3",
-        lambda x, y: not (value_le(w(x), w(y)) and value_lt(zv, v(x)))
-        or value_lt(zv, v(y)),
-    )
+    out = [
+        sweep(
+            f"{label}.Rw-in-Rv",
+            singles,
+            lambda x: value_le(zw, w(x)) and not value_le(zv, v(x)),
+            seed,
+        ),
+        sweep(
+            f"{label}.Iv-in-Iw",
+            singles,
+            lambda x: value_lt(zv, v(x)) and not value_lt(zw, w(x)),
+            seed,
+        ),
+    ]
+    verdict = all(r.status == PASS for r in out)
+    out += [
+        sweep(
+            f"{label}.transfer-1",
+            pairs,
+            lambda x, y: value_le(w(x), w(y)) and not value_le(v(x), v(y)),
+            seed,
+        ),
+        sweep(
+            f"{label}.transfer-2",
+            pairs,
+            lambda x, y: value_le(w(x), w(y)) and value_le(zv, v(x))
+            and not value_le(zv, v(y)),
+            seed,
+        ),
+        sweep(
+            f"{label}.transfer-3",
+            pairs,
+            lambda x, y: value_le(w(x), w(y)) and value_lt(zv, v(x))
+            and not value_lt(zv, v(y)),
+            seed,
+        ),
+    ]
 
     if v.manis and w.manis and v.nontrivial and w.nontrivial:
-        witness = None
-        for x in singles:
-            if (v(x) is INF) != (w(x) is INF):
-                witness = (str(x),)
-                break
         out.append(
-            _result(f"{label}.supports-equal", witness is None, witness, len(singles), seed)
+            sweep(
+                f"{label}.supports-equal",
+                singles,
+                lambda x: (v(x) is INF) != (w(x) is INF),
+                seed,
+            )
         )
 
-    verdict = rw_ok and iv_ok
     out.append(
-        CheckResult(
-            name=f"{label}.is-coarsening",
-            status=PASS if verdict else FAIL,
-            witness=None,
-            samples_used=len(singles),
-            seed=seed,
+        result(
+            f"{label}.is-coarsening",
+            verdict,
+            None,
+            len(singles),
+            seed,
             detail="v <= w" if verdict else "containment failed",
         )
     )
@@ -1000,12 +970,14 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
 
 def is_coarsening(v: Valuation, w: Valuation, universe, samples: int = 500) -> bool:
     zv, zw = v.group.zero(), w.group.zero()
-    for x in universe.singles(samples, f"is_coarsening({v.name},{w.name})"):
-        if value_le(zw, w(x)) and not value_le(zv, v(x)):
-            return False
-        if value_lt(zv, v(x)) and not value_lt(zw, w(x)):
-            return False
-    return True
+    tag = f"is_coarsening({v.name},{w.name})"
+    return sweep(
+        tag,
+        universe.tuples(1, samples, tag),
+        lambda x: (value_le(zw, w(x)) and not value_le(zv, v(x)))
+        or (value_lt(zv, v(x)) and not value_lt(zw, w(x))),
+        universe.seed,
+    ).status == PASS
 
 
 def equivalent_check(v: Valuation, w: Valuation, universe, samples: int = 500,
@@ -1016,39 +988,31 @@ def equivalent_check(v: Valuation, w: Valuation, universe, samples: int = 500,
     label = label or f"equivalent({v.name},{w.name})"
     seed = universe.seed
     pairs = universe.pairs(samples, label)
-    out: List[CheckResult] = []
-    fwd = next(
-        (
-            (str(x), str(y))
-            for x, y in pairs
-            if value_le(v(x), v(y)) and not value_le(w(x), w(y))
-        ),
-        None,
+    fwd = sweep(
+        f"{label}.forward",
+        pairs,
+        lambda x, y: value_le(v(x), v(y)) and not value_le(w(x), w(y)),
+        seed,
     )
-    bwd = next(
-        (
-            (str(x), str(y))
-            for x, y in pairs
-            if value_le(w(x), w(y)) and not value_le(v(x), v(y))
-        ),
-        None,
+    bwd = sweep(
+        f"{label}.backward",
+        pairs,
+        lambda x, y: value_le(w(x), w(y)) and not value_le(v(x), v(y)),
+        seed,
     )
-    out.append(_result(f"{label}.forward", fwd is None, fwd, len(pairs), seed))
-    out.append(_result(f"{label}.backward", bwd is None, bwd, len(pairs), seed))
-    out.append(
-        CheckResult(
-            name=f"{label}.equivalent",
-            status=PASS if (fwd is None and bwd is None) else FAIL,
-            witness=fwd or bwd,
-            samples_used=len(pairs),
-            seed=seed,
-        )
-    )
-    return out
+    both = fwd.status == PASS and bwd.status == PASS
+    return [
+        fwd,
+        bwd,
+        result(f"{label}.equivalent", both, fwd.witness or bwd.witness, len(pairs), seed),
+    ]
 
 
 def are_equivalent(v: Valuation, w: Valuation, universe, samples: int = 500) -> bool:
-    for x, y in universe.pairs(samples, f"are_equivalent({v.name},{w.name})"):
-        if value_le(v(x), v(y)) != value_le(w(x), w(y)):
-            return False
-    return True
+    tag = f"are_equivalent({v.name},{w.name})"
+    return sweep(
+        tag,
+        universe.pairs(samples, tag),
+        lambda x, y: value_le(v(x), v(y)) != value_le(w(x), w(y)),
+        universe.seed,
+    ).status == PASS

@@ -85,3 +85,15 @@ def test_exit_code_mapping():
     assert r.exit_code() == EXIT_HARD
     r2 = Report(seed=1, halted=True)
     assert r2.exit_code() == EXIT_PRECONDITION
+
+
+def test_non_positive_sample_counts_exit_2(tmp_path, capsys):
+    f = tmp_path / "s.qord"
+    f.write_text("let v = padic(2) on Q\nlet q = qo(v)\ncheck compat(v, q)\n")
+    assert main(["run", str(f), "--samples", "0"]) == EXIT_USAGE
+    assert main(["corpus", "run", "exp1", "--samples", "-5"]) == EXIT_USAGE
+    assert main(["table", "--samples", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    f.write_text("let v = padic(2) on Q\nlet q = qo(v)\ncheck compat(v, q) samples(count=0)\n")
+    assert main(["run", str(f)]) == EXIT_USAGE
+    assert "sample count must be at least 1" in capsys.readouterr().err

@@ -65,6 +65,10 @@ def test_error_positions():
         run_text("check compat(v, q)")  # unbound names
     with pytest.raises(DslError):
         run_text("let v = padic(2) on Q\ncheck frobnify(v)")
+    with pytest.raises(DslError) as e:
+        run_text("let v = padic(2) on Q\n\n\ncheck roundtrip(v, eta=[1])")  # no residue=
+    assert "lift needs residue" in e.value.message
+    assert (e.value.line, e.value.col) == (4, 7)
 
 
 def test_empty_session():

@@ -20,7 +20,7 @@ from qord.rings import (
     quotient_reduce,
     quotient_ring,
 )
-from qord.sampling import Bounds, SampleUniverse, generate
+from qord.sampling import Bounds, SampleUniverse
 
 ZX = poly_ring(ZZ, "X")
 ZXY = poly_ring(ZZ, "X", "Y")
@@ -117,6 +117,22 @@ def test_unreducible_ideal_falls_back_to_membership_equality():
     assert r == X + 3
 
 
+def test_payloads_are_hashable():
+    # the comparator and valuation memos key on payloads, with no fallback
+    from qord.corpus import shipped_objects
+    from qord.valuations import gauss_on, trivial_valuation
+
+    valuations, quasiorders = shipped_objects()
+    universes = [u for _, _, u in valuations + quasiorders]
+    evens = trivial_valuation(ZZ, PrincipalIdeal(ZZ, 2))
+    ring, _ = quotient_ring(ZX, gauss_on(evens, ZX, (0,)).support)
+    assert not ring.canonical_eq  # its elements are unhashable, its payloads not
+    universes.append(SampleUniverse(ring, seed=1, count=30))
+    for U in universes:
+        for x in U.elements():
+            hash(x.payload)
+
+
 def test_fraction_field_constructions():
     K, embed = fraction_field(ZZ)
     assert K is QQ
@@ -185,18 +201,18 @@ def test_parse_rejects_garbage():
 
 def test_sample_universe_forced_and_deterministic():
     U = SampleUniverse(QQ, seed=42, count=10, bounds=Bounds(coeff_height=5))
-    elems = generate(U)
+    elems = U.elements()
     strs = {str(x) for x in elems}
     assert {"0", "1", "-1"} <= strs
     U2 = SampleUniverse(QQ, seed=42, count=10, bounds=Bounds(coeff_height=5))
-    assert [str(x) for x in generate(U2)] == [str(x) for x in elems]
+    assert [str(x) for x in U2.elements()] == [str(x) for x in elems]
 
 
 def test_sample_universe_bounds():
     U = SampleUniverse(
         ZX, seed=3, count=50, bounds=Bounds(coeff_height=3, max_degree=2)
     )
-    for f in generate(U):
+    for f in U.elements():
         assert ZX.degree(f.payload) <= 2
         for _, c in f.payload:
             assert abs(c) <= 3 * 3  # coefficients may merge across draws
@@ -205,7 +221,7 @@ def test_sample_universe_bounds():
 def test_distinguished_elements_lead():
     X = ZX.var("X")
     U = SampleUniverse(ZX, seed=1, count=5, distinguished=(X + 1, X))
-    elems = generate(U)
+    elems = U.elements()
     assert str(elems[0]) == "1*X + 1"
     assert str(elems[1]) == "1*X"
     assert str(elems[2]) == "0"
