@@ -143,12 +143,9 @@ def gamma_data(
 
 def default_basis(v: Valuation) -> BasisData:
     """Basis from the fixed preimages of the unit vectors."""
-    cached = getattr(v, "_default_basis", None)
-    if cached is None:
-        pis = tuple(v.preimage(b) for b in v.group.basis)
-        cached = BasisData(v, pis)
-        v._default_basis = cached
-    return cached
+    if v._default_basis is None:
+        v._default_basis = BasisData(v, tuple(v.preimage(b) for b in v.group.basis))
+    return v._default_basis
 
 
 def lift(data: LiftData) -> QuasiOrder:
@@ -221,7 +218,6 @@ def lift(data: LiftData) -> QuasiOrder:
         ring,
         cmp,
         f"lift({v.name};{','.join('%+d' % s for s in eta.signs)};{rq.name})",
-        provenance="lifted",
         support_ideal=v.support,
         expected_kind=kind,
     )
@@ -422,7 +418,6 @@ def bk3_lift(
         ring,
         cmp,
         f"{lifted.name}|{ring.name}",
-        provenance="lifted-restricted",
         support_ideal=v.support,
         expected_kind=lifted.expected_kind,
     )
@@ -479,7 +474,6 @@ def mu_restrict(
         rv,
         cmp,
         f"{q.name}|{rv.name}",
-        provenance="residue-restricted",
         support_ideal=None,
         expected_kind=q.expected_kind,
     )

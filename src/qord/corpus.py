@@ -565,17 +565,10 @@ def shipped_objects():
 
 
 def _flags_from_report(report: Report, inst_name: str) -> Optional[CompatReport]:
-    flags = {}
-    for c in report.checks:
-        if c.name.startswith(f"{inst_name}::table_conditions(") and c.name.endswith(
-            ".flags"
-        ):
-            for part in (c.detail or "").split():
-                k, _, val = part.partition("=")
-                flags[k] = val == "T"
-    if set(flags) != {"c1", "c2", "c3", "c4", "c5"}:
-        return None
-    return CompatReport(**flags)
+    prefix = f"{inst_name}::table_conditions("
+    flags = [c.detail for c in report.checks
+             if c.name.startswith(prefix) and c.name.endswith(".flags")]
+    return CompatReport.parse_flags(flags[-1]) if flags else None
 
 
 def table_reports(seed: int = 42, samples: int = 500) -> Dict[str, CompatReport]:
@@ -623,11 +616,7 @@ def render_matrix(checks, witnesses, reports) -> str:
     lines.append("")
     lines.append("instance flags:")
     for name in sorted(reports):
-        rep = reports[name]
-        flags = " ".join(
-            f"c{i}={'T' if rep.flag(i) else 'F'}" for i in range(1, 6)
-        )
-        lines.append(f"  {name:<22} {flags}")
+        lines.append(f"  {name:<22} {reports[name].format_flags()}")
     lines.append("")
     lines.append("blank-cell witnesses:")
     for (i, j) in table_blank_cells():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .baerkrull import (
     BasisData,
@@ -460,10 +460,12 @@ def _eval(ctx: SessionContext, node, on: Optional[Ring] = None):
     raise DslError("bad expression", getattr(node, "line", 0), getattr(node, "col", 0))
 
 
-def _arity(node: Call, n_args: int, kw_allowed=()):
-    if len(node.args) != n_args:
+def _arity(node: Call, n_args: int, kw_allowed=(), at_least: bool = False):
+    got = len(node.args)
+    if got < n_args or (got > n_args and not at_least):
         raise DslError(
-            f"{node.name} takes {n_args} positional argument(s), got {len(node.args)}",
+            f"{node.name} takes {'at least ' if at_least else ''}{n_args} "
+            f"positional argument(s), got {got}",
             node.line,
             node.col,
         )
@@ -680,8 +682,11 @@ def _lift_data(node: Call, v, kw) -> LiftData:
     return LiftData(basis, EtaVector(tuple(eta)), rq)
 
 
+_LIFT_KW = ("eta", "residue", "pis", "signs")
+
+
 def _c_lift(ctx, node: Call, on):
-    _arity(node, 1, kw_allowed=("eta", "residue", "pis", "signs"))
+    _arity(node, 1, kw_allowed=_LIFT_KW)
     v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
     kw = _kwargs(ctx, node)
     return lift(_lift_data(node, v, kw))
@@ -769,13 +774,12 @@ def _ck_convex(call, label, args, kw, U, n):
 def _ck_table(call, label, args, kw, U, n):
     v, q = args
     rep = table_conditions(v, q, U, samples=n, label=label)
-    flags = rep.as_dict()
     summary = CheckResult(
         name=f"{label}.flags",
         status=PASS,
         samples_used=n,
         seed=U.seed,
-        detail=" ".join(f"{k}={'T' if flags[k] else 'F'}" for k in sorted(flags)),
+        detail=rep.format_flags(),
     )
     return rep.checks + [summary]
 
@@ -888,27 +892,29 @@ def _ck_unbounded_above(call, label, args, kw, U, n):
     ]
 
 
-CHECKS: Dict[str, Callable] = {
-    "val_axioms": _ck_val_axioms,
-    "qo_axioms": _ck_qo_axioms,
-    "derived_lemmas": _ck_derived,
-    "classify": _ck_classify,
-    "compat": _ck_compat,
-    "convex": _ck_convex,
-    "table_conditions": _ck_table,
-    "compat_equivalence": _ck_compat_equivalence,
-    "iv_prec_one": _ck_iv1,
-    "special_star": _ck_special_star,
-    "coarsening": _ck_coarsening,
-    "equivalent": _ck_equivalent,
-    "rank": _ck_rank,
-    "roundtrip": _ck_roundtrip,
-    "lift_props": _ck_lift_props,
-    "reconstruct": _ck_reconstruct,
-    "val_value": _ck_val_value,
-    "val_agree": _ck_val_agree,
-    "qo_agree": _ck_qo_agree,
-    "unbounded_above": _ck_unbounded_above,
+#: name -> (runner, positional argument count, allowed keywords).  rank
+#: takes a quasi-order and then any number of candidate valuations.
+CHECKS: Dict[str, Tuple[Callable, int, Tuple[str, ...]]] = {
+    "val_axioms": (_ck_val_axioms, 1, ()),
+    "qo_axioms": (_ck_qo_axioms, 1, ()),
+    "derived_lemmas": (_ck_derived, 1, ()),
+    "classify": (_ck_classify, 1, ("expect",)),
+    "compat": (_ck_compat, 2, ()),
+    "convex": (_ck_convex, 2, ("set",)),
+    "table_conditions": (_ck_table, 2, ()),
+    "compat_equivalence": (_ck_compat_equivalence, 2, ()),
+    "iv_prec_one": (_ck_iv1, 2, ()),
+    "special_star": (_ck_special_star, 1, ()),
+    "coarsening": (_ck_coarsening, 2, ()),
+    "equivalent": (_ck_equivalent, 2, ()),
+    "rank": (_ck_rank, 1, ("expect",)),
+    "roundtrip": (_ck_roundtrip, 1, _LIFT_KW),
+    "lift_props": (_ck_lift_props, 1, _LIFT_KW),
+    "reconstruct": (_ck_reconstruct, 2, ("pis", "signs")),
+    "val_value": (_ck_val_value, 3, ()),
+    "val_agree": (_ck_val_agree, 2, ()),
+    "qo_agree": (_ck_qo_agree, 2, ()),
+    "unbounded_above": (_ck_unbounded_above, 2, ()),
 }
 
 
@@ -977,20 +983,28 @@ def run_session(
 
 def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[CheckResult]:
     call = stmt.call
-    runner = CHECKS.get(call.name)
-    if runner is None:
+    spec = CHECKS.get(call.name)
+    if spec is None:
         raise DslError(f"unknown check {call.name!r}", call.line, call.col)
+    runner, n_args, kw_allowed = spec
+    _arity(call, n_args, kw_allowed, at_least=call.name == "rank")
     params = dict(stmt.params)
+    for key in params:
+        if key not in ("count", "seed", "universe"):
+            raise DslError(f"samples got unexpected keyword {key!r}", stmt.line, stmt.col)
     seed = params.get("seed", ctx.seed)
     n = params.get("count", ctx.samples)
     if n < 1:
         raise DslError(f"sample count must be at least 1, got {n}", stmt.line, stmt.col)
+    size = params.get("universe", max(50, n // 2))
+    if size < 1:
+        raise DslError(f"universe size must be at least 1, got {size}", stmt.line, stmt.col)
     args = [_eval(ctx, a) for a in call.args]
     kw = _kwargs(ctx, call)
     label = label_prefix + node_text(call)
     try:
         ring = _subject_ring(args)
-        universe = ctx.universe(ring, seed, params.get("universe", max(50, n // 2)))
+        universe = ctx.universe(ring, seed, size)
         start = time.perf_counter()
         results = runner(call, label, args, kw, universe, n)
         elapsed = (time.perf_counter() - start) * 1000.0

@@ -46,14 +46,12 @@ class QuasiOrder:
         compare_payload: Callable,
         name: str,
         *,
-        provenance: str = "custom",
         support_ideal: Optional[Ideal] = None,
         expected_kind: Optional[str] = None,
     ):
         self.ring = ring
         self._compare_payload = compare_payload
         self.name = name
-        self.provenance = provenance
         self.support_ideal = support_ideal
         self.expected_kind = expected_kind
         self._memo: dict = {}
@@ -111,7 +109,6 @@ def from_valuation(w: Valuation) -> QuasiOrder:
         w.ring,
         cmp,
         f"qo({w.name})",
-        provenance="valuation-induced",
         support_ideal=w.support,
         expected_kind=PROPER,
     )
@@ -144,7 +141,6 @@ def from_sign_order(s: SignOrder) -> QuasiOrder:
         ring,
         cmp,
         s.name,
-        provenance="sign-order",
         support_ideal=s.support_ideal,
         expected_kind=ORDER,
     )
@@ -242,7 +238,6 @@ def transport_qo(q: QuasiOrder, residue: ResidueDomainRing) -> QuasiOrder:
         residue,
         cmp,
         f"{q.name}@{residue.name}",
-        provenance="residue-transport",
         support_ideal=ZeroIdeal(residue),
         expected_kind=q.expected_kind,
     )
@@ -280,7 +275,6 @@ def frac_extend_qo(q: QuasiOrder) -> QuasiOrder:
         K,
         cmp,
         f"{q.name}~",
-        provenance="fraction-extended",
         support_ideal=ZeroIdeal(K),
         expected_kind=q.expected_kind,
     )

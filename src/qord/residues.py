@@ -142,7 +142,6 @@ def residue_qo(q: QuasiOrder, v: Valuation) -> QuasiOrder:
         residue,
         rule,
         f"{q.name}/{v.name}",
-        provenance="residue-induced",
         support_ideal=ZeroIdeal(residue),
         expected_kind=q.expected_kind,
     )
@@ -265,10 +264,20 @@ class CompatReport:
     samples: int = 0
 
     def flag(self, i: int) -> bool:
-        return getattr(self, f"c{i}")
+        return (self.c1, self.c2, self.c3, self.c4, self.c5)[i - 1]
 
     def as_dict(self):
         return {f"c{i}": self.flag(i) for i in range(1, 6)}
+
+    def format_flags(self) -> str:
+        """The flags as "c1=T c2=F c3=F c4=T c5=T"; parse_flags reads it back."""
+        return " ".join(f"c{i}={'T' if self.flag(i) else 'F'}" for i in range(1, 6))
+
+    @classmethod
+    def parse_flags(cls, text: str) -> "CompatReport":
+        """The inverse of format_flags."""
+        pairs = (part.split("=") for part in text.split())
+        return cls(**{k: val == "T" for k, val in pairs})
 
 
 def table_conditions(
@@ -772,7 +781,6 @@ def associated_qofield(
             qring,
             cmp,
             f"{q.name}/supp",
-            provenance="residue-induced",
             support_ideal=ZeroIdeal(qring),
             expected_kind=q.expected_kind,
         )
@@ -828,5 +836,4 @@ def _transport_val(v: Valuation, qring, section) -> Valuation:
         manis=v.manis,
         local=qring.is_field,
         preimage_fn=None,
-        provenance="quotient-transport",
     )

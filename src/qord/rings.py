@@ -538,52 +538,41 @@ def _parse_poly(ring: PolynomialRing, text: str):
     return ring._canon_dict(d)
 
 
-# univariate polynomial division/gcd over a field base ----------------------
+# univariate polynomial division/gcd over Q --------------------------------
+# Payloads of Q[X] are divided densely, straight on their Fraction
+# coefficients: the only caller is the canonical form of Quot(Q[X]).
 
 
-def _uni_divmod(ring: PolynomialRing, a, b):
-    """Univariate division with remainder; base must be a field."""
+def _uni_divmod(a, b):
+    """Univariate division with remainder over Q."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    base = ring.base
-    q: dict = {}
-    r = dict(a)
-
-    def deg(d):
-        return max((e[0] for e in d), default=-1)
-
     db = b[0][0][0]
-    lb = b[0][1]
-    while r and deg(r) >= db:
-        dr = deg(r)
-        lr = r.get((dr,))
-        if lr is None or base.eq(lr, base.zero_payload()):
-            r.pop((dr,), None)
-            continue
-        factor = base.mul(lr, _field_inv(base, lb))
-        q[(dr - db,)] = base.add(q.get((dr - db,), base.zero_payload()), factor)
-        for (eb,), cb in b:
-            key = (eb + dr - db,)
-            r[key] = base.sub(r.get(key, base.zero_payload()), base.mul(factor, cb))
-            if base.eq(r[key], base.zero_payload()):
-                del r[key]
-    return ring._canon_dict(q), ring._canon_dict(r)
+    inv = 1 / b[0][1]
+    tail = [(e - db, c) for (e,), c in b[1:]]
+    r = [0] * (a[0][0][0] + 1 if a else 0)
+    for (e,), c in a:
+        r[e] = c
+    q = []
+    for d in range(len(r) - 1, db - 1, -1):
+        if r[d]:
+            f = r[d] * inv
+            q.append(((d - db,), f))
+            for off, c in tail:
+                r[d + off] -= f * c
+    rem = tuple(((e,), r[e]) for e in range(min(db, len(r)) - 1, -1, -1) if r[e])
+    return tuple(q), rem
 
 
-def _field_inv(base: Ring, c):
-    return base.inv(base.el(c)).payload
-
-
-def _uni_gcd(ring: PolynomialRing, a, b):
-    """Monic gcd of univariate polynomials over a field base."""
+def _uni_gcd(a, b):
+    """Monic gcd of univariate polynomials over Q."""
     while b:
-        _, r = _uni_divmod(ring, a, b)
+        _, r = _uni_divmod(a, b)
         a, b = b, r
     if not a:
         return a
-    lc = ring.leading_coef(a)
-    inv = _field_inv(ring.base, lc)
-    return tuple((e, ring.base.mul(c, inv)) for e, c in a)
+    inv = 1 / a[0][1]
+    return tuple((e, c * inv) for e, c in a)
 
 
 def _content(ring: PolynomialRing, a):
@@ -692,12 +681,11 @@ class VariableIdeal(Ideal):
 class SupportIdeal(Ideal):
     """The support of a valuation, tested through the valuation itself."""
 
+    reducible = False
+
     def __init__(self, valuation):
         self.valuation = valuation
         self.ring = valuation.ring
-        base = getattr(valuation, "_support_concrete", None)
-        self.concrete = base
-        self.reducible = base.reducible if base is not None else False
 
     def contains(self, a):
         from .groups import INF
@@ -705,8 +693,6 @@ class SupportIdeal(Ideal):
         return self.valuation._eval_memo(a) is INF
 
     def reduce(self, a):
-        if self.concrete is not None:
-            return self.concrete.reduce(a)
         return None
 
     def describe(self):
@@ -838,8 +824,6 @@ def quotient_ring(base: Ring, ideal: Ideal):
     """
     if ideal.is_zero:
         return base, lambda x: x
-    if isinstance(ideal, SupportIdeal) and ideal.concrete is not None:
-        return quotient_ring(base, ideal.concrete)
     if isinstance(ideal, PrincipalIdeal):
         target = IntegerModRing(ideal.generator)
         return target, lambda x: target.el(x.payload % ideal.generator)
@@ -904,14 +888,13 @@ class RationalFunctionField(Ring):
         if not num:
             return ((), poly.one_payload())
         if self._full_canonical:
-            g = _uni_gcd(poly, num, den)
+            g = _uni_gcd(num, den)
             if poly.degree(g) > 0:
-                num, _ = _uni_divmod(poly, num, g)
-                den, _ = _uni_divmod(poly, den, g)
-            lc = poly.leading_coef(den)
-            inv = _field_inv(poly.base, lc)
-            num = tuple((e, poly.base.mul(c, inv)) for e, c in num)
-            den = tuple((e, poly.base.mul(c, inv)) for e, c in den)
+                num, _ = _uni_divmod(num, g)
+                den, _ = _uni_divmod(den, g)
+            inv = 1 / den[0][1]
+            num = tuple((e, c * inv) for e, c in num)
+            den = tuple((e, c * inv) for e, c in den)
             return (num, den)
         cn, cd = _content(poly, num), _content(poly, den)
         if isinstance(cn, Fraction):

@@ -11,8 +11,9 @@ explicit preimage witnesses; they are never inferred by search.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .groups import (
     INF,
@@ -53,8 +54,43 @@ IN_UV = "in-Uv"
 OUTSIDE_RV = "outside-Rv"
 
 
+@dataclass(frozen=True)
+class Padic:
+    """Provenance of padic_valuation: the prime p."""
+
+    prime: int
+
+
+@dataclass(frozen=True)
+class Gauss:
+    """Provenance of gauss_on: the base valuation and one twist per variable."""
+
+    base: "Valuation"
+    gammas: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Composite:
+    """Provenance of composite_valuation: the Manis base v and the upper u on Rv."""
+
+    base: "Valuation"
+    upper: "Valuation"
+
+
+Provenance = Union[Padic, Gauss, Composite]
+
+#: (concrete ring, to_concrete, from_concrete) on payloads: a canonical form
+#: of the residue class domain, used for canonical representatives.
+ResidueForm = Tuple[Ring, Callable, Callable]
+
+
 class Valuation:
-    """A valuation descriptor with a pure, memoized evaluation map."""
+    """A valuation descriptor with a pure, memoized evaluation map.
+
+    ``provenance`` records the construction facts that later constructors
+    read (None when none are needed); ``residue_form`` is the concrete
+    form of Rv, when the constructor knows one.
+    """
 
     def __init__(
         self,
@@ -67,7 +103,8 @@ class Valuation:
         manis: bool = False,
         local: bool = False,
         preimage_fn: Optional[Callable] = None,
-        provenance: str = "custom",
+        provenance: Optional[Provenance] = None,
+        residue_form: Optional[ResidueForm] = None,
     ):
         self.ring = ring
         self.group = group
@@ -76,17 +113,13 @@ class Valuation:
         self.manis = manis
         self.local = local
         self.provenance = provenance
+        self.residue_form = residue_form
         self._preimage_fn = preimage_fn
         self._memo: dict = {}
         self._preimage_memo: dict = {}
-        # support defaults to the eval-based ideal; concrete ideals are
-        # attached by constructors that know them.
-        self._support_concrete = None
-        if support is not None and not isinstance(support, SupportIdeal):
-            self._support_concrete = support
         self.support = support if support is not None else SupportIdeal(self)
         self._residue_ring = None
-        self._residue_concrete = None  # (ring, to_concrete, from_concrete)
+        self._default_basis = None  # filled by baerkrull.default_basis
 
     # ------------------------------------------------------------------
     def _eval_memo(self, payload):
@@ -175,11 +208,9 @@ class ResidueDomainRing(Ring):
         self.val = val
         self.parent = val.ring
         self.name = f"Rv({val.name})"
-        concrete = val._residue_concrete
-        self.concrete_ring = concrete[0] if concrete else None
-        self._to_c = concrete[1] if concrete else None
-        self._from_c = concrete[2] if concrete else None
-        self.canonical_eq = concrete is not None
+        form = val.residue_form
+        self.concrete_ring, self._to_c, self._from_c = form or (None, None, None)
+        self.canonical_eq = form is not None
         self.is_field = val.local
         self.is_domain = True
 
@@ -250,16 +281,6 @@ class ResidueDomainRing(Ring):
     def representative(self, xbar: RingElement) -> RingElement:
         return RingElement(self.parent, xbar.payload)
 
-    def to_concrete(self, xbar: RingElement) -> RingElement:
-        if self.concrete_ring is None:
-            raise NotImplementedError(f"{self.name} has no concrete residue form")
-        return self.concrete_ring.el(self._to_c(xbar.payload))
-
-    def from_concrete(self, c: RingElement) -> RingElement:
-        if self.concrete_ring is None:
-            raise NotImplementedError(f"{self.name} has no concrete residue form")
-        return self.el(self._from_c(c.payload))
-
     def sample(self, universe, rng):
         if self.concrete_ring is not None:
             inner = universe._draw_in(self.concrete_ring, rng)
@@ -290,6 +311,15 @@ def _vp_int(n: int, p: int) -> object:
     return (k,)
 
 
+def _padic_residue_form_q(p: int) -> ResidueForm:
+    """Rv of v_p on Q is Z/pZ: a/b maps to a * b^-1 mod p."""
+
+    def to_c(x: Fraction):
+        return (x.numerator * pow(x.denominator, -1, p)) % p
+
+    return IntegerModRing(p), to_c, Fraction
+
+
 def padic_valuation(p: int, ring: Ring = None) -> Valuation:
     """The p-adic valuation, on Q (Manis, local) or on Z (neither)."""
     from .rings import QQ, _is_prime
@@ -305,7 +335,7 @@ def padic_valuation(p: int, ring: Ring = None) -> Valuation:
                 return INF
             return value_sub(_vp_int(x.numerator, p), _vp_int(x.denominator, p))
 
-        v = Valuation(
+        return Valuation(
             ring,
             Z_GROUP,
             ev,
@@ -314,17 +344,11 @@ def padic_valuation(p: int, ring: Ring = None) -> Valuation:
             manis=True,
             local=True,
             preimage_fn=lambda g: ring.el(Fraction(p) ** g[0]),
-            provenance="padic",
+            provenance=Padic(p),
+            residue_form=_padic_residue_form_q(p),
         )
-        v.padic_prime = p
-
-        def to_c(x: Fraction):
-            return (x.numerator * pow(x.denominator, -1, p)) % p
-
-        v._residue_concrete = (IntegerModRing(p), to_c, lambda k: Fraction(k))
-        return v
     if isinstance(ring, IntegerRing):
-        v = Valuation(
+        return Valuation(
             ring,
             Z_GROUP,
             lambda n: _vp_int(n, p),
@@ -332,11 +356,9 @@ def padic_valuation(p: int, ring: Ring = None) -> Valuation:
             support=ZeroIdeal(ring),
             manis=False,
             local=False,
-            provenance="padic",
+            provenance=Padic(p),
+            residue_form=(IntegerModRing(p), lambda n: n % p, lambda k: k),
         )
-        v.padic_prime = p
-        v._residue_concrete = (IntegerModRing(p), lambda n: n % p, lambda k: k)
-        return v
     raise ValueError(f"p-adic valuations live on Z or Q, not {ring.name}")
 
 
@@ -350,7 +372,16 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
     def ev(payload):
         return INF if support.contains(payload) else ()
 
-    v = Valuation(
+    form = None
+    if support.reducible:
+        target, project, section = _quotient_maps(ring, support)
+        if target is not ring:
+            form = (
+                target,
+                lambda p: project(RingElement(ring, p)).payload,
+                lambda c: section(RingElement(target, c)).payload,
+            )
+    return Valuation(
         ring,
         TRIVIAL_GROUP,
         ev,
@@ -359,17 +390,8 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
         manis=True,
         local=ring.is_field and support.is_zero,
         preimage_fn=lambda g: ring.one(),
-        provenance="trivial",
+        residue_form=form,
     )
-    if support.reducible:
-        target, project, section = _quotient_maps(ring, support)
-        if target is not ring:
-            v._residue_concrete = (
-                target,
-                lambda p: project(RingElement(ring, p)).payload,
-                lambda c: section(RingElement(target, c)).payload,
-            )
-    return v
 
 
 def _quotient_maps(base: Ring, ideal: Ideal):
@@ -461,7 +483,7 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
 
     support = ZeroIdeal(poly) if u.support.is_zero else None
     gname = ",".join(str(g) for g in gammas)
-    v = Valuation(
+    return Valuation(
         poly,
         Z_GROUP,
         ev,
@@ -470,11 +492,8 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
         manis=manis,
         local=False,
         preimage_fn=preimage,
-        provenance="gauss",
+        provenance=Gauss(u, gammas),
     )
-    v.gauss_base = u
-    v.gauss_gammas = gammas
-    return v
 
 
 def gauss_valuation(u: Valuation, gammas: Sequence[int]) -> Valuation:
@@ -513,9 +532,8 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
             manis=v.manis,
             local=qring.is_field,
             preimage_fn=(lambda g: project(v.preimage(g))) if v.manis else None,
-            provenance="quotient-transport",
+            residue_form=v.residue_form,
         )
-        vq._residue_concrete = v._residue_concrete
     K, embed = fraction_field(qring)
     if K is qring:
         return vq
@@ -537,8 +555,8 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
                 return INF
             return value_sub(vq._eval_memo(num), vq._eval_memo(den))
 
-    if uniformizer is None and not vq.manis and getattr(v, "padic_prime", None):
-        uniformizer = base.from_int(v.padic_prime)
+    if uniformizer is None and not vq.manis and isinstance(v.provenance, Padic):
+        uniformizer = base.from_int(v.provenance.prime)
 
     preimage_fn = None
     if vq.manis:
@@ -566,7 +584,7 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
             f"cannot extend {v.name}: no Manis witness and no uniformizer supplied"
         )
 
-    nu = Valuation(
+    return Valuation(
         K,
         v.group,
         ev,
@@ -575,53 +593,49 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
         manis=True,
         local=True,
         preimage_fn=preimage_fn,
-        provenance="fraction-extension",
+        residue_form=_fraction_residue_form(v, K),
     )
-    nu.frac_base = v
-    _attach_fraction_residue(nu, v, K)
-    return nu
 
 
-def _attach_fraction_residue(nu: Valuation, v: Valuation, K: Ring):
-    if isinstance(K, RationalField) and getattr(v, "padic_prime", None):
-        p = v.padic_prime
+def _fraction_residue_form(v: Valuation, K: Ring) -> Optional[ResidueForm]:
+    """The concrete residue field of v extended to K, for the recognized cases:
+    v_p on Z (Rv = Z/pZ) and the degree valuation (Rv = Q)."""
+    prov = v.provenance
+    if isinstance(K, RationalField) and isinstance(prov, Padic):
+        return _padic_residue_form_q(prov.prime)
+    if not (
+        isinstance(K, RationalFunctionField)
+        and isinstance(prov, Gauss)
+        and prov.base.group.rank == 0
+        and prov.gammas == (-1,)
+    ):
+        return None
+    poly = K.poly
 
-        def to_c(x: Fraction):
-            return (x.numerator * pow(x.denominator, -1, p)) % p
+    def lc_fraction(payload):
+        num, den = payload
+        dn = poly.degree(num)
+        dd = poly.degree(den)
+        if dn < dd:
+            return Fraction(0)
+        if dn > dd:
+            raise ValueError("element is outside the valuation ring")
+        return Fraction(poly.leading_coef(num)) / Fraction(poly.leading_coef(den))
 
-        nu._residue_concrete = (IntegerModRing(p), to_c, lambda k: Fraction(k))
-        nu.padic_prime = p
-        return
-    if isinstance(K, RationalFunctionField):
-        base_u = getattr(v, "gauss_base", None)
-        gammas = getattr(v, "gauss_gammas", None)
-        if base_u is not None and base_u.group.rank == 0 and gammas == (-1,):
-            poly = K.poly
+    def from_c(q: Fraction, _p=poly):
+        if q == 0:
+            return ((), _p.one_payload())
+        if isinstance(_p.base, RationalField):
+            num = (((0,) * _p.nvars, q),)
+            den = _p.one_payload()
+        else:
+            num = (((0,) * _p.nvars, q.numerator),)
+            den = (((0,) * _p.nvars, q.denominator),)
+        return K._normalize(num, den)
 
-            def lc_fraction(payload):
-                num, den = payload
-                dn = poly.degree(num)
-                dd = poly.degree(den)
-                if dn < dd:
-                    return Fraction(0)
-                if dn > dd:
-                    raise ValueError("element is outside the valuation ring")
-                return Fraction(poly.leading_coef(num)) / Fraction(poly.leading_coef(den))
+    from .rings import QQ
 
-            def from_c(q: Fraction, _p=poly):
-                if q == 0:
-                    return ((), _p.one_payload())
-                if isinstance(_p.base, RationalField):
-                    num = (((0,) * _p.nvars, q),)
-                    den = _p.one_payload()
-                else:
-                    num = (((0,) * _p.nvars, q.numerator),)
-                    den = (((0,) * _p.nvars, q.denominator),)
-                return K._normalize(num, den)
-
-            from .rings import QQ
-
-            nu._residue_concrete = (QQ, lc_fraction, from_c)
+    return QQ, lc_fraction, from_c
 
 
 def transport_to_residue(u: Valuation, residue: ResidueDomainRing) -> Valuation:
@@ -642,7 +656,7 @@ def transport_to_residue(u: Valuation, residue: ResidueDomainRing) -> Valuation:
         def pre(g):
             return residue.el(residue._from_c(u.preimage(g).payload))
 
-    w = Valuation(
+    return Valuation(
         residue,
         u.group,
         ev,
@@ -651,10 +665,7 @@ def transport_to_residue(u: Valuation, residue: ResidueDomainRing) -> Valuation:
         manis=u.manis,
         local=u.local,
         preimage_fn=pre,
-        provenance="residue-transport",
     )
-    w.transport_base = u
-    return w
 
 
 def composite_valuation(
@@ -719,7 +730,7 @@ def composite_valuation(
             rep = residue.representative(u.preimage(delta))
             return sect(gamma) * rep
 
-    w = Valuation(
+    return Valuation(
         field,
         group,
         ev,
@@ -728,12 +739,8 @@ def composite_valuation(
         manis=v.manis and u.manis,
         local=True,
         preimage_fn=pre,
-        provenance="composite",
+        provenance=Composite(v, u),
     )
-    w.composite_base = v
-    w.composite_upper = u
-    w.composite_sections = tuple(sections)
-    return w
 
 
 def quotient_val(
@@ -767,8 +774,8 @@ def quotient_val(
     )
     zero_v = v.group.zero()
 
-    if getattr(w, "composite_base", None) is v:
-        upper = w.composite_upper
+    if isinstance(w.provenance, Composite) and w.provenance.base is v:
+        upper = w.provenance.upper
         group = upper.group
         vr = v.group.rank
 
@@ -809,7 +816,7 @@ def quotient_val(
                     )
                 return residue.element(x)
 
-    q = Valuation(
+    return Valuation(
         residue,
         group,
         ev,
@@ -818,10 +825,7 @@ def quotient_val(
         manis=manis,
         local=False,
         preimage_fn=pre,
-        provenance="quotient",
     )
-    q.quotient_of = (w, v)
-    return q
 
 
 def scaled_valuation(v: Valuation, k: int) -> Valuation:
@@ -843,7 +847,6 @@ def scaled_valuation(v: Valuation, k: int) -> Valuation:
         support=v.support,
         manis=False,
         local=v.local,
-        provenance="scaled",
     )
 
 

@@ -435,7 +435,7 @@ def test_bk3_restriction_idempotent():
     def restrict_again(q):
         from qord.quasiorders import QuasiOrder
 
-        return QuasiOrder(q.ring, q._compare_payload, q.name + "'", provenance=q.provenance)
+        return QuasiOrder(q.ring, q._compare_payload, q.name + "'")
 
     again = restrict_again(restricted)
     for x, y in UZ.pairs(300, "idem"):

@@ -97,3 +97,25 @@ def test_non_positive_sample_counts_exit_2(tmp_path, capsys):
     f.write_text("let v = padic(2) on Q\nlet q = qo(v)\ncheck compat(v, q) samples(count=0)\n")
     assert main(["run", str(f)]) == EXIT_USAGE
     assert "sample count must be at least 1" in capsys.readouterr().err
+    for params, message in (
+        ("universe=0", "universe size must be at least 1"),
+        ("universe=-3", "universe size must be at least 1"),
+        ("cout=5", "unexpected keyword 'cout'"),
+    ):
+        f.write_text(f"let v = padic(2) on Q\nlet q = qo(v)\ncheck compat(v, q) samples({params})\n")
+        assert main(["run", str(f)]) == EXIT_USAGE, params
+        assert message in capsys.readouterr().err
+
+
+def test_wrong_check_arity_exits_2(tmp_path, capsys):
+    f = tmp_path / "s.qord"
+    for check, message in (
+        ("compat(v)", "compat takes 2 positional argument(s), got 1"),
+        ("compat(v, q, q)", "compat takes 2 positional argument(s), got 3"),
+        ("compat(v, q, bogus=1)", "compat got unexpected keyword 'bogus'"),
+        ("rank()", "rank takes at least 1 positional argument(s), got 0"),
+        ("roundtrip(v, eta=[1], residue=q, sign=[1])", "unexpected keyword 'sign'"),
+    ):
+        f.write_text(f"let v = padic(2) on Q\nlet q = qo(v)\ncheck {check}\n")
+        assert main(["run", str(f)]) == EXIT_USAGE, check
+        assert message in capsys.readouterr().err

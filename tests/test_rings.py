@@ -13,6 +13,8 @@ from qord.rings import (
     RingMismatchError,
     VariableIdeal,
     ZeroIdeal,
+    _uni_divmod,
+    _uni_gcd,
     arith,
     const_term,
     fraction_field,
@@ -272,3 +274,41 @@ def test_fraction_normalize_idempotent(num, den):
     x = K.el((num.payload, den.payload))
     assert K.canon(x.payload) == x.payload
     assert K.parse(str(x)) == x
+
+
+@st.composite
+def qx_payloads(draw):
+    d = {}
+    for e in range(draw(st.integers(min_value=0, max_value=5))):
+        num = draw(small_ints)
+        den = draw(st.integers(min_value=1, max_value=6))
+        d[(e,)] = Fraction(num, den)
+    return QX._canon_dict(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(qx_payloads(), qx_payloads())
+def test_univariate_division_over_q(a, b):
+    if not b:
+        b = QX.one_payload()
+    q, r = _uni_divmod(a, b)
+    assert QX.add(QX.mul(q, b), r) == a
+    assert QX.degree(r) < QX.degree(b)
+    for p in (q, r):
+        assert QX.canon(p) == p
+        assert all(type(c) is Fraction for _, c in p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qx_payloads(), qx_payloads(), qx_payloads())
+def test_fraction_normalize_over_q_cancels_common_factors(num, den, g):
+    K = RationalFunctionField(QX)
+    if not den:
+        den = QX.one_payload()
+    if not g:
+        g = QX.one_payload()
+    n, d = K._normalize(num, den)
+    assert QX.mul(n, den) == QX.mul(num, d)
+    assert QX.leading_coef(d) == 1
+    assert _uni_gcd(n, d) == QX.one_payload()
+    assert K._normalize(QX.mul(num, g), QX.mul(den, g)) == (n, d)

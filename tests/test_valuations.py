@@ -391,3 +391,20 @@ def test_equivalence_checks():
     doubled = scaled_valuation(v2, 2)
     res = equivalent_check(v2, doubled, U, samples=300)
     assert all(r.status == PASS for r in res)
+
+
+def test_constructors_declare_every_attribute():
+    from qord.baerkrull import default_basis
+    from qord.corpus import shipped_objects
+
+    plain = set(vars(Valuation(QQ, Z_GROUP, lambda p: INF, "plain")))
+    v2z_ext = frac_extend_val(padic_valuation(2, ZZ))
+    default_basis(v2z_ext)
+    valuations = [v for _, v, _ in shipped_objects()[0]] + [v2z_ext]
+    for v in valuations:
+        assert set(vars(v)) == plain, v.name
+
+
+def test_fraction_extensions_carry_concrete_residue_fields():
+    assert frac_extend_val(padic_valuation(2, ZZ)).residue_ring().concrete_ring.name == "Z/2Z"
+    assert deg_ext().residue_ring().concrete_ring is QQ
