@@ -538,41 +538,125 @@ def _parse_poly(ring: PolynomialRing, text: str):
     return ring._canon_dict(d)
 
 
-# univariate polynomial division/gcd over Q --------------------------------
-# Payloads of Q[X] are divided densely, straight on their Fraction
-# coefficients: the only caller is the canonical form of Quot(Q[X]).
+# univariate integer kernel -------------------------------------------------
+# Quot(Q[X]) computes on dense lists of int coefficients, lowest degree
+# first, with no trailing zero (the zero polynomial is []).  Each operand's
+# denominators are cleared once; numerator and denominator are formed in
+# Z[X]; their gcd, by primitive PRS (Collins 1967; Brown 1971), is
+# cancelled by exact division; and only then are the coefficients turned
+# back into Fractions, scaled to a monic denominator.  A coprime pair with
+# a monic denominator is unique, so the payload is the one any exact method
+# gives.
 
 
-def _uni_divmod(a, b):
-    """Univariate division with remainder over Q."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = b[0][0][0]
-    inv = 1 / b[0][1]
-    tail = [(e - db, c) for (e,), c in b[1:]]
-    r = [0] * (a[0][0][0] + 1 if a else 0)
-    for (e,), c in a:
-        r[e] = c
-    q = []
-    for d in range(len(r) - 1, db - 1, -1):
-        if r[d]:
-            f = r[d] * inv
-            q.append(((d - db,), f))
-            for off, c in tail:
-                r[d + off] -= f * c
-    rem = tuple(((e,), r[e]) for e in range(min(db, len(r)) - 1, -1, -1) if r[e])
-    return tuple(q), rem
+def _dense(p):
+    """(dense integer coefficients, denominator) of a nonzero Q[X] payload."""
+    ratios = [c.as_integer_ratio() for _, c in p]
+    den = math.lcm(*[d for _, d in ratios])
+    out = [0] * (p[0][0][0] + 1)
+    for ((e,), _), (n, d) in zip(p, ratios):
+        out[e] = n * (den // d)
+    return out, den
+
+
+def _dense_fraction(num, den):
+    """Integer polynomials N, D with N/D = num/den, for nonzero Q[X] den."""
+    if not num:
+        return [], [1]
+    n, dn = _dense(num)
+    d, dd = _dense(den)
+    if dd != 1:
+        n = [c * dd for c in n]
+    if dn != 1:
+        d = [c * dn for c in d]
+    return n, d
+
+
+def _sparse(a, lead):
+    """The Q[X] payload of a/lead, for dense integer a."""
+    return tuple(
+        ((e,), Fraction(a[e], lead)) for e in range(len(a) - 1, -1, -1) if a[e]
+    )
+
+
+def _uni_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _uni_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _primitive(a):
+    """a divided by the gcd of its coefficients."""
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _uni_prem(a, b):
+    """Pseudo-remainder: c*a - q*b for some nonzero integer c and q in Z[X],
+    of lower degree than b (b of positive degree)."""
+    r = a[:]
+    n = len(b) - 1
+    lb = b[-1]
+    while len(r) > n:
+        lr = r[-1]
+        g = math.gcd(lr, lb)
+        s, t = lb // g, lr // g
+        if s != 1:
+            r = [s * c for c in r]
+        k = len(r) - 1 - n
+        for i in range(n):
+            r[k + i] -= t * b[i]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def _uni_gcd(a, b):
-    """Monic gcd of univariate polynomials over Q."""
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    inv = 1 / a[0][1]
-    return tuple((e, c * inv) for e, c in a)
+    """Primitive gcd, up to sign, of nonzero a and b in Z[X] (primitive PRS)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    a, b = _primitive(a), _primitive(b)
+    while True:
+        r = _uni_prem(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return [1]
+        a, b = b, _primitive(r)
+
+
+def _uni_exquo(a, b):
+    """The quotient a/b in Z[X], for b that divides a."""
+    r = a[:]
+    n = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + n] // lb
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return q
 
 
 def _content(ring: PolynomialRing, a):
@@ -861,9 +945,11 @@ def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
 class RationalFunctionField(Ring):
     """Fractions of a polynomial ring over Z or Q.
 
-    Over a rational base the representation is fully canonical (gcd
-    removed, monic denominator); over Z only the integer content and the
-    denominator sign are normalized, and equality cross-multiplies.
+    Over Q in one variable the representation is fully canonical (gcd
+    removed, monic denominator), and arithmetic runs on the integer kernel
+    above.  Otherwise only the content and the sign of the denominator's
+    leading coefficient are normalized (over Q the content is a rational
+    number), and equality cross-multiplies.
     """
 
     kind = "fraction-field"
@@ -885,17 +971,10 @@ class RationalFunctionField(Ring):
         poly = self.poly
         if not den:
             raise ZeroDivisionError(f"zero denominator in {self.name}")
+        if self._full_canonical:
+            return self._from_integer(*_dense_fraction(num, den))
         if not num:
             return ((), poly.one_payload())
-        if self._full_canonical:
-            g = _uni_gcd(num, den)
-            if poly.degree(g) > 0:
-                num, _ = _uni_divmod(num, g)
-                den, _ = _uni_divmod(den, g)
-            inv = 1 / den[0][1]
-            num = tuple((e, c * inv) for e, c in num)
-            den = tuple((e, c * inv) for e, c in den)
-            return (num, den)
         cn, cd = _content(poly, num), _content(poly, den)
         if isinstance(cn, Fraction):
             g = Fraction(
@@ -916,6 +995,16 @@ class RationalFunctionField(Ring):
             den = tuple((e, c // g) for e, c in den)
         return (num, den)
 
+    def _from_integer(self, num, den):
+        """Canonical payload of num/den for dense num, den in Z[X], den nonzero."""
+        if not num:
+            return ((), self.poly.one_payload())
+        g = _uni_gcd(num, den)
+        if len(g) > 1:
+            num, den = _uni_exquo(num, g), _uni_exquo(den, g)
+        lead = den[-1]
+        return _sparse(num, lead), _sparse(den, lead)
+
     def zero_payload(self):
         return ((), self.poly.one_payload())
 
@@ -926,6 +1015,13 @@ class RationalFunctionField(Ring):
         return (self.poly.int_payload(n), self.poly.one_payload())
 
     def add(self, a, b):
+        if self._full_canonical:
+            na, da = _dense_fraction(*a)
+            nb, db = _dense_fraction(*b)
+            if da == db:
+                return self._from_integer(_uni_add(na, nb), da)
+            n = _uni_add(_uni_mul(na, db), _uni_mul(nb, da))
+            return self._from_integer(n, _uni_mul(da, db))
         n = self.poly.add(self.poly.mul(a[0], b[1]), self.poly.mul(b[0], a[1]))
         return self._normalize(n, self.poly.mul(a[1], b[1]))
 
@@ -933,6 +1029,10 @@ class RationalFunctionField(Ring):
         return (self.poly.neg(a[0]), a[1])
 
     def mul(self, a, b):
+        if self._full_canonical:
+            na, da = _dense_fraction(*a)
+            nb, db = _dense_fraction(*b)
+            return self._from_integer(_uni_mul(na, nb), _uni_mul(da, db))
         return self._normalize(self.poly.mul(a[0], b[0]), self.poly.mul(a[1], b[1]))
 
     def eq(self, a, b):

@@ -73,6 +73,7 @@ class SampleUniverse:
         self.bounds = bounds
         self.distinguished = tuple(distinguished)
         self._elements: List[RingElement] | None = None
+        self._forced_size = 0
 
     # ------------------------------------------------------------------
     def elements(self) -> List[RingElement]:
@@ -88,13 +89,14 @@ class SampleUniverse:
             rng = random.Random(self.seed ^ _stable_int(self.ring.key))
             generated = [self._draw(rng) for _ in range(self.count)]
             self._elements = forced + generated
+            self._forced_size = len(forced)
         return self._elements
 
     @property
     def forced_size(self) -> int:
-        n = len({str(x) for x in (*self.distinguished, self.ring.zero(),
-                                  self.ring.one(), -self.ring.one())})
-        return n
+        """Length of the forced prefix of ``elements()``."""
+        self.elements()
+        return self._forced_size
 
     # ------------------------------------------------------------------
     def _draw(self, rng: random.Random) -> RingElement:
@@ -149,7 +151,7 @@ class SampleUniverse:
         counterexample a check reports.
         """
         elems = self.elements()
-        fsize = min(self.forced_size, len(elems))
+        fsize = self.forced_size
         out: List[Tuple[RingElement, ...]] = []
         for combo in itertools.product(range(fsize), repeat=arity):
             if len(out) >= n:

@@ -13,8 +13,11 @@ from qord.rings import (
     RingMismatchError,
     VariableIdeal,
     ZeroIdeal,
-    _uni_divmod,
+    _dense,
+    _uni_exquo,
     _uni_gcd,
+    _uni_mul,
+    _uni_prem,
     arith,
     const_term,
     fraction_field,
@@ -286,17 +289,152 @@ def qx_payloads(draw):
     return QX._canon_dict(d)
 
 
+# Euclid over Q on Fraction coefficients: the reference that the integer
+# kernel of Quot(Q[X]) must match payload for payload
+
+
+def _ref_divmod(a, b):
+    """Univariate division with remainder over Q."""
+    db = b[0][0][0]
+    inv = 1 / b[0][1]
+    tail = [(e - db, c) for (e,), c in b[1:]]
+    r = [0] * (a[0][0][0] + 1 if a else 0)
+    for (e,), c in a:
+        r[e] = c
+    q = []
+    for d in range(len(r) - 1, db - 1, -1):
+        if r[d]:
+            f = r[d] * inv
+            q.append(((d - db,), f))
+            for off, c in tail:
+                r[d + off] -= f * c
+    rem = tuple(((e,), r[e]) for e in range(min(db, len(r)) - 1, -1, -1) if r[e])
+    return tuple(q), rem
+
+
+def _ref_gcd(a, b):
+    """Monic gcd of univariate polynomials over Q."""
+    while b:
+        _, r = _ref_divmod(a, b)
+        a, b = b, r
+    if not a:
+        return a
+    inv = 1 / a[0][1]
+    return tuple((e, c * inv) for e, c in a)
+
+
+def _ref_normalize(num, den):
+    """Canonical Quot(Q[X]) payload of num/den: coprime, monic denominator."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return ((), QX.one_payload())
+    g = _ref_gcd(num, den)
+    if QX.degree(g) > 0:
+        num, _ = _ref_divmod(num, g)
+        den, _ = _ref_divmod(den, g)
+    inv = 1 / den[0][1]
+    return (
+        tuple((e, c * inv) for e, c in num),
+        tuple((e, c * inv) for e, c in den),
+    )
+
+
+def _ref_ops(a, b):
+    mul = QX.mul
+    return {
+        "add": _ref_normalize(QX.add(mul(a[0], b[1]), mul(b[0], a[1])), mul(a[1], b[1])),
+        "sub": _ref_normalize(QX.add(mul(a[0], b[1]), mul(QX.neg(b[0]), a[1])), mul(a[1], b[1])),
+        "mul": _ref_normalize(mul(a[0], b[0]), mul(a[1], b[1])),
+    }
+
+
+@st.composite
+def raw_k_payloads(draw):
+    """(num, den) over Q[X], often sharing a factor, not yet normalized."""
+    num, den, g = draw(qx_payloads()), draw(qx_payloads()), draw(qx_payloads())
+    den = den or QX.one_payload()
+    if draw(st.booleans()) and g:
+        num, den = QX.mul(num, g), QX.mul(den, g)
+    return num, den
+
+
+def _ints(p):
+    return _dense(p)[0] if p else []
+
+
+def _rational(p):
+    return QX._canon_dict({(e,): Fraction(c) for e, c in enumerate(p)})
+
+
+def _scaled(p, c):
+    return QX.mul(p, (((0,), Fraction(c)),))
+
+
 @settings(max_examples=80, deadline=None)
 @given(qx_payloads(), qx_payloads())
-def test_univariate_division_over_q(a, b):
-    if not b:
-        b = QX.one_payload()
-    q, r = _uni_divmod(a, b)
-    assert QX.add(QX.mul(q, b), r) == a
-    assert QX.degree(r) < QX.degree(b)
-    for p in (q, r):
-        assert QX.canon(p) == p
-        assert all(type(c) is Fraction for _, c in p)
+def test_univariate_integer_division(a, b):
+    a, b = _ints(a), _ints(b) or [1]
+    # exact division: q*b == a whenever b divides a
+    assert _uni_exquo(_uni_mul(a, b), b) == a
+    if len(b) > 1:
+        r = _uni_prem(a, b)
+        assert len(r) < len(b)  # lower degree than b
+        # c*a - q*b for a nonzero integer c: a multiple of a mod b over Q
+        _, ref = _ref_divmod(_rational(a), _rational(b))
+        assert bool(r) == bool(ref)
+        if r:
+            assert _scaled(_rational(r), ref[0][1]) == _scaled(ref, r[-1])
+    if a and len(b) > 1:
+        g = _uni_gcd(a, b)
+        assert _uni_mul(_uni_exquo(a, g), g) == a
+        assert _uni_mul(_uni_exquo(b, g), g) == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_k_payloads(), raw_k_payloads())
+def test_fraction_kernel_matches_reference(x, y):
+    K = RationalFunctionField(QX)
+    a, b = K.canon(x), K.canon(y)
+    assert a == _ref_normalize(*x) and b == _ref_normalize(*y)
+    assert K._normalize(*x) == a
+    for op, ref in _ref_ops(a, b).items():
+        got = getattr(K, op)(a, b)
+        assert got == ref, op
+        assert all(type(c) is Fraction for p in got for _, c in p)
+        assert K.format(got) == K.format(ref)
+        assert K.parse(K.format(got)).payload == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_k_payloads(), raw_k_payloads())
+def test_fraction_kernel_matches_sympy_cancel(x, y):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    K = RationalFunctionField(QX)
+
+    def to_sympy(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * X**e for (e,), c in p),
+            sympy.Integer(0),
+        )
+
+    def canonical(expr):
+        n, d = sympy.fraction(sympy.cancel(expr))
+        n, d = sympy.Poly(n, X, domain="QQ"), sympy.Poly(d, X, domain="QQ")
+        lc = d.LC()
+        return tuple(
+            tuple(((e,), Fraction(int(c.p), int(c.q))) for (e,), c in p.terms() if c)
+            for p in (n.quo_ground(lc), d.quo_ground(lc))
+        )
+
+    a, b = K.canon(x), K.canon(y)
+    sa = to_sympy(a[0]) / to_sympy(a[1])
+    sb = to_sympy(b[0]) / to_sympy(b[1])
+    assert a == canonical(to_sympy(x[0]) / to_sympy(x[1]))
+    assert K.add(a, b) == canonical(sa + sb)
+    assert K.sub(a, b) == canonical(sa - sb)
+    assert K.mul(a, b) == canonical(sa * sb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,5 +448,5 @@ def test_fraction_normalize_over_q_cancels_common_factors(num, den, g):
     n, d = K._normalize(num, den)
     assert QX.mul(n, den) == QX.mul(num, d)
     assert QX.leading_coef(d) == 1
-    assert _uni_gcd(n, d) == QX.one_payload()
+    assert _ref_gcd(n, d) == QX.one_payload()
     assert K._normalize(QX.mul(num, g), QX.mul(den, g)) == (n, d)
