@@ -10,6 +10,7 @@ them are only ever compared by agreement on a sample universe.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Optional
 
 from .groups import value_le
@@ -448,21 +449,40 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
     ]
 
     # symmetric classes: once some y ~ x leaves the translate coset, the
-    # whole class of x is closed under negation
+    # whole class of x is closed under negation.  The ~-classes come from
+    # one stable sort of the distinct samples by q.le, cut wherever two
+    # neighbours are not equivalent, so each class keeps first-occurrence
+    # order; x's extra member y and the witness z are looked for in x's
+    # class only, and each is still checked pair by pair against x.
+    ordered = sorted(
+        {id(x): x for x in singles}.values(),
+        key=cmp_to_key(lambda a, b: q.le(b, a) - q.le(a, b)),
+    )
+    classes = {}
+    block = []
+    for a in ordered:
+        if block and not q.sim(block[-1], a):
+            block = []
+        block.append(a)
+        classes[id(a)] = block
+
+    def search(x):
+        """(x has an extra member, the first z ~ x with -z not ~ x)."""
+        cls = classes[id(x)]
+        if not any(q.sim(y, x) and not q.sim(y - x, zero) for y in cls):
+            return False, None
+        return True, next((z for z in cls if q.sim(z, x) and not q.sim(-z, x)), None)
+
     witness = None
     checked = 0
+    found = {}
     for x in singles[: max(20, len(singles) // 10)]:
-        has_extra = any(
-            q.sim(y, x) and not q.sim(y - x, zero) for y in singles
-        )
-        if not has_extra:
-            continue
-        checked += 1
-        for z in singles:
-            if q.sim(z, x) and not q.sim(-z, x):
-                witness = (str(x), str(z))
-                break
-        if witness:
+        if id(x) not in found:
+            found[id(x)] = search(x)
+        has_extra, z = found[id(x)]
+        checked += has_extra
+        if z is not None:
+            witness = (str(x), str(z))
             break
     out.append(
         result(

@@ -69,10 +69,22 @@ def sweep(name, tuples, fails, seed, *, given=None, detail=None) -> CheckResult:
     samples_used is len(tuples).  With given, fails is evaluated only on
     the tuples meeting that hypothesis, and samples_used counts those, up
     to and including the witness.
+
+    A tuple of the same objects as an earlier one is evaluated once, so
+    both predicates must be pure: the repeat cannot fail, or the sweep
+    would have stopped at its first occurrence, and it counts as a
+    hypothesis hit exactly when that first occurrence did.
     """
     hits = 0
+    seen = {}  # id-tuple -> (tuple, given outcome); the tuple keeps the ids live
     for t in tuples:
-        if given is None or given(*t):
+        key = tuple(map(id, t))
+        if key in seen:
+            hits += seen[key][1]
+            continue
+        hit = given is None or bool(given(*t))
+        seen[key] = t, hit
+        if hit:
             hits += 1
             if fails(*t):
                 n = len(tuples) if given is None else hits

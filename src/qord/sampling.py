@@ -50,6 +50,7 @@ class SampleUniverse:
 
     The multiset is ``distinguished + [0, 1, -1] + count random draws``;
     generation depends only on (ring, seed, count, bounds, distinguished).
+    Entries with equal payloads are one and the same object.
     """
 
     def __init__(
@@ -88,7 +89,12 @@ class SampleUniverse:
                     forced.append(x)
             rng = random.Random(self.seed ^ _stable_int(self.ring.key))
             generated = [self._draw(rng) for _ in range(self.count)]
-            self._elements = forced + generated
+            # one object per distinct payload, so that a sweep can spot a
+            # repeated tuple by the identity of its elements
+            interned: dict = {}
+            self._elements = [
+                interned.setdefault(x.payload, x) for x in forced + generated
+            ]
             self._forced_size = len(forced)
         return self._elements
 

@@ -261,7 +261,8 @@ class ResidueDomainRing(Ring):
         return self.el(self._from_c(c.inv(c.el(self._to_c(x.payload))).payload))
 
     def format(self, a):
-        return self.parent.format(self.canon(a))
+        # with a canonical form every payload handed out is already canonical
+        return self.parent.format(a if self.canonical_eq else self.canon(a))
 
     def parse_payload(self, text):
         p = self.parent.parse_payload(text)

@@ -24,7 +24,7 @@ from qord.quasiorders import (
     support_member,
     transport_qo,
 )
-from qord.report import PASS, PreconditionError
+from qord.report import FAIL, PASS, PreconditionError, result
 from qord.rings import QQ, ZZ, ZeroIdeal, fraction_field, poly_ring
 from qord.sampling import SampleUniverse
 from qord.valuations import (
@@ -159,6 +159,84 @@ def test_derived_lemmas():
 
     results = check_derived_lemmas(f0_zx, U(ZX), samples=200)
     assert all(r.status == PASS for r in results)
+
+
+def _ref_class_symmetric(q, universe, samples, label):
+    """The reference for the class-symmetric lemma: the quadratic scan that
+    looks for x's class members among all samples, one sim at a time."""
+    zero = q.ring.zero()
+    singles = universe.singles(samples, f"dl:{label}:1")
+    witness = None
+    checked = 0
+    for x in singles[: max(20, len(singles) // 10)]:
+        has_extra = any(q.sim(y, x) and not q.sim(y - x, zero) for y in singles)
+        if not has_extra:
+            continue
+        checked += 1
+        for z in singles:
+            if q.sim(z, x) and not q.sim(-z, x):
+                witness = (str(x), str(z))
+                break
+        if witness:
+            break
+    return result(
+        f"{label}.class-symmetric",
+        witness is None,
+        witness,
+        len(singles),
+        universe.seed,
+        detail=f"{checked} classes with extra members",
+    )
+
+
+def _class_symmetric(q, universe, samples, label):
+    (r,) = [
+        r for r in check_derived_lemmas(q, universe, samples, label)
+        if r.name == f"{label}.class-symmetric"
+    ]
+    return r
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("samples", [50, 500])
+def test_class_symmetric_matches_reference_on_shipped_orders(seed, samples):
+    from qord.corpus import shipped_objects
+
+    for name, q, u in shipped_objects()[1]:
+        universe = SampleUniverse(
+            u.ring, seed=seed, count=u.count, bounds=u.bounds,
+            distinguished=u.distinguished,
+        )
+        got = _class_symmetric(q, universe, samples, name)
+        assert got == _ref_class_symmetric(q, universe, samples, name), name
+
+
+def test_class_symmetric_finds_a_class_not_closed_under_negation():
+    # a total preorder on Z by key: {1, 2} is one class, every other
+    # integer is alone; 2 - 1 = 1 is not ~ 0, and -1 is not ~ 1
+    def key(n):
+        return 100 if n in (1, 2) else n
+
+    q = QuasiOrder(ZZ, lambda a, b: key(a) <= key(b), "key-Z")
+    universe = U(ZZ)
+    got = _class_symmetric(q, universe, 250, "key-Z")
+    assert got.status == FAIL
+    assert got.witness == ("1", "1")
+    assert got.detail == "1 classes with extra members"
+    assert got == _ref_class_symmetric(q, universe, 250, "key-Z")
+
+
+def test_class_symmetric_survives_a_non_transitive_comparator():
+    # a <= b iff a//2 <= b//2 + 1: total, with a tolerance, not transitive;
+    # the sorted classes need not be ~-classes, but a witness is still real
+    q = QuasiOrder(ZZ, lambda a, b: a // 2 <= b // 2 + 1, "tolerance-Z")
+    got = _class_symmetric(q, U(ZZ), 250, "tolerance-Z")
+    assert got.witness is not None
+    x, z = (ZZ.parse(w) for w in got.witness)
+    assert q.sim(z, x) and not q.sim(-z, x)
+    axioms = check_qo_axioms(q, U(ZZ), samples=250, label="tolerance-Z")
+    (transitive,) = [r for r in axioms if r.name == "tolerance-Z.transitive"]
+    assert transitive.status == FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
 from qord.report import FAIL, PASS, result, sweep
+from qord.rings import ZZ
+from qord.sampling import SampleUniverse, _stable_int
 
 
 def test_sweep_witness_is_first_failure_and_stops_there():
@@ -43,3 +49,69 @@ def test_result_drops_the_witness_on_a_pass():
     assert result("r", True, ("x",), 1, 0).witness is None
     r = result("r", False, ("x",), 1, 0, detail="why")
     assert r.status == FAIL and r.witness == ("x",) and r.detail == "why"
+
+
+def _brute_sweep(tuples, fails, given=None):
+    """(witness, samples_used) of the plain loop that evaluates every tuple."""
+    hits = 0
+    for t in tuples:
+        if given is None or given(*t):
+            hits += 1
+            if fails(*t):
+                return t, len(tuples) if given is None else hits
+    return None, hits
+
+
+def test_sweep_evaluates_each_distinct_tuple_once():
+    xs = [Fraction(k) for k in range(4)]
+    twin = Fraction(3)  # equal to xs[3] but another object, so not a repeat
+    xs.append(twin)
+    rng = random.Random(5)
+    tuples = [(rng.choice(xs), rng.choice(xs)) for _ in range(60)]
+
+    def is_witness(x, y):
+        return x is xs[1] and y is twin
+
+    def given(x, y):
+        return x != 2
+
+    def keys(part):
+        return [tuple(map(id, t)) for t in part]
+
+    cut = keys(tuples).index((id(xs[1]), id(twin)))
+    before, after = keys(tuples[:cut]), keys(tuples[cut + 1:])
+    assert len(set(before)) < len(before) and len(set(after)) < len(after)
+    assert set(before) & set(after)  # repeats on both sides of the witness
+
+    for g in (None, given):
+        calls = Counter()
+
+        def fails(x, y):
+            calls[id(x), id(y)] += 1
+            return is_witness(x, y)
+
+        r = sweep("s", tuples, fails, seed=0, given=g)
+        witness, n = _brute_sweep(tuples, is_witness, g)
+        assert witness is tuples[cut]
+        assert r.status == FAIL and r.witness == (str(xs[1]), str(twin))
+        assert r.samples_used == n
+        assert set(calls.values()) == {1}
+        assert set(calls) == {k for k, t in zip(keys(tuples), tuples[: cut + 1])
+                              if g is None or g(*t)}
+
+        r = sweep("s", tuples, lambda x, y: False, seed=0, given=g)
+        assert r.status == PASS
+        assert r.samples_used == _brute_sweep(tuples, lambda x, y: False, g)[1]
+
+
+def test_universe_elements_share_one_object_per_payload():
+    u = SampleUniverse(ZZ, seed=42, count=150, distinguished=(ZZ.from_int(2),))
+    elems = u.elements()
+    by_payload = {}
+    for x in elems:
+        assert by_payload.setdefault(x.payload, x) is x
+    # the draws and their order are those of the generator
+    rng = random.Random(u.seed ^ _stable_int(ZZ.key))
+    drawn = [u._draw(rng).payload for _ in range(u.count)]
+    assert [x.payload for x in elems] == [2, 0, 1, -1] + drawn
+    assert u.forced_size == 4

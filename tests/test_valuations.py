@@ -408,3 +408,31 @@ def test_constructors_declare_every_attribute():
 def test_fraction_extensions_carry_concrete_residue_fields():
     assert frac_extend_val(padic_valuation(2, ZZ)).residue_ring().concrete_ring.name == "Z/2Z"
     assert deg_ext().residue_ring().concrete_ring is QQ
+
+
+def test_residue_payloads_are_canonical_fixed_points():
+    # ResidueDomainRing.format prints a payload without re-canonicalizing it
+    # whenever canonical_eq holds; that is sound only while every payload
+    # the ring hands out is a fixed point of canon
+    from qord.corpus import shipped_objects
+    from qord.residues import residue_universe
+
+    rings = 0
+    for name, v, u in shipped_objects()[0]:
+        residue = v.residue_ring()
+        if not residue.canonical_eq:
+            continue
+        rings += 1
+        elems = residue_universe(v, u, count=40).elements()
+        payloads = [residue.zero_payload(), residue.one_payload()]
+        payloads += [residue.int_payload(n) for n in range(-3, 4)]
+        payloads += [x.payload for x in elems]
+        for x in elems[:12]:
+            payloads.append(residue.neg(x.payload))
+            for y in elems[:12]:
+                payloads += [residue.add(x.payload, y.payload),
+                             residue.mul(x.payload, y.payload)]
+        payloads += [residue.parse(residue.format(p)).payload for p in payloads]
+        for p in payloads:
+            assert repr(residue.canon(p)) == repr(p), (name, p)
+    assert rings >= 5
