@@ -15,12 +15,10 @@ from .corpus import (
 )
 from .dsl import DslError, parse_session, run_session
 from .report import (
-    EXIT_FAIL,
-    EXIT_HARD,
     EXIT_OK,
+    EXIT_PRECONDITION,
     EXIT_USAGE,
-    HARD,
-    PASS,
+    PreconditionError,
     Report,
     render_json,
     render_text,
@@ -105,18 +103,18 @@ def main(argv=None) -> int:
         return corpus_exit_code(report)
 
     if args.command == "table":
-        checks, witnesses, reports = implication_matrix(
-            seed=args.seed, samples=args.samples
-        )
+        try:
+            checks, witnesses, reports = implication_matrix(
+                seed=args.seed, samples=args.samples
+            )
+        except PreconditionError as e:
+            print(f"table error: {e}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        combined = Report(seed=args.seed, checks=list(checks))
         if args.format == "json":
-            combined = Report(seed=args.seed, checks=list(checks))
             return _emit(combined, "json")
         sys.stdout.write(render_matrix(checks, witnesses, reports))
-        if any(c.status == HARD for c in checks):
-            return EXIT_HARD
-        if any(c.status not in (PASS,) for c in checks):
-            return EXIT_FAIL
-        return EXIT_OK
+        return combined.exit_code()
 
     return EXIT_USAGE
 

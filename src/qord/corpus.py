@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .dsl import parse_session, run_session
-from .report import FAIL, PASS, CheckResult, Report
-from .residues import CompatReport, implication_table, table_blank_cells
+from .dsl import Check, SessionContext, bind_check, execute_statement, parse_session, run_session
+from .report import FAIL, PASS, CheckResult, PreconditionError, Report
+from .residues import CompatReport, implication_table, table_blank_cells, table_conditions
 
 GOLDEN_VERSION = 1
 
@@ -29,6 +29,10 @@ class CorpusInstance:
     session: str
     table: bool = False
     interpretation: bool = False
+
+    @property
+    def label_prefix(self) -> str:  # check labels seed the tuple streams
+        return f"{self.name}::"
 
 
 CORPUS: Tuple[CorpusInstance, ...] = (
@@ -380,7 +384,7 @@ def get_instance(name: str) -> CorpusInstance:
 
 def run_instance(inst: CorpusInstance, seed: int = 42, samples: int = 500) -> Report:
     ast = parse_session(inst.session)
-    return run_session(ast, seed=seed, samples=samples, label_prefix=f"{inst.name}::")
+    return run_session(ast, seed=seed, samples=samples, label_prefix=inst.label_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +408,7 @@ def diff_golden(report: Report, inst: CorpusInstance) -> List[str]:
     if golden.get("version") != GOLDEN_VERSION:
         out.append(f"{inst.name}: golden version mismatch")
     for name, expected in golden.get("checks", {}).items():
-        full = f"{inst.name}::{name}"
+        full = inst.label_prefix + name
         got = report.find(full)
         if got is None:
             out.append(f"{full}: missing from report")
@@ -564,23 +568,36 @@ def shipped_objects():
     return valuations, quasiorders
 
 
-def _flags_from_report(report: Report, inst_name: str) -> Optional[CompatReport]:
-    prefix = f"{inst_name}::table_conditions("
-    flags = [c.detail for c in report.checks
-             if c.name.startswith(prefix) and c.name.endswith(".flags")]
-    return CompatReport.parse_flags(flags[-1]) if flags else None
+def _table_report(inst: CorpusInstance, seed: int, samples: int) -> CompatReport:
+    """Flags from the instance's one table_conditions check.  The let, pin and
+    show statements run through run_session's executor and binder, so the check
+    sees run_instance's label, seed and universe; other checks are skipped."""
+    ctx, found = SessionContext(seed=seed, samples=samples), []
+    for stmt in parse_session(inst.session).statements:
+        if not isinstance(stmt, Check):
+            entry = execute_statement(ctx, stmt, inst.label_prefix)
+            if entry is not None and entry.status == FAIL:
+                raise PreconditionError(
+                    f"table instance {inst.name} halted: {entry.detail}", entry.witness
+                )
+        elif stmt.call.name == "table_conditions":
+            b = bind_check(ctx, stmt, inst.label_prefix)
+            try:
+                found.append(
+                    table_conditions(*b.args, b.universe(ctx), samples=b.n, label=b.label)
+                )
+            except PreconditionError as e:
+                raise PreconditionError(f"table instance {inst.name}: {e}", e.witness) from e
+    if len(found) != 1:
+        raise PreconditionError(
+            f"table instance {inst.name} has {len(found)} table_conditions checks, not 1"
+        )
+    return found[0]
 
 
 def table_reports(seed: int = 42, samples: int = 500) -> Dict[str, CompatReport]:
-    out = {}
-    for inst in CORPUS:
-        if not inst.table:
-            continue
-        rep = run_instance(inst, seed=seed, samples=samples)
-        flags = _flags_from_report(rep, inst.name)
-        if flags is not None:
-            out[inst.name] = flags
-    return out
+    """Flags of every table instance; PreconditionError if one has none."""
+    return {inst.name: _table_report(inst, seed, samples) for inst in CORPUS if inst.table}
 
 
 def implication_matrix(seed: int = 42, samples: int = 500):

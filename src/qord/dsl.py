@@ -46,7 +46,7 @@ from .quasiorders import (
     natural_order,
     transport_qo,
 )
-from .report import FAIL, PASS, CheckResult, PreconditionError, Report, result, sweep
+from .report import FAIL, CheckResult, PreconditionError, Report, result, sweep
 from .residues import (
     is_compatible,
     is_convex,
@@ -395,6 +395,7 @@ class SessionContext:
     bounds: Bounds = field(default_factory=Bounds)
     env: Dict[str, object] = field(default_factory=dict)
     pins: Dict[str, List[RingElement]] = field(default_factory=dict)
+    universes: Dict[tuple, SampleUniverse] = field(default_factory=dict)
 
     def __post_init__(self):
         self.env.setdefault("Z", ZZ)
@@ -414,13 +415,16 @@ class SessionContext:
                 seen.add(str(x))
 
     def universe(self, ring: Ring, seed: int, count: int) -> SampleUniverse:
-        return SampleUniverse(
-            ring,
-            seed=seed,
-            count=count,
-            bounds=self.bounds,
-            distinguished=tuple(self.pins.get(ring.key, ())),
-        )
+        """The session's one universe for (ring, seed, count, pins); a universe
+        is a pure function of them.  The cached universe holds the ring and
+        the pins, so their ids in the key cannot be reused."""
+        pins = tuple(self.pins.get(ring.key, ()))
+        key = (id(ring), seed, count, tuple(map(id, pins)))
+        if key not in self.universes:
+            self.universes[key] = SampleUniverse(
+                ring, seed=seed, count=count, bounds=self.bounds, distinguished=pins
+            )
+        return self.universes[key]
 
 
 def _expect(value, types, what, node):
@@ -774,14 +778,7 @@ def _ck_convex(call, label, args, kw, U, n):
 def _ck_table(call, label, args, kw, U, n):
     v, q = args
     rep = table_conditions(v, q, U, samples=n, label=label)
-    summary = CheckResult(
-        name=f"{label}.flags",
-        status=PASS,
-        samples_used=n,
-        seed=U.seed,
-        detail=rep.format_flags(),
-    )
-    return rep.checks + [summary]
+    return rep.checks + [result(f"{label}.flags", True, None, n, U.seed, rep.format_flags())]
 
 
 def _ck_compat_equivalence(call, label, args, kw, U, n):
@@ -932,56 +929,66 @@ def run_session(
     ctx = SessionContext(seed=seed, samples=samples, bounds=bounds or Bounds())
     report = Report(seed=seed)
     for stmt in ast.statements:
-        if isinstance(stmt, Let):
-            try:
-                on = None
-                if stmt.on is not None:
-                    on = _eval(ctx, stmt.on)
-                    if not isinstance(on, Ring):
-                        raise DslError("the 'on' clause must name a ring", stmt.line, stmt.col)
-                value = _eval(ctx, stmt.expr, on)
-                if isinstance(value, (Valuation, QuasiOrder)):
-                    value.name = stmt.name
-                ctx.env[stmt.name] = value
-            except DslError:
-                raise
-            except (PreconditionError, ValueError, ZeroDivisionError) as e:
-                report.checks.append(
-                    CheckResult(
-                        name=f"{label_prefix}let {stmt.name}",
-                        status=FAIL,
-                        witness=getattr(e, "witness", None),
-                        samples_used=0,
-                        seed=seed,
-                        detail=str(e),
-                    )
-                )
+        if isinstance(stmt, Check):
+            report.extend(_run_check(ctx, stmt, label_prefix))
+        elif (entry := execute_statement(ctx, stmt, label_prefix)) is not None:
+            report.checks.append(entry)
+            if entry.status == FAIL:
                 report.halted = True
                 return report
-        elif isinstance(stmt, Pin):
-            ring = _eval(ctx, stmt.on)
-            if not isinstance(ring, Ring):
-                raise DslError("pin needs a ring after 'on'", stmt.line, stmt.col)
-            ctx.pin(ring, [_parse_element(ring, t, stmt) for t in stmt.literals])
-        elif isinstance(stmt, Show):
-            value = ctx.lookup(Ref(stmt.name, stmt.line, stmt.col))
-            report.checks.append(
-                CheckResult(
-                    name=f"{label_prefix}show({stmt.name})",
-                    status=PASS,
-                    samples_used=0,
-                    seed=seed,
-                    detail=repr(value),
-                )
-            )
-        elif isinstance(stmt, Check):
-            report.extend(_run_check(ctx, stmt, label_prefix))
-        else:
-            raise DslError("unknown statement", 0, 0)
     return report
 
 
-def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[CheckResult]:
+def execute_statement(ctx: SessionContext, stmt, label_prefix: str) -> Optional[CheckResult]:
+    """Run a let, pin or show statement.  Returns its report entry, if any:
+    a show's PASS, or the FAIL of a failed let, which halts the session."""
+    if isinstance(stmt, Let):
+        try:
+            on = None
+            if stmt.on is not None:
+                on = _eval(ctx, stmt.on)
+                if not isinstance(on, Ring):
+                    raise DslError("the 'on' clause must name a ring", stmt.line, stmt.col)
+            value = _eval(ctx, stmt.expr, on)
+            if isinstance(value, (Valuation, QuasiOrder)):
+                value.name = stmt.name
+            ctx.env[stmt.name] = value
+        except (PreconditionError, ValueError, ZeroDivisionError) as e:
+            witness = getattr(e, "witness", None)
+            return result(f"{label_prefix}let {stmt.name}", False, witness, 0, ctx.seed,
+                          detail=str(e))
+    elif isinstance(stmt, Pin):
+        ring = _eval(ctx, stmt.on)
+        if not isinstance(ring, Ring):
+            raise DslError("pin needs a ring after 'on'", stmt.line, stmt.col)
+        ctx.pin(ring, [_parse_element(ring, t, stmt) for t in stmt.literals])
+    elif isinstance(stmt, Show):
+        value = ctx.lookup(Ref(stmt.name, stmt.line, stmt.col))
+        return result(f"{label_prefix}show({stmt.name})", True, None, 0, ctx.seed,
+                      detail=repr(value))
+    else:
+        raise DslError("unknown statement", 0, 0)
+    return None
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """A check resolved against its session: runner, label, arguments,
+    seed, count and universe size."""
+
+    runner: Callable
+    label: str
+    args: list
+    kw: dict
+    seed: int
+    n: int
+    size: int
+
+    def universe(self, ctx: SessionContext) -> SampleUniverse:
+        return ctx.universe(_subject_ring(self.args), self.seed, self.size)
+
+
+def bind_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> BoundCheck:
     call = stmt.call
     spec = CHECKS.get(call.name)
     if spec is None:
@@ -1000,39 +1007,27 @@ def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[Chec
     if size < 1:
         raise DslError(f"universe size must be at least 1, got {size}", stmt.line, stmt.col)
     args = [_eval(ctx, a) for a in call.args]
-    kw = _kwargs(ctx, call)
-    label = label_prefix + node_text(call)
+    return BoundCheck(
+        runner, label_prefix + node_text(call), args, _kwargs(ctx, call), seed, n, size
+    )
+
+
+def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[CheckResult]:
+    b = bind_check(ctx, stmt, label_prefix)
     try:
-        ring = _subject_ring(args)
-        universe = ctx.universe(ring, seed, size)
+        universe = b.universe(ctx)
         start = time.perf_counter()
-        results = runner(call, label, args, kw, universe, n)
+        results = b.runner(stmt.call, b.label, b.args, b.kw, universe, b.n)
         elapsed = (time.perf_counter() - start) * 1000.0
         for r in results:
             r.elapsed_ms = elapsed / max(len(results), 1)
         return results
     except PreconditionError as e:
-        return [
-            CheckResult(
-                name=label,
-                status=FAIL,
-                witness=e.witness,
-                samples_used=0,
-                seed=seed,
-                detail=f"precondition: {e}",
-            )
-        ]
+        witness, detail = e.witness, f"precondition: {e}"
     except (RingMismatchError, ElementSyntaxError, ValueError, ZeroDivisionError,
             AttributeError, TypeError) as e:
-        return [
-            CheckResult(
-                name=label,
-                status=FAIL,
-                samples_used=0,
-                seed=seed,
-                detail=f"check error: {e}",
-            )
-        ]
+        witness, detail = None, f"check error: {e}"
+    return [result(b.label, False, witness, 0, b.seed, detail=detail)]
 
 
 def run_text(text: str, seed: int = 42, samples: int = 500) -> Report:

@@ -270,14 +270,8 @@ class CompatReport:
         return {f"c{i}": self.flag(i) for i in range(1, 6)}
 
     def format_flags(self) -> str:
-        """The flags as "c1=T c2=F c3=F c4=T c5=T"; parse_flags reads it back."""
+        """The flags as "c1=T c2=F c3=F c4=T c5=T", for printing."""
         return " ".join(f"c{i}={'T' if self.flag(i) else 'F'}" for i in range(1, 6))
-
-    @classmethod
-    def parse_flags(cls, text: str) -> "CompatReport":
-        """The inverse of format_flags."""
-        pairs = (part.split("=") for part in text.split())
-        return cls(**{k: val == "T" for k, val in pairs})
 
 
 def table_conditions(

@@ -383,11 +383,6 @@ class PolynomialRing(Ring):
             return -1
         return max(sum(exps) for exps, _ in a)
 
-    def degree_in(self, a, var_index: int) -> int:
-        if not a:
-            return -1
-        return max(exps[var_index] for exps, _ in a)
-
     def leading_coef(self, a):
         """Coefficient of the largest monomial in graded-lex order."""
         if not a:

@@ -1,3 +1,8 @@
+import dataclasses
+
+import pytest
+
+from qord import cli, corpus
 from qord.corpus import (
     CORPUS,
     corpus_exit_code,
@@ -10,8 +15,9 @@ from qord.corpus import (
     run_corpus,
     run_instance,
     shipped_objects,
+    table_reports,
 )
-from qord.report import PASS
+from qord.report import EXIT_PRECONDITION, PASS, PreconditionError
 from qord.residues import table_blank_cells
 
 
@@ -122,6 +128,51 @@ def test_table_flags_are_seed_stable():
     base = {n: r.as_dict() for n, r in table_reports(seed=42, samples=300).items()}
     other = {n: r.as_dict() for n, r in table_reports(seed=7, samples=300).items()}
     assert base == other
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_table_reports_equal_full_instance_runs(seed):
+    # the table runs only each instance's table_conditions check; skipping
+    # the other checks must not change its flags or any of its sweeps
+    reports = table_reports(seed=seed, samples=300)
+    assert sorted(reports) == sorted(inst.name for inst in CORPUS if inst.table)
+    for name, rep in reports.items():
+        full = run_instance(get_instance(name), seed=seed, samples=300)
+        flags = [c for c in full.checks if c.name.endswith(".flags")]
+        assert [c.detail for c in flags] == [rep.format_flags()], name
+        for c in rep.checks:
+            got = full[c.name]
+            assert (got.status, got.witness, got.samples_used) == (
+                c.status, c.witness, c.samples_used
+            ), c.name
+
+
+_BROKEN_TABLE_SESSIONS = {
+    "no table_conditions": "let v = padic(2) on Z\nlet q = natural_order() on Z\n"
+                           "check compat(v, q)\n",
+    "two table_conditions": "let v = padic(2) on Z\nlet q = natural_order() on Z\n"
+                            "check table_conditions(v, q)\ncheck table_conditions(v, q)\n",
+    "halting let": "let u = padic(2) on Q\nlet v = gauss(u, 1) on poly(Q, X)\n"
+                   "let w = gauss(u, 0) on poly(Q, X)\nlet bad = quotient_val(w, v)\n"
+                   "let q = qo(w)\ncheck table_conditions(w, q)\n",
+    "check precondition": "check table_conditions(1, 2)\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_TABLE_SESSIONS))
+def test_table_instance_without_flags_is_an_error(case, monkeypatch, capsys):
+    # a table instance that yields no flags would shrink the corpus that the
+    # checkmark cells are validated against, so it must not be dropped
+    bad = dataclasses.replace(
+        get_instance("nomanis-2"), name="broken", session=_BROKEN_TABLE_SESSIONS[case]
+    )
+    monkeypatch.setattr(corpus, "CORPUS", CORPUS + (bad,))
+    with pytest.raises(PreconditionError, match="table instance broken"):
+        table_reports(samples=60)
+    assert cli.main(["table", "--samples", "60"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("table error: table instance broken")
 
 
 def test_shipped_objects_shape():

@@ -2,16 +2,19 @@ import random
 
 import pytest
 
+from qord.corpus import CORPUS, run_instance
 from qord.dsl import (
     Check,
     DslError,
     Let,
+    SessionContext,
     node_text,
     parse_session,
     run_text,
 )
 from qord.report import parse_json, render_json, render_text
 from qord.rings import poly_ring
+from qord.sampling import SampleUniverse
 
 
 def test_smallest_program_parses():
@@ -188,3 +191,50 @@ def test_wrong_ring_element_literal_in_check():
     report = run_text('let v = padic(2) on Q\ncheck val_value(v, "1*X", "0")')
     entry = report['val_value(v,"1*X","0")']
     assert entry.status == "fail" and "check error" in entry.detail
+
+
+def test_session_shares_one_universe_per_ring_seed_size_and_pins(monkeypatch):
+    seen = []
+    universe = SessionContext.universe
+
+    def recording(ctx, ring, seed, count):
+        seen.append(universe(ctx, ring, seed, count))
+        return seen[-1]
+
+    monkeypatch.setattr(SessionContext, "universe", recording)
+    report = run_text(
+        """
+let v = padic(2) on Z
+let q = natural_order() on Z
+check compat(v, q)
+check convex(v, q, set="rv")
+pin "3" on Z
+check compat(v, q)
+check convex(v, q, set="rv")
+check compat(v, q) samples(seed=7)
+check compat(v, q) samples(universe=60)
+""",
+        samples=60,
+    )
+    assert len(report.checks) == 6 and len(seen) == 6
+    assert seen[0] is seen[1]
+    assert seen[2] is seen[3]
+    assert len({id(u) for u in seen}) == 4  # the pin, the seed and the size
+    assert [u.distinguished for u in seen[:3]] == [(), (), (seen[2].ring.parse("3"),)]
+
+
+def test_shared_universes_keep_corpus_bytes(monkeypatch):
+    shared = [render_json(run_instance(inst, samples=60)) for inst in CORPUS]
+
+    def fresh(ctx, ring, seed, count):
+        return SampleUniverse(
+            ring,
+            seed=seed,
+            count=count,
+            bounds=ctx.bounds,
+            distinguished=tuple(ctx.pins.get(ring.key, ())),
+        )
+
+    monkeypatch.setattr(SessionContext, "universe", fresh)
+    for inst, expected in zip(CORPUS, shared):
+        assert render_json(run_instance(inst, samples=60)) == expected, inst.name
