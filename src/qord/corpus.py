@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .dsl import Check, SessionContext, bind_check, execute_statement, parse_session, run_session
+from .dsl import (
+    Check, DslError, SessionContext, bind_check, execute_statement, parse_session, run_session
+)
 from .report import FAIL, PASS, CheckResult, PreconditionError, Report
 from .residues import CompatReport, implication_table, table_blank_cells, table_conditions
 
@@ -581,11 +583,13 @@ def _table_report(inst: CorpusInstance, seed: int, samples: int) -> CompatReport
                     f"table instance {inst.name} halted: {entry.detail}", entry.witness
                 )
         elif stmt.call.name == "table_conditions":
-            b = bind_check(ctx, stmt, inst.label_prefix)
             try:
+                b = bind_check(ctx, stmt, inst.label_prefix)
                 found.append(
                     table_conditions(*b.args, b.universe(ctx), samples=b.n, label=b.label)
                 )
+            except DslError as e:
+                raise PreconditionError(f"table instance {inst.name}: {e}") from e
             except PreconditionError as e:
                 raise PreconditionError(f"table instance {inst.name}: {e}", e.witness) from e
     if len(found) != 1:

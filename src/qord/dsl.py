@@ -32,7 +32,7 @@ from .baerkrull import (
     reconstruct_check,
     roundtrip_check,
 )
-from .groups import INF, format_value
+from .groups import INF, GroupMismatchError, format_value
 from .quasiorders import (
     QuasiOrder,
     at_zero_order,
@@ -427,20 +427,88 @@ class SessionContext:
         return self.universes[key]
 
 
-def _expect(value, types, what, node):
-    if not isinstance(value, types):
-        raise DslError(
-            f"{what} expected, got {type(value).__name__}", node.line, node.col
-        )
-    return value
-
-
 def _parse_element(ring: Ring, text: str, node) -> RingElement:
     try:
         return ring.parse(text)
     except (ElementSyntaxError, ValueError, ZeroDivisionError) as e:
         raise DslError(f"bad element literal {text!r} for {ring.name}: {e}",
                        node.line, node.col)
+
+
+# ---------------------------------------------------------------------------
+# signatures
+
+# Argument kinds.  Each reads as the noun of the error for a wrong argument.
+RING, IDEAL, VAL, QO = "a ring", "an ideal", "a valuation", "a quasi-order"
+INT, STR, NAME = "an integer", "a string", "a bare name"
+ELEM, INTS, ELEMS = "an element literal", "a list of integers", "a list of element literals"
+
+_TYPES = {RING: Ring, IDEAL: Ideal, VAL: Valuation, QO: QuasiOrder, INT: int, STR: str,
+          ELEM: str}
+_ITEM_TYPES = {INTS: int, ELEMS: str}
+
+
+@dataclass(frozen=True)
+class Signature:
+    """The argument kinds of a constructor or check: one per required
+    positional argument, `rest` for any further positional arguments (at most
+    `most` positional arguments in all), and one per allowed keyword."""
+
+    args: Tuple[str, ...]
+    rest: Optional[str] = None
+    most: Optional[int] = None
+    kw: Tuple[Tuple[str, str], ...] = ()
+
+
+def sig(*args: str, rest: Optional[str] = None, most: Optional[int] = None,
+        **kw: str) -> Signature:
+    """A Signature with the keyword kinds given as keyword arguments."""
+    return Signature(args, rest, most, tuple(kw.items()))
+
+
+def _bind(ctx: SessionContext, node: Call, signature: Signature, on=None):
+    """Evaluate a call's arguments against its signature: (args, kwargs).
+    Element literals are parsed in the ring of the first valuation argument,
+    or else of the first quasi-order argument.  An ideal argument lives on the
+    call's 'on' ring."""
+    got, need = len(node.args), len(signature.args)
+    most = need if signature.rest is None else signature.most
+    if got < need or (most is not None and got > most):
+        bound = need if got < need else most
+        qualifier = "" if signature.rest is None else "at least " if got < need else "at most "
+        raise DslError(f"{node.name} takes {qualifier}{bound} positional argument(s), "
+                       f"got {got}", node.line, node.col)
+    kinds = dict(signature.kw)
+    for k, _ in node.kwargs:
+        if k not in kinds:
+            raise DslError(f"{node.name} got unexpected keyword {k!r}", node.line, node.col)
+    slots = [(signature.args[i] if i < need else signature.rest, a)
+             for i, a in enumerate(node.args)]
+    slots += [(kinds[k], a) for k, a in node.kwargs]
+    values = [_arg(ctx, kind, a, on) for kind, a in slots]
+    subjects = [x for x in values if isinstance(x, Valuation)]
+    subjects += [x for x in values if isinstance(x, QuasiOrder)]
+    for i, (kind, a) in enumerate(slots):
+        if kind == ELEM:
+            values[i] = _parse_element(subjects[0].ring, values[i], a)
+        elif kind == ELEMS:
+            values[i] = [_parse_element(subjects[0].ring, t, a) for t in values[i]]
+    return values[:got], {k: x for (k, _), x in zip(node.kwargs, values[got:])}
+
+
+def _arg(ctx: SessionContext, kind: str, node, on):
+    if kind == NAME:
+        if not isinstance(node, Ref):
+            raise DslError(f"{kind} expected, got {node_text(node)}", node.line, node.col)
+        return node.name
+    value = _eval(ctx, node, on if kind == IDEAL else None)
+    if kind in _ITEM_TYPES:
+        ok = isinstance(value, list) and all(isinstance(x, _ITEM_TYPES[kind]) for x in value)
+    else:
+        ok = isinstance(value, _TYPES[kind])
+    if not ok:
+        raise DslError(f"{kind} expected, got {type(value).__name__}", node.line, node.col)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -457,29 +525,12 @@ def _eval(ctx: SessionContext, node, on: Optional[Ring] = None):
     if isinstance(node, Ref):
         return ctx.lookup(node)
     if isinstance(node, Call):
-        builder = CONSTRUCTORS.get(node.name)
-        if builder is None:
+        if node.name not in CONSTRUCTORS:
             raise DslError(f"unknown constructor {node.name!r}", node.line, node.col)
-        return builder(ctx, node, on)
+        build, signature = CONSTRUCTORS[node.name]
+        args, kw = _bind(ctx, node, signature, on)
+        return build(ctx, node, on, *args, **kw)
     raise DslError("bad expression", getattr(node, "line", 0), getattr(node, "col", 0))
-
-
-def _arity(node: Call, n_args: int, kw_allowed=(), at_least: bool = False):
-    got = len(node.args)
-    if got < n_args or (got > n_args and not at_least):
-        raise DslError(
-            f"{node.name} takes {'at least ' if at_least else ''}{n_args} "
-            f"positional argument(s), got {got}",
-            node.line,
-            node.col,
-        )
-    for k, _ in node.kwargs:
-        if k not in kw_allowed:
-            raise DslError(f"{node.name} got unexpected keyword {k!r}", node.line, node.col)
-
-
-def _kwargs(ctx: SessionContext, node: Call, on=None) -> dict:
-    return {k: _eval(ctx, v, on) for k, v in node.kwargs}
 
 
 def _need_on(node: Call, on) -> Ring:
@@ -488,54 +539,17 @@ def _need_on(node: Call, on) -> Ring:
     return on
 
 
-def _c_poly(ctx, node: Call, on):
-    if len(node.args) < 2:
-        raise DslError("poly(base, vars...) needs a base and variables", node.line, node.col)
-    base = _expect(_eval(ctx, node.args[0]), Ring, "a ring", node)
-    names = []
-    for arg in node.args[1:]:
-        if not isinstance(arg, Ref):
-            raise DslError("poly variables must be bare names", node.line, node.col)
-        names.append(arg.name)
-    return poly_ring(base, *names)
+def _plain(f: Callable) -> Callable:
+    """A constructor that neither reads the session nor the 'on' ring."""
+    return lambda ctx, node, on, *args, **kw: f(*args, **kw)
 
 
-def _c_frac(ctx, node: Call, on):
-    _arity(node, 1)
-    base = _expect(_eval(ctx, node.args[0]), Ring, "a ring", node)
-    return fraction_field(base)[0]
+def _on(f: Callable) -> Callable:
+    """A constructor whose first argument is the 'on' ring."""
+    return lambda ctx, node, on, *args: f(_need_on(node, on), *args)
 
 
-def _c_residue(ctx, node: Call, on):
-    _arity(node, 1)
-    v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    return v.residue_ring()
-
-
-def _c_zero_ideal(ctx, node: Call, on):
-    _arity(node, 0)
-    return ZeroIdeal(_need_on(node, on))
-
-
-def _c_principal(ctx, node: Call, on):
-    _arity(node, 1)
-    g = _expect(_eval(ctx, node.args[0]), int, "an integer", node)
-    return PrincipalIdeal(_need_on(node, on), g)
-
-
-def _c_vars_ideal(ctx, node: Call, on):
-    ring = _need_on(node, on)
-    names = []
-    for arg in node.args:
-        if not isinstance(arg, Ref):
-            raise DslError("vars(...) takes bare variable names", node.line, node.col)
-        names.append(arg.name)
-    return VariableIdeal(ring, names)
-
-
-def _c_padic(ctx, node: Call, on):
-    _arity(node, 1)
-    p = _expect(_eval(ctx, node.args[0]), int, "a prime", node)
+def _c_padic(ctx, node: Call, on, p):
     ring = on or QQ
     if isinstance(ring, ResidueDomainRing):
         if ring.concrete_ring is None or ring.concrete_ring is not QQ:
@@ -548,64 +562,24 @@ def _c_padic(ctx, node: Call, on):
     return padic_valuation(p, ring)
 
 
-def _c_trivial(ctx, node: Call, on):
-    ring = _need_on(node, on)
-    if len(node.args) > 1:
-        raise DslError("trivial([support]) takes at most one argument", node.line, node.col)
-    support = None
-    if node.args:
-        support = _expect(_eval(ctx, node.args[0], ring), Ideal, "an ideal", node)
-    return trivial_valuation(ring, support)
-
-
-def _c_gauss(ctx, node: Call, on):
-    if len(node.args) < 2:
-        raise DslError("gauss(u, gammas...) needs a base valuation and twists", node.line, node.col)
+def _c_gauss(ctx, node: Call, on, u, *gammas):
     ring = _need_on(node, on)
     if not isinstance(ring, PolynomialRing):
         raise DslError("gauss lives on a polynomial ring", node.line, node.col)
-    u = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    gammas = [_expect(_eval(ctx, a), int, "an integer twist", node) for a in node.args[1:]]
-    return gauss_on(u, ring, gammas)
+    return gauss_on(u, ring, list(gammas))
 
 
-def _c_frac_extend(ctx, node: Call, on):
-    _arity(node, 1, kw_allowed=("uniformizer",))
-    v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    kw = _kwargs(ctx, node)
-    t = None
-    if "uniformizer" in kw:
-        t = _parse_element(v.ring, kw["uniformizer"], node)
-    return frac_extend_val(v, uniformizer=t)
-
-
-def _c_composite(ctx, node: Call, on):
-    _arity(node, 2, kw_allowed=("section",))
-    v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    u = _expect(_eval(ctx, node.args[1]), Valuation, "a valuation", node)
-    kw = _kwargs(ctx, node)
-    if "section" in kw:
-        sections = [_parse_element(v.ring, kw["section"], node)]
-    else:
-        sections = [v.preimage(b) for b in v.group.basis]
+def _c_composite(ctx, node: Call, on, v, u, section=None):
+    sections = [section] if section is not None else [v.preimage(b) for b in v.group.basis]
     return composite_valuation(v, u, sections)
 
 
-def _c_quotient_val(ctx, node: Call, on):
-    _arity(node, 2)
-    w = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    v = _expect(_eval(ctx, node.args[1]), Valuation, "a valuation", node)
+def _c_quotient_val(ctx, node: Call, on, w, v):
     U = ctx.universe(w.ring, ctx.seed, ctx.samples)
     return quotient_val(w, v, U, samples=min(ctx.samples, 300))
 
 
-def _c_qo(ctx, node: Call, on):
-    _arity(node, 1)
-    v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    return from_valuation(v)
-
-
-def _transportable(ctx, node, on, factory, ring_check):
+def _c_natural_order(ctx, node: Call, on):
     ring = _need_on(node, on)
     if isinstance(ring, ResidueDomainRing):
         if ring.concrete_ring is None:
@@ -614,238 +588,138 @@ def _transportable(ctx, node, on, factory, ring_check):
                 node.line,
                 node.col,
             )
-        return transport_qo(factory(ring.concrete_ring), ring)
-    if not ring_check(ring):
+        return transport_qo(natural_order(ring.concrete_ring), ring)
+    if not (ring is ZZ or ring is QQ or ring.kind in ("integers", "rationals")):
         raise DslError(f"{node.name} does not live on {ring.name}", node.line, node.col)
-    return factory(ring)
+    return natural_order(ring)
 
 
-def _c_natural_order(ctx, node: Call, on):
-    _arity(node, 0)
-    return _transportable(
-        ctx, node, on, natural_order, lambda r: r is ZZ or r is QQ or r.kind in ("integers", "rationals")
-    )
+def _living_on(ring_type, factory, where):
+    def build(ctx, node: Call, on):
+        if not isinstance(_need_on(node, on), ring_type):
+            raise DslError(f"{node.name} lives on {where}", node.line, node.col)
+        return factory(on)
+    return build
 
 
-def _c_const_term_order(ctx, node: Call, on):
-    _arity(node, 0)
-    ring = _need_on(node, on)
-    if not isinstance(ring, PolynomialRing):
-        raise DslError("const_term_order lives on a polynomial ring", node.line, node.col)
-    return const_term_order(ring)
+def _basis(v: Valuation, pis=None, signs=None) -> BasisData:
+    if pis is None:
+        return default_basis(v)
+    return BasisData(v, pis, basis_signs=tuple(signs) if signs else None)
 
 
-def _c_leading_term_order(ctx, node: Call, on):
-    _arity(node, 0)
-    ring = _need_on(node, on)
-    if not isinstance(ring, RationalFunctionField):
-        raise DslError("leading_term_order lives on a fraction field", node.line, node.col)
-    return leading_term_order(ring)
-
-
-def _c_at_zero_order(ctx, node: Call, on):
-    _arity(node, 0)
-    ring = _need_on(node, on)
-    if not isinstance(ring, RationalFunctionField):
-        raise DslError("at_zero_order lives on a fraction field", node.line, node.col)
-    return at_zero_order(ring)
-
-
-def _c_frac_extend_qo(ctx, node: Call, on):
-    _arity(node, 1)
-    q = _expect(_eval(ctx, node.args[0]), QuasiOrder, "a quasi-order", node)
-    return frac_extend_qo(q)
-
-
-def _c_residue_qo(ctx, node: Call, on):
-    _arity(node, 2)
-    q = _expect(_eval(ctx, node.args[0]), QuasiOrder, "a quasi-order", node)
-    v = _expect(_eval(ctx, node.args[1]), Valuation, "a valuation", node)
-    return residue_qo(q, v)
-
-
-def _lift_data(node: Call, v, kw) -> LiftData:
-    rq = kw.get("residue")
-    if not isinstance(rq, QuasiOrder):
+def _lift_data(node: Call, v, eta=None, residue=None, pis=None, signs=None) -> LiftData:
+    if residue is None:
         raise DslError("lift needs residue=<quasi-order>", node.line, node.col)
-    eta = kw.get("eta")
-    if not isinstance(eta, list) or not all(isinstance(s, int) for s in eta):
+    if eta is None:
         raise DslError("lift needs eta=[+-1,...]", node.line, node.col)
-    if "pis" in kw:
-        pis = [_parse_element(v.ring, t, node) for t in kw["pis"]]
-        signs = kw.get("signs")
-        basis = BasisData(v, pis, basis_signs=tuple(signs) if signs else None)
-    else:
-        basis = default_basis(v)
-    if rq.ring.key != v.residue_ring().key and isinstance(
-        v.residue_ring(), ResidueDomainRing
+    basis = _basis(v, pis, signs)
+    R = v.residue_ring()
+    if (
+        residue.ring.key != R.key
+        and isinstance(R, ResidueDomainRing)
+        and R.concrete_ring is not None
+        and residue.ring.key == R.concrete_ring.key
     ):
-        residue = v.residue_ring()
-        if residue.concrete_ring is not None and rq.ring.key == residue.concrete_ring.key:
-            rq = transport_qo(rq, residue)
-    return LiftData(basis, EtaVector(tuple(eta)), rq)
+        residue = transport_qo(residue, R)
+    return LiftData(basis, EtaVector(tuple(eta)), residue)
 
 
-_LIFT_KW = ("eta", "residue", "pis", "signs")
+_LIFT_KW = dict(eta=INTS, residue=QO, pis=ELEMS, signs=INTS)
 
-
-def _c_lift(ctx, node: Call, on):
-    _arity(node, 1, kw_allowed=_LIFT_KW)
-    v = _expect(_eval(ctx, node.args[0]), Valuation, "a valuation", node)
-    kw = _kwargs(ctx, node)
-    return lift(_lift_data(node, v, kw))
-
-
-CONSTRUCTORS: Dict[str, Callable] = {
-    "poly": _c_poly,
-    "frac": _c_frac,
-    "residue": _c_residue,
-    "zero": _c_zero_ideal,
-    "principal": _c_principal,
-    "vars": _c_vars_ideal,
-    "padic": _c_padic,
-    "trivial": _c_trivial,
-    "gauss": _c_gauss,
-    "frac_extend": _c_frac_extend,
-    "composite": _c_composite,
-    "quotient_val": _c_quotient_val,
-    "qo": _c_qo,
-    "natural_order": _c_natural_order,
-    "const_term_order": _c_const_term_order,
-    "leading_term_order": _c_leading_term_order,
-    "at_zero_order": _c_at_zero_order,
-    "frac_extend_qo": _c_frac_extend_qo,
-    "residue_qo": _c_residue_qo,
-    "lift": _c_lift,
+#: name -> (builder, signature).  A builder is called as
+#: builder(ctx, call, on, *args, **kwargs) with the bound arguments.
+CONSTRUCTORS: Dict[str, Tuple[Callable, Signature]] = {
+    "poly": (_plain(poly_ring), sig(RING, NAME, rest=NAME)),
+    "frac": (_plain(lambda base: fraction_field(base)[0]), sig(RING)),
+    "residue": (_plain(lambda v: v.residue_ring()), sig(VAL)),
+    "zero": (_on(ZeroIdeal), sig()),
+    "principal": (_on(PrincipalIdeal), sig(INT)),
+    "vars": (_on(lambda ring, *names: VariableIdeal(ring, names)), sig(rest=NAME)),
+    "padic": (_c_padic, sig(INT)),
+    "trivial": (_on(trivial_valuation), sig(rest=IDEAL, most=1)),
+    "gauss": (_c_gauss, sig(VAL, INT, rest=INT)),
+    "frac_extend": (_plain(frac_extend_val), sig(VAL, uniformizer=ELEM)),
+    "composite": (_c_composite, sig(VAL, VAL, section=ELEM)),
+    "quotient_val": (_c_quotient_val, sig(VAL, VAL)),
+    "qo": (_plain(from_valuation), sig(VAL)),
+    "natural_order": (_c_natural_order, sig()),
+    "const_term_order": (
+        _living_on(PolynomialRing, const_term_order, "a polynomial ring"), sig()
+    ),
+    "leading_term_order": (
+        _living_on(RationalFunctionField, leading_term_order, "a fraction field"), sig()
+    ),
+    "at_zero_order": (
+        _living_on(RationalFunctionField, at_zero_order, "a fraction field"), sig()
+    ),
+    "frac_extend_qo": (_plain(frac_extend_qo), sig(QO)),
+    "residue_qo": (_plain(residue_qo), sig(QO, VAL)),
+    "lift": (
+        lambda ctx, node, on, v, **kw: lift(_lift_data(node, v, **kw)), sig(VAL, **_LIFT_KW)
+    ),
 }
 
 
 # ---------------------------------------------------------------------------
 # checks
+#
+# A runner is called as runner(call, label, universe, n, *args, **kwargs) with
+# the bound arguments and returns the check's results.
 
 
-def _subject_ring(args) -> Ring:
-    for a in args:
-        if isinstance(a, (Valuation, QuasiOrder)):
-            return a.ring
-        if isinstance(a, Ring):
-            return a
-    raise PreconditionError("check has no subject carrying a ring")
+def _lib(check: Callable) -> Callable:
+    """The runner of a library check check(*args, universe, samples=, label=)."""
+
+    def run(call, label, U, n, *args):
+        out = check(*args, U, samples=n, label=label)
+        return out if isinstance(out, list) else [out]
+
+    return run
 
 
-def _ck_val_axioms(call, label, args, kw, U, n):
-    (v,) = args
-    return check_val_axioms(v, U, samples=n, label=label)
-
-
-def _ck_qo_axioms(call, label, args, kw, U, n):
-    (q,) = args
-    return check_qo_axioms(q, U, samples=n, label=label)
-
-
-def _ck_derived(call, label, args, kw, U, n):
-    (q,) = args
-    return check_derived_lemmas(q, U, samples=n, label=label)
-
-
-def _ck_classify(call, label, args, kw, U, n):
-    (q,) = args
+def _ck_classify(call, label, U, n, q, expect=None):
     kind = classify_qo(q)
-    expect = kw.get("expect")
     ok = expect is None or kind == {"order": "order", "proper": "proper-quasi-order"}.get(
         expect, expect
     )
     return [result(label, ok, (kind,), 1, U.seed, detail=kind)]
 
 
-def _ck_compat(call, label, args, kw, U, n):
-    v, q = args
-    return [is_compatible(v, q, U, samples=n, label=label)]
-
-
-def _ck_convex(call, label, args, kw, U, n):
-    v, q = args
-    which = kw.get("set", "iv")
-    if which == "iv":
+def _ck_convex(call, label, U, n, v, q, set="iv"):
+    if set == "iv":
         member = lambda x: in_iv(v, x)
-    elif which == "rv":
+    elif set == "rv":
         member = lambda x: in_rv(v, x)
     else:
-        raise PreconditionError(f"convex: unknown set {which!r}")
+        raise PreconditionError(f"convex: unknown set {set!r}")
     return [is_convex(member, q, U, samples=n, label=label)]
 
 
-def _ck_table(call, label, args, kw, U, n):
-    v, q = args
+def _ck_table(call, label, U, n, v, q):
     rep = table_conditions(v, q, U, samples=n, label=label)
     return rep.checks + [result(f"{label}.flags", True, None, n, U.seed, rep.format_flags())]
 
 
-def _ck_compat_equivalence(call, label, args, kw, U, n):
-    v, q = args
-    return theorem_compat_report(v, q, U, samples=n, label=label)
-
-
-def _ck_iv1(call, label, args, kw, U, n):
-    v, q = args
-    return iv_prec_one(v, q, U, samples=n, label=label)
-
-
-def _ck_special_star(call, label, args, kw, U, n):
-    (v,) = args
-    return special_star_check(v, U, samples=n, label=label)
-
-
-def _ck_coarsening(call, label, args, kw, U, n):
-    v, w = args
-    return coarsening_check(v, w, U, samples=n, label=label)
-
-
-def _ck_equivalent(call, label, args, kw, U, n):
-    v, w = args
-    return equivalent_check(v, w, U, samples=n, label=label)
-
-
-def _ck_rank(call, label, args, kw, U, n):
-    q = args[0]
-    if not isinstance(q, QuasiOrder):
-        raise PreconditionError("rank wants a quasi-order first")
-    cands = list(args[1:])
-    for v in cands:
-        if not isinstance(v, Valuation):
-            raise PreconditionError(f"rank candidates must be valuations, got {v!r}")
-    _, _, checks = rank_check(q, cands, U, samples=n, label=label, expect=kw.get("expect"))
+def _ck_rank(call, label, U, n, q, *candidates, expect=None):
+    _, _, checks = rank_check(q, list(candidates), U, samples=n, label=label, expect=expect)
     return checks
 
 
-def _ck_roundtrip(call, label, args, kw, U, n):
-    (v,) = args
-    data = _lift_data(call, v, kw)
-    return roundtrip_check(data, U, samples=n, label=label)
+def _ck_roundtrip(call, label, U, n, v, **kw):
+    return roundtrip_check(_lift_data(call, v, **kw), U, samples=n, label=label)
 
 
-def _ck_lift_props(call, label, args, kw, U, n):
-    (v,) = args
-    data = _lift_data(call, v, kw)
-    return lift_properties_check(data, U, samples=n, label=label)
+def _ck_lift_props(call, label, U, n, v, **kw):
+    return lift_properties_check(_lift_data(call, v, **kw), U, samples=n, label=label)
 
 
-def _ck_reconstruct(call, label, args, kw, U, n):
-    q, v = args
-    if "pis" in kw:
-        pis = [v.ring.parse(t) for t in kw["pis"]]
-        signs = kw.get("signs")
-        basis = BasisData(v, pis, basis_signs=tuple(signs) if signs else None)
-    else:
-        basis = default_basis(v)
-    return reconstruct_check(q, basis, U, samples=n, label=label)
+def _ck_reconstruct(call, label, U, n, q, v, pis=None, signs=None):
+    return reconstruct_check(q, _basis(v, pis, signs), U, samples=n, label=label)
 
 
-def _ck_val_value(call, label, args, kw, U, n):
-    v = args[0]
-    x = v.ring.parse(args[1])
+def _ck_val_value(call, label, U, n, v, x, want_text):
     got = v(x)
-    want_text = args[2]
     if want_text == "inf":
         ok = got is INF
     else:
@@ -855,8 +729,7 @@ def _ck_val_value(call, label, args, kw, U, n):
     return [result(label, ok, (str(x), format_value(got)), 1, U.seed, detail=detail)]
 
 
-def _ck_val_agree(call, label, args, kw, U, n):
-    v, w = args
+def _ck_val_agree(call, label, U, n, v, w):
     singles = U.singles(n, label)
     # the witness carries both values, so this is not a plain sweep
     x = next((x for x in singles if v(x) != w(x)), None)
@@ -864,14 +737,11 @@ def _ck_val_agree(call, label, args, kw, U, n):
     return [result(label, x is None, witness, len(singles), U.seed)]
 
 
-def _ck_qo_agree(call, label, args, kw, U, n):
-    q1, q2 = args
+def _ck_qo_agree(call, label, U, n, q1, q2):
     return [sweep(label, U.pairs(n, label), lambda x, y: q1.le(x, y) != q2.le(x, y), U.seed)]
 
 
-def _ck_unbounded_above(call, label, args, kw, U, n):
-    q = args[0]
-    x = q.ring.parse(args[1])
+def _ck_unbounded_above(call, label, U, n, q, x):
     import random as _random
 
     rng = _random.Random(U.seed ^ 0xA5C3)
@@ -889,29 +759,29 @@ def _ck_unbounded_above(call, label, args, kw, U, n):
     ]
 
 
-#: name -> (runner, positional argument count, allowed keywords).  rank
-#: takes a quasi-order and then any number of candidate valuations.
-CHECKS: Dict[str, Tuple[Callable, int, Tuple[str, ...]]] = {
-    "val_axioms": (_ck_val_axioms, 1, ()),
-    "qo_axioms": (_ck_qo_axioms, 1, ()),
-    "derived_lemmas": (_ck_derived, 1, ()),
-    "classify": (_ck_classify, 1, ("expect",)),
-    "compat": (_ck_compat, 2, ()),
-    "convex": (_ck_convex, 2, ("set",)),
-    "table_conditions": (_ck_table, 2, ()),
-    "compat_equivalence": (_ck_compat_equivalence, 2, ()),
-    "iv_prec_one": (_ck_iv1, 2, ()),
-    "special_star": (_ck_special_star, 1, ()),
-    "coarsening": (_ck_coarsening, 2, ()),
-    "equivalent": (_ck_equivalent, 2, ()),
-    "rank": (_ck_rank, 1, ("expect",)),
-    "roundtrip": (_ck_roundtrip, 1, _LIFT_KW),
-    "lift_props": (_ck_lift_props, 1, _LIFT_KW),
-    "reconstruct": (_ck_reconstruct, 2, ("pis", "signs")),
-    "val_value": (_ck_val_value, 3, ()),
-    "val_agree": (_ck_val_agree, 2, ()),
-    "qo_agree": (_ck_qo_agree, 2, ()),
-    "unbounded_above": (_ck_unbounded_above, 2, ()),
+#: name -> (runner, signature).  Every check's first argument is its subject,
+#: a valuation or a quasi-order, whose ring its sample universe is drawn from.
+CHECKS: Dict[str, Tuple[Callable, Signature]] = {
+    "val_axioms": (_lib(check_val_axioms), sig(VAL)),
+    "qo_axioms": (_lib(check_qo_axioms), sig(QO)),
+    "derived_lemmas": (_lib(check_derived_lemmas), sig(QO)),
+    "classify": (_ck_classify, sig(QO, expect=STR)),
+    "compat": (_lib(is_compatible), sig(VAL, QO)),
+    "convex": (_ck_convex, sig(VAL, QO, set=STR)),
+    "table_conditions": (_ck_table, sig(VAL, QO)),
+    "compat_equivalence": (_lib(theorem_compat_report), sig(VAL, QO)),
+    "iv_prec_one": (_lib(iv_prec_one), sig(VAL, QO)),
+    "special_star": (_lib(special_star_check), sig(VAL)),
+    "coarsening": (_lib(coarsening_check), sig(VAL, VAL)),
+    "equivalent": (_lib(equivalent_check), sig(VAL, VAL)),
+    "rank": (_ck_rank, sig(QO, rest=VAL, expect=INT)),
+    "roundtrip": (_ck_roundtrip, sig(VAL, **_LIFT_KW)),
+    "lift_props": (_ck_lift_props, sig(VAL, **_LIFT_KW)),
+    "reconstruct": (_ck_reconstruct, sig(QO, VAL, pis=ELEMS, signs=INTS)),
+    "val_value": (_ck_val_value, sig(VAL, ELEM, STR)),
+    "val_agree": (_ck_val_agree, sig(VAL, VAL)),
+    "qo_agree": (_ck_qo_agree, sig(QO, QO)),
+    "unbounded_above": (_ck_unbounded_above, sig(QO, ELEM)),
 }
 
 
@@ -953,7 +823,8 @@ def execute_statement(ctx: SessionContext, stmt, label_prefix: str) -> Optional[
             if isinstance(value, (Valuation, QuasiOrder)):
                 value.name = stmt.name
             ctx.env[stmt.name] = value
-        except (PreconditionError, ValueError, ZeroDivisionError) as e:
+        except (PreconditionError, ValueError, ZeroDivisionError, RingMismatchError,
+                GroupMismatchError) as e:
             witness = getattr(e, "witness", None)
             return result(f"{label_prefix}let {stmt.name}", False, witness, 0, ctx.seed,
                           detail=str(e))
@@ -985,16 +856,15 @@ class BoundCheck:
     size: int
 
     def universe(self, ctx: SessionContext) -> SampleUniverse:
-        return ctx.universe(_subject_ring(self.args), self.seed, self.size)
+        return ctx.universe(self.args[0].ring, self.seed, self.size)
 
 
 def bind_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> BoundCheck:
     call = stmt.call
-    spec = CHECKS.get(call.name)
-    if spec is None:
+    if call.name not in CHECKS:
         raise DslError(f"unknown check {call.name!r}", call.line, call.col)
-    runner, n_args, kw_allowed = spec
-    _arity(call, n_args, kw_allowed, at_least=call.name == "rank")
+    runner, signature = CHECKS[call.name]
+    args, kw = _bind(ctx, call, signature)
     params = dict(stmt.params)
     for key in params:
         if key not in ("count", "seed", "universe"):
@@ -1006,10 +876,7 @@ def bind_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> BoundChec
     size = params.get("universe", max(50, n // 2))
     if size < 1:
         raise DslError(f"universe size must be at least 1, got {size}", stmt.line, stmt.col)
-    args = [_eval(ctx, a) for a in call.args]
-    return BoundCheck(
-        runner, label_prefix + node_text(call), args, _kwargs(ctx, call), seed, n, size
-    )
+    return BoundCheck(runner, label_prefix + node_text(call), args, kw, seed, n, size)
 
 
 def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[CheckResult]:
@@ -1017,15 +884,14 @@ def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[Chec
     try:
         universe = b.universe(ctx)
         start = time.perf_counter()
-        results = b.runner(stmt.call, b.label, b.args, b.kw, universe, b.n)
+        results = b.runner(stmt.call, b.label, universe, b.n, *b.args, **b.kw)
         elapsed = (time.perf_counter() - start) * 1000.0
         for r in results:
             r.elapsed_ms = elapsed / max(len(results), 1)
         return results
     except PreconditionError as e:
         witness, detail = e.witness, f"precondition: {e}"
-    except (RingMismatchError, ElementSyntaxError, ValueError, ZeroDivisionError,
-            AttributeError, TypeError) as e:
+    except (RingMismatchError, ValueError, ZeroDivisionError) as e:
         witness, detail = None, f"check error: {e}"
     return [result(b.label, False, witness, 0, b.seed, detail=detail)]
 

@@ -115,7 +115,34 @@ def test_wrong_check_arity_exits_2(tmp_path, capsys):
         ("compat(v, q, bogus=1)", "compat got unexpected keyword 'bogus'"),
         ("rank()", "rank takes at least 1 positional argument(s), got 0"),
         ("roundtrip(v, eta=[1], residue=q, sign=[1])", "unexpected keyword 'sign'"),
+        ("compat(q, v)", "a valuation expected, got QuasiOrder (line 3, column 14)"),
+        ("val_axioms(q)", "a valuation expected, got QuasiOrder"),
+        ("rank(q, q)", "a valuation expected, got QuasiOrder (line 3, column 15)"),
+        ('val_value(v, 3, "1")', "an element literal expected, got int"),
+        ("classify(q, expect=1)", "a string expected, got int"),
+        ("unbounded_above(q, 5)", "an element literal expected, got int"),
+        ('roundtrip(v, eta="x", residue=q)', "a list of integers expected, got str"),
     ):
         f.write_text(f"let v = padic(2) on Q\nlet q = qo(v)\ncheck {check}\n")
         assert main(["run", str(f)]) == EXIT_USAGE, check
         assert message in capsys.readouterr().err
+
+
+def test_mismatched_let_halts_exits_3(tmp_path, capsys):
+    f = tmp_path / "s.qord"
+    for session in (
+        # RingMismatchError: the base valuation lives on Q, the ring is Z[X]
+        "let u = padic(2) on Q\nlet v = gauss(u, 1) on poly(Z, X)\n",
+        # GroupMismatchError: the Gauss extension of a rank-2 composite
+        "let u = trivial() on Q\n"
+        "let vdeg = gauss(u, -1) on poly(Q, X)\n"
+        'let nu = frac_extend(vdeg, uniformizer="1*X")\n'
+        "let u2 = padic(2) on residue(nu)\n"
+        "let w = composite(nu, u2)\n"
+        "let g = gauss(w, 1) on poly(frac(poly(Q, X)), Y)\n",
+    ):
+        f.write_text(session)
+        assert main(["run", str(f)]) == EXIT_PRECONDITION, session
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "execution halted" in captured.out

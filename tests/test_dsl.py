@@ -1,7 +1,11 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from qord import dsl
+from qord.cli import main
 from qord.corpus import CORPUS, run_instance
 from qord.dsl import (
     Check,
@@ -10,6 +14,7 @@ from qord.dsl import (
     SessionContext,
     node_text,
     parse_session,
+    run_session,
     run_text,
 )
 from qord.report import parse_json, render_json, render_text
@@ -179,18 +184,18 @@ def test_show_statement():
     assert report["show(v)"].status == "pass"
 
 
-def test_type_confused_check_becomes_entry():
-    report = run_text(
-        "let v = padic(2) on Q\nlet q = qo(v)\ncheck rank(q, q) samples(count=50, seed=1)"
-    )
-    entry = report["rank(q,q)"]
-    assert entry.status == "fail" and "precondition" in entry.detail
+def test_type_confused_check_is_a_session_error():
+    with pytest.raises(DslError, match="a valuation expected, got QuasiOrder") as e:
+        run_text(
+            "let v = padic(2) on Q\nlet q = qo(v)\ncheck rank(q, q) samples(count=50, seed=1)"
+        )
+    assert (e.value.line, e.value.col) == (3, 15)
 
 
-def test_wrong_ring_element_literal_in_check():
-    report = run_text('let v = padic(2) on Q\ncheck val_value(v, "1*X", "0")')
-    entry = report['val_value(v,"1*X","0")']
-    assert entry.status == "fail" and "check error" in entry.detail
+def test_wrong_ring_element_literal_in_check_is_a_session_error():
+    with pytest.raises(DslError, match="bad element literal '1\\*X' for Q") as e:
+        run_text('let v = padic(2) on Q\ncheck val_value(v, "1*X", "0")')
+    assert (e.value.line, e.value.col) == (2, 20)
 
 
 def test_session_shares_one_universe_per_ring_seed_size_and_pins(monkeypatch):
@@ -238,3 +243,104 @@ def test_shared_universes_keep_corpus_bytes(monkeypatch):
     monkeypatch.setattr(SessionContext, "universe", fresh)
     for inst, expected in zip(CORPUS, shared):
         assert render_json(run_instance(inst, samples=60)) == expected, inst.name
+
+
+_FUZZ_PRELUDE = """
+let ZX = poly(Z, X)
+let QX = poly(Q, X)
+let K = frac(poly(Q, X))
+let vz = padic(2) on Z
+let vq = padic(3) on Q
+let t = trivial() on Z
+let vzx = gauss(t, -1) on ZX
+let u = padic(2) on Q
+let vqx = gauss(u, 1) on QX
+let tq = trivial() on Q
+let vdeg = gauss(tq, -1) on QX
+let nu = frac_extend(vdeg, uniformizer="1*X")
+let qz = natural_order() on Z
+let qq = qo(vq)
+let qzx = const_term_order() on ZX
+let qqx = qo(vqx)
+let qk = leading_term_order() on K
+let rq = natural_order() on residue(nu)
+"""
+
+_FUZZ_POOL = {
+    dsl.RING: ["Z", "Q", "ZX", "QX", "K", "residue(nu)"],
+    dsl.IDEAL: ["zero()", "principal(2)", "vars(X)"],
+    dsl.VAL: ["vz", "vq", "vzx", "vqx", "nu", "padic(5)"],
+    dsl.QO: ["qz", "qq", "qzx", "qqx", "qk", "rq"],
+    dsl.INT: ["-1", "0", "1", "2", "3"],
+    dsl.STR: ['"iv"', '"rv"', '"order"', '"proper"', '"inf"', '"1"'],
+    dsl.NAME: ["X", "Y"],
+    dsl.ELEM: ['"0"', '"1"', '"1/2"', '"1*X + 1"', '"(1*X)/(1)"'],
+    dsl.INTS: ["[1]", "[-1]", "[1, -1]"],
+    dsl.ELEMS: ['["2"]', '["1*X"]'],
+}
+
+
+def _fuzz_call(rng, name, signature):
+    """A call whose arguments are drawn by kind; about one in ten is drawn
+    from a wrong kind."""
+
+    def draw(kind):
+        if rng.random() < 0.1:
+            kind = rng.choice(sorted(_FUZZ_POOL))
+        return rng.choice(_FUZZ_POOL[kind])
+
+    kinds = list(signature.args)
+    if signature.rest is not None:
+        extra = rng.randrange(3)
+        if signature.most is not None:
+            extra = min(extra, signature.most - len(kinds))
+        kinds += [signature.rest] * extra
+    parts = [draw(kind) for kind in kinds]
+    parts += [f"{k}={draw(kind)}" for k, kind in signature.kw if rng.random() < 0.7]
+    return f"{name}({', '.join(parts)})"
+
+
+def _fuzz_session(rng):
+    lines = [_FUZZ_PRELUDE]
+    for i in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            name = rng.choice(sorted(dsl.CONSTRUCTORS))
+            on = rng.choice(_FUZZ_POOL[dsl.RING] + [None])
+            call = _fuzz_call(rng, name, dsl.CONSTRUCTORS[name][1])
+            lines.append(f"let x{i} = {call}" + (f" on {on}" if on else ""))
+        else:
+            name = rng.choice(sorted(dsl.CHECKS))
+            lines.append(f"check {_fuzz_call(rng, name, dsl.CHECKS[name][1])} samples(count=20)")
+    return "\n".join(lines) + "\n"
+
+
+def test_session_fuzz(tmp_path, capsys):
+    # a wrongly typed argument is a DslError, a domain error is a report
+    # entry, and nothing else escapes or is reported as a content failure
+    rng = random.Random(2024)
+    f = tmp_path / "s.qord"
+    for i in range(300):
+        text = _fuzz_session(rng)
+        try:
+            report = run_session(parse_session(text), samples=20)
+        except DslError:
+            pass
+        else:
+            for c in report.checks:
+                assert "object has no attribute" not in (c.detail or ""), text
+        if i % 15 == 0:
+            f.write_text(text)
+            assert main(["run", str(f), "--samples", "20"]) in (0, 1, 2, 3, 4), text
+            capsys.readouterr()
+
+
+def test_readme_lists_every_constructor_and_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    grammar = readme[readme.index("\nRings:"):]
+    constructors_text, _, checks_text = grammar.partition("\nChecks:")
+    checks_text = checks_text.split("\n\n")[0]
+    spans = lambda text: re.findall(r"`([^`]*)`", text)
+    constructors = {name for s in spans(constructors_text) for name in re.findall(r"(\w+)\(", s)}
+    checks = {re.match(r"\w+", s).group() for s in spans(checks_text)}
+    assert constructors == set(dsl.CONSTRUCTORS)
+    assert checks == set(dsl.CHECKS)
