@@ -73,7 +73,6 @@ from .rings import (
     RingElement,
     VariableIdeal,
     ZeroIdeal,
-    arith,
     const_term,
     fraction_field,
     poly_ring,
@@ -91,7 +90,6 @@ from .valuations import (
     equivalent_check,
     frac_extend_val,
     gauss_on,
-    gauss_valuation,
     padic_valuation,
     quotient_val,
     transport_to_residue,

@@ -27,15 +27,14 @@ from .groups import (
     value_lt,
     value_neg,
 )
-from .quasiorders import ORDER, PROPER, QuasiOrder, classify_qo, transport_qo
+from .quasiorders import ORDER, PROPER, QuasiOrder, classify_qo, pullback, transport_qo
 from .report import PASS, CheckResult, PreconditionError, result, sweep
 from .residues import compatible, is_compatible, residue_qo, residue_universe
 from .rings import RingElement, RingMismatchError
 from .sampling import SampleUniverse
 from .valuations import (
     Valuation,
-    _quotient_maps,
-    frac_extend_val,
+    field_passage,
     in_rv,
 )
 
@@ -392,39 +391,27 @@ def bk3_lift(
     Returns (restricted, field-level, checks).
     """
     ring = v.ring
-    qring, project, _section = _quotient_maps(ring, v.support)
-    nu = frac_extend_val(v, uniformizer=uniformizer)
-    K, embed = _field_embedding(qring, nu)
+    nu, to_field = field_passage(v, uniformizer)
 
     if nu.manis and uniformizer is None:
         basis = default_basis(nu)
     else:
-        t = embed(project(uniformizer)) if uniformizer.ring.key == ring.key else uniformizer
+        t = to_field(uniformizer) if uniformizer.ring.key == ring.key else uniformizer
         sign = nu(t)[0]
         basis = BasisData(nu, (t,), basis_signs=(sign,))
 
-    rq = residue_order
-    if rq.ring.key != nu.residue_ring().key:
-        rq = transport_qo(rq, nu.residue_ring())
-    data = LiftData(basis, EtaVector(tuple(eta)), rq)
-    lifted = lift(data)
-
-    def cmp(px, py):
-        a = embed(project(RingElement(ring, px)))
-        b = embed(project(RingElement(ring, py)))
-        return lifted._compare_payload(a.payload, b.payload)
-
-    restricted = QuasiOrder(
+    rq = transport_qo(residue_order, nu.residue_ring())
+    lifted = lift(LiftData(basis, EtaVector(tuple(eta)), rq))
+    restricted = pullback(
+        lifted,
         ring,
-        cmp,
+        lambda p: to_field(RingElement(ring, p)).payload,
         f"{lifted.name}|{ring.name}",
-        support_ideal=v.support,
-        expected_kind=lifted.expected_kind,
+        v.support,
     )
 
-    ku = SampleUniverse(K, seed=universe.seed, count=universe.count, bounds=universe.bounds)
     verdict_r = compatible(v, restricted, universe, samples)
-    verdict_k = compatible(nu, lifted, ku, samples)
+    verdict_k = compatible(nu, lifted, universe.on(nu.ring), samples)
     agree = result(
         f"{label}.compat-levels-agree",
         verdict_r == verdict_k,
@@ -436,15 +423,6 @@ def bk3_lift(
     return restricted, lifted, [agree]
 
 
-def _field_embedding(qring, nu):
-    from .rings import fraction_field
-
-    K2, embed = fraction_field(qring)
-    if K2.key != nu.ring.key:
-        raise RingMismatchError("fraction field mismatch")
-    return nu.ring, (lambda x, _e=embed: RingElement(nu.ring, _e(x).payload))
-
-
 def mu_restrict(
     qo_field_residue: QuasiOrder, v: Valuation,
     uniformizer: Optional[RingElement] = None,
@@ -452,28 +430,13 @@ def mu_restrict(
     """Restrict a quasi-order on the residue field of the extension back
     to the residue domain of v along x + Iv -> (x/1) + I_nu."""
     ring = v.ring
-    qring, project, _section = _quotient_maps(ring, v.support)
-    nu = frac_extend_val(v, uniformizer=uniformizer)
-    K, embed = _field_embedding(qring, nu)
-    knu = nu.residue_ring()
-    q = qo_field_residue
-    if q.ring.key == (knu.concrete_ring.key if knu.concrete_ring else None):
-        q = transport_qo(q, knu)
-    if q.ring.key != knu.key:
-        raise RingMismatchError(
-            f"{q.name} lives on {q.ring.name}, expected {knu.name}"
-        )
+    nu, to_field = field_passage(v, uniformizer)
+    q = transport_qo(qo_field_residue, nu.residue_ring())
     rv = v.residue_ring()
-
-    def cmp(pa, pb):
-        ea = embed(project(RingElement(ring, pa)))
-        eb = embed(project(RingElement(ring, pb)))
-        return q._compare_payload(ea.payload, eb.payload)
-
-    return QuasiOrder(
+    return pullback(
+        q,
         rv,
-        cmp,
+        lambda p: to_field(RingElement(ring, p)).payload,
         f"{q.name}|{rv.name}",
-        support_ideal=None,
-        expected_kind=q.expected_kind,
+        None,
     )

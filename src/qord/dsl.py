@@ -613,16 +613,11 @@ def _lift_data(node: Call, v, eta=None, residue=None, pis=None, signs=None) -> L
         raise DslError("lift needs residue=<quasi-order>", node.line, node.col)
     if eta is None:
         raise DslError("lift needs eta=[+-1,...]", node.line, node.col)
-    basis = _basis(v, pis, signs)
-    R = v.residue_ring()
-    if (
-        residue.ring.key != R.key
-        and isinstance(R, ResidueDomainRing)
-        and R.concrete_ring is not None
-        and residue.ring.key == R.concrete_ring.key
-    ):
-        residue = transport_qo(residue, R)
-    return LiftData(basis, EtaVector(tuple(eta)), residue)
+    return LiftData(
+        _basis(v, pis, signs),
+        EtaVector(tuple(eta)),
+        transport_qo(residue, v.residue_ring()),
+    )
 
 
 _LIFT_KW = dict(eta=INTS, residue=QO, pis=ELEMS, signs=INTS)

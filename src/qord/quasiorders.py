@@ -223,24 +223,32 @@ def at_zero_order(field: RationalFunctionField) -> QuasiOrder:
     )
 
 
+def pullback(q: QuasiOrder, ring: Ring, f: Callable, name: str,
+             support_ideal: Optional[Ideal]) -> QuasiOrder:
+    """x <= y on ring iff f(x) <= f(y) under q, for f a payload map into q.ring."""
+    compare = q._compare_payload
+    return QuasiOrder(
+        ring,
+        lambda pa, pb: compare(f(pa), f(pb)),
+        name,
+        support_ideal=support_ideal,
+        expected_kind=q.expected_kind,
+    )
+
+
 def transport_qo(q: QuasiOrder, residue: ResidueDomainRing) -> QuasiOrder:
-    """Move a quasi-order on the concrete residue ring up to Rv itself."""
+    """Move a quasi-order on the concrete residue ring up to Rv itself (or
+    return one already on Rv)."""
+    if q.ring.key == residue.key:
+        return q
     if residue.concrete_ring is None:
         raise ValueError(f"{residue.name} has no concrete residue form")
     if q.ring.key != residue.concrete_ring.key:
         raise RingMismatchError(
             f"{q.name} lives on {q.ring.name}, expected {residue.concrete_ring.name}"
         )
-
-    def cmp(pa, pb):
-        return q._compare_payload(residue._to_c(pa), residue._to_c(pb))
-
-    return QuasiOrder(
-        residue,
-        cmp,
-        f"{q.name}@{residue.name}",
-        support_ideal=ZeroIdeal(residue),
-        expected_kind=q.expected_kind,
+    return pullback(
+        q, residue, residue._to_c, f"{q.name}@{residue.name}", ZeroIdeal(residue)
     )
 
 

@@ -18,6 +18,7 @@ from .quasiorders import (
     check_qo_axioms,
     classify_qo,
     frac_extend_qo,
+    pullback,
 )
 from .report import (
     FAIL,
@@ -29,23 +30,22 @@ from .report import (
     result,
     sweep,
 )
-from .rings import (
-    RingElement,
-    RingMismatchError,
-    ZeroIdeal,
-    fraction_field,
-)
+from .rings import RingElement, RingMismatchError, ZeroIdeal, quotient_ring
 from .sampling import SampleUniverse
 from .valuations import (
     Valuation,
-    _quotient_maps,
+    field_passage,
     frac_extend_val,
     in_iv,
     in_rv,
     in_uv,
     is_coarsening,
+    on_quotient,
     are_equivalent,
 )
+
+#: Detail of an equivalence entry whose sampled sub-verdicts disagree.
+DISAGREE = "the sampled verdicts disagree"
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,8 @@ def theorem_compat_report(
     """For Manis v: conditions compat, Iv convex and residue rule must agree,
     and Rv convexity joins them when v is nontrivial.
 
-    Any divergence among the sampled truth values is a hard inconsistency.
+    A divergence among the sampled truth values is inconclusive: a sampled
+    pass proves nothing, so the sweeps may simply have missed a witness.
     Also records that compatibility forces I_v < 1, and that the residue
     quasi-order classifies like the original.
     """
@@ -418,16 +419,17 @@ def theorem_compat_report(
     agree = t1 == t2 == t3
     if v.nontrivial:
         agree = agree and (t4 == t1)
+    scope = "nontrivial" if v.nontrivial else "trivial valuation: Rv convexity exempt"
     out.append(
         CheckResult(
             name=f"{label}.equivalence",
-            status=PASS if agree else HARD,
+            status=PASS if agree else INCONCLUSIVE,
             witness=None if agree else (
                 f"compat={t1}", f"Iv-convex={t2}", f"residue={t3}", f"Rv-convex={t4}",
             ),
             samples_used=rep.samples,
             seed=seed,
-            detail="nontrivial" if v.nontrivial else "trivial valuation: Rv convexity exempt",
+            detail=scope if agree else f"{DISAGREE}; {scope}",
         )
     )
     if t1:
@@ -465,7 +467,10 @@ def iv_prec_one(
     samples: int = 500,
     label: str = None,
 ) -> List[CheckResult]:
-    """For local Manis v: I_v < 1 on samples iff v is compatible with q."""
+    """For local Manis v: I_v < 1 on samples iff v is compatible with q.
+
+    Sides that disagree on the samples are inconclusive, not a failure.
+    """
     if not (v.local and v.manis):
         raise PreconditionError(
             f"iv_prec_one needs a local Manis valuation, {v.name} is not"
@@ -473,13 +478,15 @@ def iv_prec_one(
     label = label or f"iv1({v.name},{q.name})"
     below = _iv_below_one(v, q, universe, samples, f"{label}.Iv-below-1", label)
     compat = is_compatible(v, q, universe, samples, label=f"{label}.compatible")
-    sides_agree = (below.status == PASS) == (compat.status == PASS)
+    t_below, t_compat = below.status == PASS, compat.status == PASS
+    agree = t_below == t_compat
     equivalence = CheckResult(
         name=f"{label}.equivalence",
-        status=PASS if sides_agree else HARD,
-        witness=None if sides_agree else (str(below.witness), compat.status),
+        status=PASS if agree else INCONCLUSIVE,
+        witness=None if agree else (f"Iv-below-1={t_below}", f"compatible={t_compat}"),
         samples_used=samples,
         seed=universe.seed,
+        detail=None if agree else DISAGREE,
     )
     return [below, compat, equivalence]
 
@@ -525,16 +532,11 @@ def special_star_check(
             if val is not INF and val != v.group.zero() and abs(val[0]) == 1:
                 uniformizer = t
                 break
-    nu = frac_extend_val(v, uniformizer=uniformizer)
+    nu, to_field = field_passage(v, uniformizer)
     K = nu.ring
     zero_v = v.group.zero()
-    qring, project, _section = _quotient_maps(v.ring, v.support)
-    K2, embed = fraction_field(qring)
-    assert K2.key == K.key
 
-    field_universe = SampleUniverse(
-        K, seed=universe.seed, count=universe.count, bounds=universe.bounds
-    )
+    field_universe = universe.on(K)
     multipliers = [x for x in universe.elements() if v(x) is not INF]
 
     checked = 0
@@ -544,7 +546,7 @@ def special_star_check(
         if nu(xi) is INF or not value_le(zero_v, nu(xi)):
             continue
         checked += 1
-        num, den = _num_den_in(v.ring, qring, K, xi)
+        num, den = _num_den_in(v, K, xi)
         if den is None or v(den) is INF:
             inconclusive = (str(xi),)
             continue
@@ -552,7 +554,7 @@ def special_star_check(
         def verify(a, b):
             if not (value_le(zero_v, v(a)) and v(b) == zero_v):
                 return False
-            frac = embed(project(a)) * K.inv(embed(project(b)))
+            frac = to_field(a) * K.inv(to_field(b))
             dv = nu._eval_memo(K.sub(xi.payload, frac.payload))
             return dv is INF or value_lt(zero_v, dv)
 
@@ -592,19 +594,19 @@ def special_star_check(
     ]
 
 
-def _num_den_in(base_ring, qring, K, xi: RingElement):
+def _num_den_in(v: Valuation, K, xi: RingElement):
     """Split a fraction-field element into base-ring numerator/denominator."""
     from .rings import QQ, RationalFunctionField
 
+    base_ring = v.ring
     if K.key == base_ring.key:
         return xi, base_ring.one()
     if K is QQ:
         return base_ring.from_int(xi.payload.numerator), base_ring.from_int(
             xi.payload.denominator
         )
-    if isinstance(K, RationalFunctionField) and qring is base_ring:
-        num, den = K.num_den(xi)
-        return num, den
+    if isinstance(K, RationalFunctionField) and v.support.is_zero:
+        return K.num_den(xi)
     return None, None
 
 
@@ -761,23 +763,14 @@ def associated_qofield(
         )
     out = [agree]
 
-    qring, project, section = _quotient_maps(ring, support)
-    if qring is ring:
-        q_mid = q
-    else:
-
-        def cmp(pa, pb, _s=section, _q=q, _r=qring):
-            a = _s(RingElement(_r, pa))
-            b = _s(RingElement(_r, pb))
-            return _q._compare_payload(a.payload, b.payload)
-
-        q_mid = QuasiOrder(
-            qring,
-            cmp,
-            f"{q.name}/supp",
-            support_ideal=ZeroIdeal(qring),
-            expected_kind=q.expected_kind,
-        )
+    qring, project, section = quotient_ring(ring, support)
+    q_mid = q if qring is ring else pullback(
+        q,
+        qring,
+        lambda p: section(RingElement(qring, p)).payload,
+        f"{q.name}/supp",
+        ZeroIdeal(qring),
+    )
     ext = frac_extend_qo(q_mid)
 
     if v is not None:
@@ -788,20 +781,14 @@ def associated_qofield(
             )
             if not same_supp:
                 raise PreconditionError("valuation support differs from the q.o. support")
-        v_mid = v if qring is ring else _transport_val(v, qring, section)
+        v_mid = on_quotient(v, qring, project, section)
         nu = frac_extend_val(v_mid) if v_mid.manis else None
         verdict_r = compatible(v, q, universe, samples)
-        mid_universe = SampleUniverse(
-            qring, seed=universe.seed, count=universe.count, bounds=universe.bounds
-        )
-        verdict_mid = compatible(v_mid, q_mid, mid_universe, samples)
+        verdict_mid = compatible(v_mid, q_mid, universe.on(qring), samples)
         agree = verdict_r == verdict_mid
         detail = f"R:{verdict_r} R/E0:{verdict_mid}"
         if nu is not None:
-            ext_universe = SampleUniverse(
-                nu.ring, seed=universe.seed, count=universe.count, bounds=universe.bounds
-            )
-            verdict_k = compatible(nu, ext, ext_universe, samples)
+            verdict_k = compatible(nu, ext, universe.on(nu.ring), samples)
             agree = agree and verdict_k == verdict_r
             detail += f" K:{verdict_k}"
         out.append(
@@ -815,19 +802,3 @@ def associated_qofield(
         )
 
     return ext.ring, ext, out
-
-
-def _transport_val(v: Valuation, qring, section) -> Valuation:
-    def ev(p):
-        return v._eval_memo(section(RingElement(qring, p)).payload)
-
-    return Valuation(
-        qring,
-        v.group,
-        ev,
-        f"{v.name}'",
-        support=ZeroIdeal(qring),
-        manis=v.manis,
-        local=qring.is_field,
-        preimage_fn=None,
-    )

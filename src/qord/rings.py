@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class RingMismatchError(TypeError):
@@ -398,14 +398,6 @@ class PolynomialRing(Ring):
         """Drop every monomial involving one of the given variables."""
         keep = [t for t in a if all(t[0][i] == 0 for i in var_indices)]
         return tuple(keep)
-
-    def drop_vars(self, a, var_indices, target: "PolynomialRing"):
-        """Rewrite a payload with the given variables removed (exponents 0)."""
-        out = {}
-        for exps, c in a:
-            new = tuple(e for i, e in enumerate(exps) if i not in var_indices)
-            out[new] = c
-        return target._canon_dict(out)
 
     # printing / parsing --------------------------------------------------
     def format(self, a):
@@ -897,30 +889,55 @@ class QuotientRing(Ring):
 def quotient_ring(base: Ring, ideal: Ideal):
     """Build base/ideal, normalizing recognizable isomorphisms.
 
-    Returns (ring, project) where project maps base elements onto the
-    quotient.  The zero ideal gives back the ring itself; Z/pZ and
-    variable quotients of polynomial rings collapse to concrete rings.
+    Returns (ring, project, section): project maps base elements onto the
+    quotient and section picks a base representative of each class, so
+    project(section(y)) == y.  The zero ideal gives back the ring itself;
+    Z/pZ and variable quotients of polynomial rings collapse to concrete
+    rings.
     """
     if ideal.is_zero:
-        return base, lambda x: x
+        ident = lambda x: x
+        return base, ident, ident
     if isinstance(ideal, PrincipalIdeal):
         target = IntegerModRing(ideal.generator)
-        return target, lambda x: target.el(x.payload % ideal.generator)
+        return (
+            target,
+            lambda x: target.el(x.payload % ideal.generator),
+            lambda y: base.from_int(y.payload),
+        )
     if isinstance(ideal, VariableIdeal):
         poly: PolynomialRing = ideal.ring
+        idx = ideal.indices
         remaining = tuple(v for v in poly.variables if v not in ideal.variables)
-        if remaining:
-            target = PolynomialRing(poly.base, remaining)
+        if not remaining:
+            target, zero_exps = poly.base, (0,) * poly.nvars
+            return (
+                target,
+                lambda x: target.el(poly.const_coef(x.payload)),
+                lambda y: RingElement(poly, poly._canon_dict({zero_exps: y.payload})),
+            )
+        target = PolynomialRing(poly.base, remaining)
+        keep = [i for i in range(poly.nvars) if i not in idx]
 
-            def project(x, _t=target, _p=poly, _idx=ideal.indices):
-                reduced = _p.substitute_zero(x.payload, _idx)
-                return _t.el(_p.drop_vars(reduced, _idx, _t))
+        def project(x):
+            terms = poly.substitute_zero(x.payload, idx)
+            dropped = {tuple(exps[i] for i in keep): c for exps, c in terms}
+            return target.el(target._canon_dict(dropped))
 
-            return target, project
-        target = poly.base
-        return target, lambda x: target.el(poly.const_coef(x.payload))
+        def section(y):
+            out = {}
+            for exps, c in y.payload:
+                it = iter(exps)
+                out[tuple(0 if i in idx else next(it) for i in range(poly.nvars))] = c
+            return RingElement(poly, poly._canon_dict(out))
+
+        return target, project, section
     generic = QuotientRing(base, ideal)
-    return generic, lambda x: generic.el(x.payload)
+    return (
+        generic,
+        lambda x: generic.el(x.payload),
+        lambda y: RingElement(base, y.payload),
+    )
 
 
 def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
@@ -1104,21 +1121,6 @@ def const_term(f: RingElement) -> RingElement:
     if not isinstance(ring, PolynomialRing):
         raise RingMismatchError(f"{ring.name} is not a polynomial ring")
     return RingElement(ring.base, ring.const_coef(f.payload))
-
-
-def arith(op_tag: str, a: RingElement, b: Optional[RingElement] = None) -> RingElement:
-    """Tagged exact ring operation; the functional face of RingElement ops."""
-    if op_tag == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"{op_tag} needs two operands")
-    if op_tag == "add":
-        return a + b
-    if op_tag == "sub":
-        return a - b
-    if op_tag == "mul":
-        return a * b
-    raise ValueError(f"unknown operation tag {op_tag!r}")
 
 
 def poly_ring(base: Ring, *variables: str) -> PolynomialRing:

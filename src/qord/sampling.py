@@ -76,6 +76,10 @@ class SampleUniverse:
         self._elements: List[RingElement] | None = None
         self._forced_size = 0
 
+    def on(self, ring: Ring) -> "SampleUniverse":
+        """A universe on another ring with this seed, count and bounds."""
+        return SampleUniverse(ring, seed=self.seed, count=self.count, bounds=self.bounds)
+
     # ------------------------------------------------------------------
     def elements(self) -> List[RingElement]:
         if self._elements is None:

@@ -36,7 +36,6 @@ from .rings import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
-    QuotientRing,
     RationalField,
     RationalFunctionField,
     Ring,
@@ -375,7 +374,7 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
 
     form = None
     if support.reducible:
-        target, project, section = _quotient_maps(ring, support)
+        target, project, section = quotient_ring(ring, support)
         if target is not ring:
             form = (
                 target,
@@ -393,39 +392,6 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
         preimage_fn=lambda g: ring.one(),
         residue_form=form,
     )
-
-
-def _quotient_maps(base: Ring, ideal: Ideal):
-    """(quotient ring, project, section) for reducible prime ideals."""
-    target, project = quotient_ring(base, ideal)
-    if target is base:
-        ident = lambda x: x
-        return target, ident, ident
-    if isinstance(target, IntegerModRing):
-        return target, project, lambda x: base.from_int(x.payload)
-    if isinstance(target, PolynomialRing) and isinstance(base, PolynomialRing):
-        idx = ideal.indices  # VariableIdeal quotient
-
-        def section(x, _b=base, _t=target, _idx=idx):
-            out = {}
-            for exps, c in x.payload:
-                it = iter(exps)
-                full = tuple(0 if i in _idx else next(it) for i in range(_b.nvars))
-                out[full] = c
-            return RingElement(_b, _b._canon_dict(out))
-
-        return target, project, section
-    if isinstance(base, PolynomialRing) and target is base.base:
-
-        def section(x, _b=base):
-            if x.ring.eq(x.payload, x.ring.zero_payload()):
-                return _b.zero()
-            return RingElement(_b, (((0,) * _b.nvars, x.payload),))
-
-        return target, project, section
-    if isinstance(target, QuotientRing):
-        return target, project, lambda x: RingElement(base, x.payload)
-    raise ValueError(f"no section for quotient {base.name}/{ideal.describe()}")
 
 
 def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valuation:
@@ -497,14 +463,6 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
     )
 
 
-def gauss_valuation(u: Valuation, gammas: Sequence[int]) -> Valuation:
-    """Gauss extension onto a fresh polynomial ring with default variables."""
-    defaults = ("X", "Y", "Z", "W")
-    k = len(tuple(gammas))
-    names = defaults[:k] if k <= len(defaults) else tuple(f"X{i}" for i in range(k))
-    return gauss_on(u, PolynomialRing(u.ring, names), gammas)
-
-
 def degree_valuation(poly: PolynomialRing) -> Valuation:
     """f maps to -deg f: the Gauss extension of the trivial valuation by -1."""
     if poly.nvars != 1:
@@ -519,25 +477,47 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
     preimage witness comes from v itself when v is Manis, otherwise from
     the supplied uniformizer (an element of value +-1 in a rank-1 group).
     """
+    return field_passage(v, uniformizer)[0]
+
+
+def on_quotient(v: Valuation, qring: Ring, project, section) -> Valuation:
+    """v moved to qring = v.ring/supp(v) along the section, y -> v(section(y)),
+    with the residue form of v, if any, carried along the same two maps."""
+    if qring.key == v.ring.key:
+        return v
+
+    def down(p):
+        return section(RingElement(qring, p)).payload
+
+    form = v.residue_form
+    if form is not None:
+        conc, to_c, from_c = form
+        form = (conc, lambda p: to_c(down(p)), lambda c: project(v.ring.el(from_c(c))).payload)
+    return Valuation(
+        qring,
+        v.group,
+        lambda p: v._eval_memo(down(p)),
+        f"{v.name}'",
+        support=ZeroIdeal(qring),
+        manis=v.manis,
+        local=qring.is_field,
+        preimage_fn=(lambda g: project(v.preimage(g))) if v.manis else None,
+        residue_form=form,
+    )
+
+
+def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None):
+    """The passage R -> R/supp(v) -> Quot(R/supp(v)) of v.
+
+    Returns (nu, to_field): nu is frac_extend_val(v, uniformizer) and
+    to_field maps x in v.ring to x/1 in nu.ring.
+    """
     base = v.ring
-    qring, project, section = _quotient_maps(base, v.support)
-    if qring is base:
-        vq = v
-    else:
-        vq = Valuation(
-            qring,
-            v.group,
-            lambda p: v._eval_memo(section(RingElement(qring, p)).payload),
-            f"{v.name}'",
-            support=ZeroIdeal(qring),
-            manis=v.manis,
-            local=qring.is_field,
-            preimage_fn=(lambda g: project(v.preimage(g))) if v.manis else None,
-            residue_form=v.residue_form,
-        )
+    qring, project, section = quotient_ring(base, v.support)
+    vq = on_quotient(v, qring, project, section)
     K, embed = fraction_field(qring)
     if K is qring:
-        return vq
+        return vq, project
 
     if isinstance(K, RationalField):
 
@@ -585,7 +565,7 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
             f"cannot extend {v.name}: no Manis witness and no uniformizer supplied"
         )
 
-    return Valuation(
+    nu = Valuation(
         K,
         v.group,
         ev,
@@ -596,6 +576,7 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
         preimage_fn=preimage_fn,
         residue_form=_fraction_residue_form(v, K),
     )
+    return nu, lambda x: embed(project(x))
 
 
 def _fraction_residue_form(v: Valuation, K: Ring) -> Optional[ResidueForm]:
@@ -640,7 +621,10 @@ def _fraction_residue_form(v: Valuation, K: Ring) -> Optional[ResidueForm]:
 
 
 def transport_to_residue(u: Valuation, residue: ResidueDomainRing) -> Valuation:
-    """Move a valuation on the concrete residue ring up to Rv itself."""
+    """Move a valuation on the concrete residue ring up to Rv itself (or
+    return one already on Rv)."""
+    if u.ring.key == residue.key:
+        return u
     if residue.concrete_ring is None:
         raise ValueError(f"{residue.name} has no concrete residue form")
     if u.ring.key != residue.concrete_ring.key:
@@ -683,8 +667,7 @@ def composite_valuation(
     if not v.ring.is_field:
         raise ValueError("composite valuations are built over field valuations here")
     residue = v.residue_ring()
-    if u.ring.key != residue.key:
-        u = transport_to_residue(u, residue)
+    u = transport_to_residue(u, residue)
     sections = list(section_uniformizers)
     if len(sections) != v.group.rank:
         raise ValueError("need one section uniformizer per basis generator")
@@ -826,28 +809,6 @@ def quotient_val(
         manis=manis,
         local=False,
         preimage_fn=pre,
-    )
-
-
-def scaled_valuation(v: Valuation, k: int) -> Valuation:
-    """v scaled by a positive integer; order-equivalent to v."""
-    if k <= 0:
-        raise ValueError("scale must be positive")
-
-    def ev(payload):
-        val = v._eval_memo(payload)
-        if val is INF:
-            return INF
-        return tuple(k * c for c in val)
-
-    return Valuation(
-        v.ring,
-        v.group,
-        ev,
-        f"{k}*{v.name}",
-        support=v.support,
-        manis=False,
-        local=v.local,
     )
 
 

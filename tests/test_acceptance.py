@@ -8,6 +8,7 @@ stated and marked strict-xfail; the honest computed outcome has its own
 green test right below it.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -300,9 +301,19 @@ def test_criterion_9_rank_values():
     )
 
 
+#: sha256 of `qord corpus run all --format json` at seed 42.
+CORPUS_JSON_SHA256_SEED_42 = "51847844a9ca7eecd2a7ef537c80eb5b953ec81a62dec6b3000a2ae45ee68384"
+
+
 def test_criterion_10_corpus_determinism():
     rep1 = run_corpus(seed=42)
     rep2 = run_corpus(seed=42)
     b1, b2 = render_json(rep1), render_json(rep2)
     ok = b1 == b2 and len(b1) > 0
     assert _line(10, f"full corpus twice at seed 42: byte-identical JSON ({len(b1)} bytes)", ok)
+    digest = hashlib.sha256(b1).hexdigest()
+    assert digest == CORPUS_JSON_SHA256_SEED_42, (
+        f"corpus JSON at seed 42 hashes to {digest}, pinned "
+        f"{CORPUS_JSON_SHA256_SEED_42}: the digest moves only with an audited, "
+        "explained byte change (tools/pin_goldens.py, a CHANGES.md entry, a new pin)"
+    )

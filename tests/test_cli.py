@@ -146,3 +146,24 @@ def test_mismatched_let_halts_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "execution halted" in captured.out
+
+
+def test_disagreeing_sampled_verdicts_are_inconclusive(tmp_path, capsys):
+    # at 20 samples compat passes while the residue rule and I_v < 1 fail
+    # (a witness for v_5 against qo(v_3) lies outside the sample); such a
+    # disagreement is a sampling gap, not a broken invariant, so not exit 4
+    f = tmp_path / "gap.qord"
+    f.write_text(
+        "let v = padic(5) on Q\n"
+        "let w = padic(3) on Q\n"
+        "let q = qo(w)\n"
+        "check compat_equivalence(v, q) samples(count=20)\n"
+        "check iv_prec_one(v, q) samples(count=20)\n"
+    )
+    assert main(["run", str(f), "--format", "json"]) == EXIT_FAIL
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    equivalences = [c for c in checks if c["name"].endswith(".equivalence")]
+    assert [c["status"] for c in equivalences] == ["inconclusive", "inconclusive"]
+    assert equivalences[1]["witness"] == ["Iv-below-1=False", "compatible=True"]
+    assert main(["run", str(f)]) == EXIT_FAIL
+    assert capsys.readouterr().out.count("[the sampled verdicts disagree") == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -173,6 +174,20 @@ def test_table_instance_without_flags_is_an_error(case, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("table error: table instance broken")
+
+
+#: sha256 of the `qord table --seed 42` text.
+TABLE_TEXT_SHA256_SEED_42 = "257f932ec0e07b4589f6264b2e1863a186be1c4ae983948bf80407a0aad9de3e"
+
+
+def test_table_text_digest_is_pinned(capsys):
+    assert cli.main(["table", "--seed", "42"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == TABLE_TEXT_SHA256_SEED_42, (
+        f"`qord table --seed 42` text hashes to {digest}, pinned "
+        f"{TABLE_TEXT_SHA256_SEED_42}: the digest moves only with an audited, "
+        "explained byte change (a CHANGES.md entry and a new pin)"
+    )
 
 
 def test_shipped_objects_shape():

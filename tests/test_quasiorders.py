@@ -25,7 +25,7 @@ from qord.quasiorders import (
     transport_qo,
 )
 from qord.report import FAIL, PASS, PreconditionError, result
-from qord.rings import QQ, ZZ, ZeroIdeal, fraction_field, poly_ring
+from qord.rings import QQ, ZZ, RingMismatchError, ZeroIdeal, fraction_field, poly_ring
 from qord.sampling import SampleUniverse
 from qord.valuations import (
     degree_valuation,
@@ -282,6 +282,9 @@ def test_transport_to_residue():
     nu = frac_extend_val(degree_valuation(QX), uniformizer=QX.var("X"))
     R = nu.residue_ring()
     q = transport_qo(natural_order(QQ), R)
+    assert transport_qo(q, R) is q
+    with pytest.raises(RingMismatchError):
+        transport_qo(natural_order(ZZ), R)
     two = R.element(nu.ring.from_int(2))
     three = R.element(nu.ring.from_int(3))
     assert q.strict(two, three)

@@ -18,7 +18,6 @@ from qord.rings import (
     _uni_gcd,
     _uni_mul,
     _uni_prem,
-    arith,
     const_term,
     fraction_field,
     poly_ring,
@@ -35,18 +34,19 @@ QX = poly_ring(QQ, "X")
 def test_rational_arith_examples():
     a = QQ.el(Fraction(2, 3))
     b = QQ.el(Fraction(1, 6))
-    assert arith("add", a, b) == QQ.el(Fraction(5, 6))
-    assert arith("neg", QQ.zero()) == QQ.zero()
+    assert a + b == QQ.el(Fraction(5, 6))
+    assert -QQ.zero() == QQ.zero()
 
 
 def test_polynomial_product_identity():
     X = ZX.var("X")
-    assert arith("mul", X + 1, X - 1) == X * X - 1
+    assert (X + 1) * (X - 1) == X * X - 1
 
 
 def test_ring_mismatch_raises():
-    with pytest.raises(RingMismatchError):
-        arith("add", ZZ.one(), QQ.one())
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(RingMismatchError):
+            op(ZZ.one(), QQ.one())
 
 
 def test_const_term_examples():
@@ -82,17 +82,17 @@ def test_quotient_reduce_membership_consistency():
 
 
 def test_quotient_ring_collapses():
-    ring, project = quotient_ring(ZZ, PrincipalIdeal(ZZ, 5))
+    ring, project, _ = quotient_ring(ZZ, PrincipalIdeal(ZZ, 5))
     assert ring.name == "Z/5Z"
     assert project(ZZ.from_int(12)).payload == 2
-    ring2, project2 = quotient_ring(ZXY, VariableIdeal(ZXY, ("X",)))
+    ring2, project2, _ = quotient_ring(ZXY, VariableIdeal(ZXY, ("X",)))
     assert ring2.name == "Z[Y]"
     X, Y = ZXY.var("X"), ZXY.var("Y")
     img = project2(X * Y + Y + 3)
     assert str(img) == "1*Y + 3"
-    ring3, _ = quotient_ring(ZX, VariableIdeal(ZX, ("X",)))
+    ring3, _, _ = quotient_ring(ZX, VariableIdeal(ZX, ("X",)))
     assert ring3 is ZZ
-    ring4, _ = quotient_ring(QQ, ZeroIdeal(QQ))
+    ring4, _, _ = quotient_ring(QQ, ZeroIdeal(QQ))
     assert ring4 is QQ
 
 
@@ -111,7 +111,7 @@ def test_unreducible_ideal_falls_back_to_membership_equality():
     v = gauss_on(evens, ZX, (0,))  # support: polynomials with even coefficients
     ideal = v.support
     assert isinstance(ideal, SupportIdeal) and not ideal.reducible
-    ring, project = quotient_ring(ZX, ideal)
+    ring, project, section = quotient_ring(ZX, ideal)
     assert not ring.canonical_eq
     X = ZX.var("X")
     a = project(X + 3)
@@ -120,6 +120,30 @@ def test_unreducible_ideal_falls_back_to_membership_equality():
     assert a != project(X)
     r = quotient_reduce(X + 3, ideal)  # representative-only reduction
     assert r == X + 3
+    _assert_section_inverts(ZX, ideal, ring, project, section)
+
+
+def _assert_section_inverts(base, ideal, ring, project, section):
+    """project(section(y)) == y, and section(project(x)) - x lies in the ideal."""
+    for y in SampleUniverse(ring, seed=3, count=40).elements():
+        assert project(section(y)) == y
+    for x in SampleUniverse(base, seed=3, count=40).elements():
+        assert ideal.contains((section(project(x)) - x).payload)
+
+
+@pytest.mark.parametrize(
+    "base, ideal",
+    [
+        (ZZ, PrincipalIdeal(ZZ, 5)),
+        (ZXY, VariableIdeal(ZXY, ("X",))),
+        (ZX, VariableIdeal(ZX, ("X",))),
+        (QQ, ZeroIdeal(QQ)),
+        (ZX, ZeroIdeal(ZX)),
+    ],
+    ids=["Z/5Z", "Z[X,Y]/<X>", "Z[X]/<X>", "Q/0", "Z[X]/0"],
+)
+def test_quotient_ring_section_is_a_right_inverse(base, ideal):
+    _assert_section_inverts(base, ideal, *quotient_ring(base, ideal))
 
 
 def test_payloads_are_hashable():
@@ -130,7 +154,7 @@ def test_payloads_are_hashable():
     valuations, quasiorders = shipped_objects()
     universes = [u for _, _, u in valuations + quasiorders]
     evens = trivial_valuation(ZZ, PrincipalIdeal(ZZ, 2))
-    ring, _ = quotient_ring(ZX, gauss_on(evens, ZX, (0,)).support)
+    ring, _, _ = quotient_ring(ZX, gauss_on(evens, ZX, (0,)).support)
     assert not ring.canonical_eq  # its elements are unhashable, its payloads not
     universes.append(SampleUniverse(ring, seed=1, count=30))
     for U in universes:

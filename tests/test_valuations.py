@@ -8,6 +8,8 @@ from qord.rings import (
     QQ,
     ZZ,
     PrincipalIdeal,
+    RingMismatchError,
+    VariableIdeal,
     ZeroIdeal,
     fraction_field,
     poly_ring,
@@ -25,12 +27,12 @@ from qord.valuations import (
     composite_valuation,
     degree_valuation,
     equivalent_check,
+    field_passage,
     frac_extend_val,
     gauss_on,
     is_coarsening,
     padic_valuation,
     quotient_val,
-    scaled_valuation,
     transport_to_residue,
     trivial_valuation,
 )
@@ -198,6 +200,34 @@ def test_frac_extend_needs_witness():
         frac_extend_val(degree_valuation(QX))
 
 
+@pytest.mark.parametrize(
+    "make, uniformizer",
+    [
+        (lambda: padic_valuation(2, ZZ), None),
+        (lambda: trivial_valuation(ZZ, PrincipalIdeal(ZZ, 2)), None),
+        (lambda: degree_valuation(ZX), ZX.var("X")),
+    ],
+    ids=["v_2 on Z", "triv(2Z) on Z", "-deg on Z[X]"],
+)
+def test_field_passage_embeds_into_the_extension(make, uniformizer):
+    v = make()
+    nu, to_field = field_passage(v, uniformizer)
+    for x in SampleUniverse(v.ring, seed=5, count=60).elements():
+        assert to_field(x).ring is nu.ring
+        if v(x) is not INF:
+            assert nu(to_field(x)) == v(x)
+
+
+def test_quotient_keeps_the_residue_form():
+    # Q[X]/<X> is Q: the residue form of triv(<X>) is carried to Q, so the
+    # residue field of the extension still has canonical representatives
+    nu = frac_extend_val(trivial_valuation(QX, VariableIdeal(QX, ("X",))))
+    R = nu.residue_ring()
+    assert nu.ring is QQ and R.concrete_ring is QQ
+    assert R.element(QQ.el(Fraction(3, 2))) == R.el(Fraction(3, 2))
+    assert str(R.el(Fraction(6, 4))) == "3/2"
+
+
 # ---------------------------------------------------------------------------
 # composite and quotient valuations
 
@@ -245,6 +275,9 @@ def test_quotient_val_of_composite_agrees_with_upper():
     ut = transport_to_residue(u, R)
     for xbar in UR.elements():
         assert wv(xbar) == ut(xbar)
+    assert transport_to_residue(ut, R) is ut
+    with pytest.raises(RingMismatchError):
+        transport_to_residue(padic_valuation(2, ZZ), R)
     assert wv.manis == w.manis  # Manis passes to the quotient
 
 
@@ -388,7 +421,9 @@ def test_equivalence_checks():
     res = equivalent_check(v2, v3, U, samples=300)
     verdict = [r for r in res if r.name.endswith(".equivalent")][0]
     assert verdict.status == "fail"
-    doubled = scaled_valuation(v2, 2)
+    doubled = Valuation(
+        QQ, v2.group, lambda p: INF if p == 0 else (2 * v2(QQ.el(p))[0],), "2*v_2"
+    )
     res = equivalent_check(v2, doubled, U, samples=300)
     assert all(r.status == PASS for r in res)
 
