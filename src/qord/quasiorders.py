@@ -58,11 +58,13 @@ class QuasiOrder:
         self._memo: dict = {}
 
     def le(self, x: RingElement, y: RingElement) -> bool:
-        if x.ring.key != self.ring.key or y.ring.key != self.ring.key:
+        # keyed on payload ids of self.ring's table; see Ring.pid
+        try:
+            key = (self.ring.pid(x), self.ring.pid(y))
+        except RingMismatchError:
             raise RingMismatchError(
                 f"{self.name} compares elements of {self.ring.name}"
-            )
-        key = (x.payload, y.payload)
+            ) from None
         cached = self._memo.get(key)
         if cached is None:
             cached = bool(self._compare_payload(x.payload, y.payload))
@@ -126,7 +128,7 @@ class SignOrder:
         self.support_ideal = support_ideal
 
     def sign(self, x: RingElement) -> int:
-        if x.ring.key != self.ring.key:
+        if x.ring is not self.ring and x.ring.key != self.ring.key:
             raise RingMismatchError(f"{self.name} is a sign map on {self.ring.name}")
         return self.sign_payload(x.payload)
 

@@ -33,17 +33,19 @@ class RingElement:
 
     Payloads are canonical on construction; arithmetic delegates to the
     ring so quotient reduction and fraction normalization always apply.
+    ``_id`` caches the payload id that ``ring.pid`` hands out.
     """
 
-    __slots__ = ("ring", "payload")
+    __slots__ = ("ring", "payload", "_id")
 
     def __init__(self, ring: "Ring", payload):
         self.ring = ring
         self.payload = payload
+        self._id = None
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring.key != self.ring.key:
+            if other.ring is not self.ring and other.ring.key != self.ring.key:
                 raise RingMismatchError(
                     f"cannot combine element of {other.ring.name} with {self.ring.name}"
                 )
@@ -102,7 +104,7 @@ class RingElement:
             other = self.ring.from_int(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        if other.ring.key != self.ring.key:
+        if other.ring is not self.ring and other.ring.key != self.ring.key:
             return False
         return self.ring.eq(self.payload, other.payload)
 
@@ -132,10 +134,33 @@ class Ring:
     is_domain = True
     #: True when equal elements always carry identical payloads.
     canonical_eq = True
+    #: payload -> payload id, created by the first ``pid`` call
+    _ids = None
 
     @property
     def key(self) -> str:
         return self.name
+
+    def pid(self, x: RingElement) -> int:
+        """A small int naming x's payload in this ring object's table.
+
+        Two payloads get one id exactly when they are == and hash-equal, so
+        a memo keyed on ids hits exactly when one keyed on payloads would.
+        The id is cached on x only when x belongs to this very object: an
+        element of another ring object with the same key is looked up in
+        this table, whose ids are not the other table's.
+        """
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = {}
+        if x.ring is self:
+            i = x._id
+            if i is None:
+                i = x._id = ids.setdefault(x.payload, len(ids))
+            return i
+        if x.ring.key != self.key:
+            raise RingMismatchError(f"{x.ring.name} is not {self.name}")
+        return ids.setdefault(x.payload, len(ids))
 
     # payload protocol ---------------------------------------------------
     def zero_payload(self):

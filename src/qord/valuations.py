@@ -129,7 +129,7 @@ class Valuation:
         return v
 
     def __call__(self, x: RingElement):
-        if x.ring.key != self.ring.key:
+        if x.ring is not self.ring and x.ring.key != self.ring.key:
             raise RingMismatchError(
                 f"{self.name} is a valuation on {self.ring.name}, not {x.ring.name}"
             )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qord.cli import main
 from qord.report import (
@@ -68,6 +72,19 @@ def test_corpus_list(capsys):
 def test_corpus_run_single(capsys):
     assert main(["corpus", "run", "special-star-1"]) == EXIT_OK
     assert main(["corpus", "run", "no-such-instance"]) == EXIT_USAGE
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def qord(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qord", *args], env=env, capture_output=True, timeout=60
+        ).returncode
+
+    assert qord("corpus", "list") == EXIT_OK
+    assert qord("table", "--samples", "0") == EXIT_USAGE
 
 
 def test_table_command(capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,15 @@ from qord.quasiorders import (
     transport_qo,
 )
 from qord.report import FAIL, PASS, PreconditionError, result
-from qord.rings import QQ, ZZ, RingMismatchError, ZeroIdeal, fraction_field, poly_ring
+from qord.rings import (
+    QQ,
+    ZZ,
+    PolynomialRing,
+    RingMismatchError,
+    ZeroIdeal,
+    fraction_field,
+    poly_ring,
+)
 from qord.sampling import SampleUniverse
 from qord.valuations import (
     degree_valuation,
@@ -50,6 +59,33 @@ def U(ring, seed=42, count=250, distinguished=()):
 
 # ---------------------------------------------------------------------------
 # comparators
+
+
+def test_le_memo_agrees_across_ring_objects_with_one_key():
+    # two ring objects with one key, each with its own payload-id table
+    A, B = PolynomialRing(QQ, ["X"]), PolynomialRing(QQ, ["X"])
+    assert A is not B and A.key == B.key == "Q[X]"
+    uA = U(A, seed=1, count=40).elements()
+    uB = U(B, seed=2, count=40).elements()
+    # B's table hands out its ids first, so B's elements carry ids that
+    # name other payloads in A's table
+    qB = const_term_order(B)
+    for x in uB:
+        for y in uB:
+            qB.le(x, y)
+    zero = A.zero()
+    for q in (const_term_order(A), from_valuation(degree_valuation(A))):
+        ref = q._compare_payload
+        for x in uA + uB:
+            for y in uB + uA:
+                assert q.le(x, y) == bool(ref(x.payload, y.payload)), (q, x, y)
+                # a transient, whose address CPython soon hands out again
+                d = x - y
+                assert q.le(d, zero) == bool(ref(d.payload, zero.payload)), (q, d)
+        message = rf"^{re.escape(q.name)} compares elements of Q\[X\]$"
+        for x, y in ((ZX.one(), A.one()), (B.one(), ZX.one())):
+            with pytest.raises(RingMismatchError, match=message):
+                q.le(x, y)
 
 
 def test_qcmp_valuation_example():
