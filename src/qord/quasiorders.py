@@ -27,6 +27,7 @@ from .rings import (
     VariableIdeal,
     ZeroIdeal,
     fraction_field,
+    num_sign,
 )
 from .valuations import ResidueDomainRing, Valuation
 
@@ -149,20 +150,12 @@ def from_sign_order(s: SignOrder) -> QuasiOrder:
     )
 
 
-def _num_sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def natural_order(ring: Ring) -> QuasiOrder:
     """The unique order of Z or Q."""
     if not isinstance(ring, (IntegerRing, RationalField)):
         raise ValueError(f"no natural order on {ring.name}")
     return from_sign_order(
-        SignOrder(ring, _num_sign, f"leq({ring.name})", ZeroIdeal(ring))
+        SignOrder(ring, num_sign, f"leq({ring.name})", ZeroIdeal(ring))
     )
 
 
@@ -172,7 +165,7 @@ def const_term_order(poly: PolynomialRing) -> QuasiOrder:
         raise ValueError(f"no constant-term order over {poly.base.name}")
 
     def sgn(p):
-        return _num_sign(poly.const_coef(p))
+        return num_sign(poly.const_coef(p))
 
     return from_sign_order(
         SignOrder(
@@ -186,42 +179,21 @@ def const_term_order(poly: PolynomialRing) -> QuasiOrder:
 
 def leading_term_order(field: RationalFunctionField) -> QuasiOrder:
     """Order of a univariate function field by behavior at +infinity."""
-    poly = field.poly
-    if poly.nvars != 1:
+    if field.poly.nvars != 1:
         raise ValueError("leading-term order wants a univariate function field")
-
-    def sgn(p):
-        num, den = p
-        if not num:
-            return 0
-        return _num_sign(poly.leading_coef(num)) * _num_sign(poly.leading_coef(den))
-
     return from_sign_order(
-        SignOrder(field, sgn, f"leqinf({field.name})", ZeroIdeal(field))
+        SignOrder(
+            field, field.sign_at_infinity, f"leqinf({field.name})", ZeroIdeal(field)
+        )
     )
 
 
 def at_zero_order(field: RationalFunctionField) -> QuasiOrder:
     """Order of a univariate function field by behavior as the variable -> 0+."""
-    poly = field.poly
-    if poly.nvars != 1:
+    if field.poly.nvars != 1:
         raise ValueError("at-zero order wants a univariate function field")
-
-    def lowest_coef(q):
-        best = None
-        for (e,), c in q:
-            if best is None or e < best[0]:
-                best = (e, c)
-        return best[1] if best else 0
-
-    def sgn(p):
-        num, den = p
-        if not num:
-            return 0
-        return _num_sign(lowest_coef(num)) * _num_sign(lowest_coef(den))
-
     return from_sign_order(
-        SignOrder(field, sgn, f"leq0+({field.name})", ZeroIdeal(field))
+        SignOrder(field, field.sign_at_zero, f"leq0+({field.name})", ZeroIdeal(field))
     )
 
 
@@ -276,8 +248,8 @@ def frac_extend_qo(q: QuasiOrder) -> QuasiOrder:
     else:
 
         def cmp(pa, pb):
-            x, y = pa
-            a, b = pb
+            x, y = K.poly_pair(pa)
+            a, b = K.poly_pair(pb)
             left = dom.mul(dom.mul(x, y), dom.mul(b, b))
             right = dom.mul(dom.mul(a, b), dom.mul(y, y))
             return q._compare_payload(left, right)

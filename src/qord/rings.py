@@ -551,14 +551,16 @@ def _parse_poly(ring: PolynomialRing, text: str):
 
 
 # univariate integer kernel -------------------------------------------------
-# Quot(Q[X]) computes on dense lists of int coefficients, lowest degree
-# first, with no trailing zero (the zero polynomial is []).  Each operand's
-# denominators are cleared once; numerator and denominator are formed in
-# Z[X]; their gcd, by primitive PRS (Collins 1967; Brown 1971), is
-# cancelled by exact division; and only then are the coefficients turned
-# back into Fractions, scaled to a monic denominator.  A coprime pair with
-# a monic denominator is unique, so the payload is the one any exact method
-# gives.
+# Quot(Q[X]) stores and computes on integer coefficients, lowest degree
+# first, with no trailing zero (the zero polynomial is empty); the kernel
+# takes them as tuples or lists.  Numerator and denominator are
+# formed in Z[X]; their gcd, by primitive PRS (Collins 1967; Brown 1971),
+# is cancelled by exact division, then the joint content, with the sign
+# that makes the denominator's leading coefficient positive.  Such a pair
+# is unique for its fraction: N/D = N'/D' with both coprime forces
+# N' = cN, D' = cD for a rational c, and the content and sign rules force
+# c = 1.  Q[X] payloads are turned into integers (``_dense_fraction``) and
+# back (``_sparse``) only on the way in and out of the field.
 
 
 def _dense(p):
@@ -605,7 +607,7 @@ def _uni_mul(a, b):
 def _uni_add(a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = a[:]
+    out = list(a)
     for i, y in enumerate(b):
         out[i] += y
     while out and not out[-1]:
@@ -622,7 +624,7 @@ def _primitive(a):
 def _uni_prem(a, b):
     """Pseudo-remainder: c*a - q*b for some nonzero integer c and q in Z[X],
     of lower degree than b (b of positive degree)."""
-    r = a[:]
+    r = list(a)
     n = len(b) - 1
     lb = b[-1]
     while len(r) > n:
@@ -658,7 +660,7 @@ def _uni_gcd(a, b):
 
 def _uni_exquo(a, b):
     """The quotient a/b in Z[X], for b that divides a."""
-    r = a[:]
+    r = list(a)
     n = len(b) - 1
     lb = b[-1]
     q = [0] * (len(a) - n)
@@ -979,14 +981,32 @@ def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
 # fraction fields
 
 
+#: zero of Quot(Q[X]) in integer form
+_K_ZERO = ((), (1,))
+
+
+def _trimmed(p):
+    """Dense integer coefficients p without trailing zeros, as a list."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
 class RationalFunctionField(Ring):
     """Fractions of a polynomial ring over Z or Q.
 
-    Over Q in one variable the representation is fully canonical (gcd
-    removed, monic denominator), and arithmetic runs on the integer kernel
-    above.  Otherwise only the content and the sign of the denominator's
-    leading coefficient are normalized (over Q the content is a rational
-    number), and equality cross-multiplies.
+    Over Q in one variable the representation is fully canonical and the
+    payload is a pair (N, D) of integer coefficient tuples, lowest degree
+    first, with no trailing zeros: N and D are coprime in Q[X], the gcd of
+    all their coefficients together is 1, and D has a positive leading
+    coefficient; zero is ((), (1,)).  Arithmetic runs on the integer kernel
+    above.  The pair of Q[X] payloads (num, den), with den monic, enters
+    through ``from_poly_pair`` and leaves through ``poly_pair``; num = N/lc(D)
+    and den = D/lc(D).  Otherwise the payload is that pair of polynomial
+    payloads, only the content and the sign of the denominator's leading
+    coefficient are normalized (over Q the content is a rational number),
+    and equality cross-multiplies.
     """
 
     kind = "fraction-field"
@@ -1004,7 +1024,8 @@ class RationalFunctionField(Ring):
         )
         self.canonical_eq = self._full_canonical
 
-    def _normalize(self, num, den):
+    def from_poly_pair(self, num, den):
+        """The payload of num/den, for polynomial payloads num and den."""
         poly = self.poly
         if not den:
             raise ZeroDivisionError(f"zero denominator in {self.name}")
@@ -1032,45 +1053,69 @@ class RationalFunctionField(Ring):
             den = tuple((e, c // g) for e, c in den)
         return (num, den)
 
+    def poly_pair(self, a):
+        """(num, den) polynomial payloads of a; over Q in one variable den is
+        monic and the pair is coprime."""
+        if self._full_canonical:
+            n, d = a
+            return _sparse(n, d[-1]), _sparse(d, d[-1])
+        return a
+
     def _from_integer(self, num, den):
         """Canonical payload of num/den for dense num, den in Z[X], den nonzero."""
         if not num:
-            return ((), self.poly.one_payload())
+            return _K_ZERO
         g = _uni_gcd(num, den)
         if len(g) > 1:
             num, den = _uni_exquo(num, g), _uni_exquo(den, g)
-        lead = den[-1]
-        return _sparse(num, lead), _sparse(den, lead)
+        c = math.gcd(*num, *den)
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            num, den = [x // c for x in num], [x // c for x in den]
+        return tuple(num), tuple(den)
 
     def zero_payload(self):
+        if self._full_canonical:
+            return _K_ZERO
         return ((), self.poly.one_payload())
 
     def one_payload(self):
-        return (self.poly.one_payload(), self.poly.one_payload())
+        return self.int_payload(1)
 
     def int_payload(self, n):
+        if self._full_canonical:
+            return ((n,), (1,)) if n else _K_ZERO
         return (self.poly.int_payload(n), self.poly.one_payload())
 
     def add(self, a, b):
         if self._full_canonical:
-            na, da = _dense_fraction(*a)
-            nb, db = _dense_fraction(*b)
+            (na, da), (nb, db) = a, b
+            if not na:
+                return b
+            if not nb:
+                return a
             if da == db:
                 return self._from_integer(_uni_add(na, nb), da)
             n = _uni_add(_uni_mul(na, db), _uni_mul(nb, da))
             return self._from_integer(n, _uni_mul(da, db))
         n = self.poly.add(self.poly.mul(a[0], b[1]), self.poly.mul(b[0], a[1]))
-        return self._normalize(n, self.poly.mul(a[1], b[1]))
+        return self.from_poly_pair(n, self.poly.mul(a[1], b[1]))
 
     def neg(self, a):
+        if self._full_canonical:
+            return tuple(-c for c in a[0]), a[1]
         return (self.poly.neg(a[0]), a[1])
 
     def mul(self, a, b):
         if self._full_canonical:
-            na, da = _dense_fraction(*a)
-            nb, db = _dense_fraction(*b)
+            (na, da), (nb, db) = a, b
+            if not na or not nb:
+                return _K_ZERO
             return self._from_integer(_uni_mul(na, nb), _uni_mul(da, db))
-        return self._normalize(self.poly.mul(a[0], b[0]), self.poly.mul(a[1], b[1]))
+        return self.from_poly_pair(
+            self.poly.mul(a[0], b[0]), self.poly.mul(a[1], b[1])
+        )
 
     def eq(self, a, b):
         if self.canonical_eq:
@@ -1078,13 +1123,23 @@ class RationalFunctionField(Ring):
         return self.poly.mul(a[0], b[1]) == self.poly.mul(b[0], a[1])
 
     def canon(self, a):
-        return self._normalize(self.poly.canon(a[0]), self.poly.canon(a[1]))
+        if self._full_canonical:
+            num, den = (_trimmed(p) for p in a)
+            if not den:
+                raise ZeroDivisionError(f"zero denominator in {self.name}")
+            return self._from_integer(num, den)
+        return self.from_poly_pair(self.poly.canon(a[0]), self.poly.canon(a[1]))
 
     def inv(self, x):
         num, den = x.payload
         if not num:
             raise ZeroDivisionError("inverse of 0")
-        return self.el((den, num))
+        if not self._full_canonical:
+            return self.el((den, num))
+        # swapping keeps the parts coprime and the joint content 1
+        if num[-1] < 0:
+            num, den = tuple(-c for c in num), tuple(-c for c in den)
+        return RingElement(self, (den, num))
 
     def hash_payload(self, a):
         if not self.canonical_eq:
@@ -1094,21 +1149,72 @@ class RationalFunctionField(Ring):
     def frac(self, num: RingElement, den: RingElement) -> RingElement:
         if num.ring.key != self.poly.key or den.ring.key != self.poly.key:
             raise RingMismatchError("numerator/denominator must come from the base ring")
-        return self.el((num.payload, den.payload))
+        return RingElement(self, self.from_poly_pair(num.payload, den.payload))
 
     def num_den(self, x: RingElement):
-        return (
-            RingElement(self.poly, x.payload[0]),
-            RingElement(self.poly, x.payload[1]),
-        )
+        num, den = self.poly_pair(x.payload)
+        return RingElement(self.poly, num), RingElement(self.poly, den)
 
     def embed(self, x: RingElement) -> RingElement:
         if x.ring.key != self.poly.key:
             raise RingMismatchError("can only embed base-ring elements")
-        return self.el((x.payload, self.poly.one_payload()))
+        return RingElement(self, self.from_poly_pair(x.payload, self.poly.one_payload()))
+
+    def rational_payload(self, q: Fraction):
+        """The payload of the constant q."""
+        if self._full_canonical:
+            return ((q.numerator,), (q.denominator,)) if q else _K_ZERO
+        poly = self.poly
+        if not q:
+            return ((), poly.one_payload())
+        zero_exps = (0,) * poly.nvars
+        if isinstance(poly.base, RationalField):
+            return self.from_poly_pair(((zero_exps, q),), poly.one_payload())
+        return self.from_poly_pair(
+            ((zero_exps, q.numerator),), ((zero_exps, q.denominator),)
+        )
+
+    # univariate readers ------------------------------------------------
+    # lc(D) > 0 in the integer form, so reading N and D through _lead and
+    # _lowest gives the signs of today's monic Q[X] pair.
+
+    def _lead(self, p):
+        """(degree, leading coefficient) of one part; (-1, 0) for zero."""
+        if self._full_canonical:
+            return len(p) - 1, p[-1] if p else 0
+        return self.poly.degree(p), self.poly.leading_coef(p)
+
+    def _lowest(self, p):
+        """The lowest-degree coefficient of a nonzero univariate part."""
+        if self._full_canonical:
+            return next(filter(None, p))
+        return min(p, key=lambda t: t[0][0])[1]
+
+    def sign_at_infinity(self, a) -> int:
+        """Sign of a(X) for all large X: lc(num) * lc(den)."""
+        num, den = a
+        if not num:
+            return 0
+        return num_sign(self._lead(num)[1]) * num_sign(self._lead(den)[1])
+
+    def sign_at_zero(self, a) -> int:
+        """Sign of a(X) for all small X > 0: the product of the signs of the
+        lowest-degree coefficients of num and den."""
+        num, den = a
+        if not num:
+            return 0
+        return num_sign(self._lowest(num)) * num_sign(self._lowest(den))
+
+    def limit_at_infinity(self, a):
+        """lim a(X) as X -> infinity, as a Fraction; None when it is infinite."""
+        (dn, cn), (dd, cd) = self._lead(a[0]), self._lead(a[1])
+        if dn < dd:
+            return Fraction(0)
+        return Fraction(cn, cd) if dn == dd else None
 
     def format(self, a):
-        return f"({self.poly.format(a[0])})/({self.poly.format(a[1])})"
+        num, den = self.poly_pair(a)
+        return f"({self.poly.format(num)})/({self.poly.format(den)})"
 
     def parse_payload(self, text):
         t = text.strip()
@@ -1116,8 +1222,8 @@ class RationalFunctionField(Ring):
         if m:
             num = self.poly.parse_payload(m.group(1))
             den = self.poly.parse_payload(m.group(2))
-            return self._normalize(num, den)
-        return self._normalize(self.poly.parse_payload(t), self.poly.one_payload())
+            return self.from_poly_pair(num, den)
+        return self.from_poly_pair(self.poly.parse_payload(t), self.poly.one_payload())
 
 
 def fraction_field(domain: Ring):
@@ -1150,3 +1256,8 @@ def const_term(f: RingElement) -> RingElement:
 
 def poly_ring(base: Ring, *variables: str) -> PolynomialRing:
     return PolynomialRing(base, variables)
+
+
+def num_sign(x) -> int:
+    """-1, 0 or 1 by the sign of a number."""
+    return (x > 0) - (x < 0)

@@ -129,7 +129,7 @@ class SampleUniverse:
             den = self._draw_poly(ring.poly, rng)
             if den.is_zero():
                 den = ring.poly.one()
-            return ring.el((num.payload, den.payload))
+            return ring.frac(num, den)
         if isinstance(ring, QuotientRing):
             rep = self._draw_in(ring.base, rng)
             return ring.el(rep.payload)
@@ -158,8 +158,11 @@ class SampleUniverse:
 
         The forced block guarantees that every pair/triple of distinguished
         elements is swept before any random tuple, which pins the first
-        counterexample a check reports.
+        counterexample a check reports.  n < 1 raises ValueError: a sweep
+        over no tuples would pass vacuously.
         """
+        if n < 1:
+            raise ValueError(f"tuple count must be positive, got {n}")
         elems = self.elements()
         fsize = self.forced_size
         out: List[Tuple[RingElement, ...]] = []

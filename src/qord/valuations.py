@@ -531,7 +531,7 @@ def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None):
     else:
 
         def ev(payload):
-            num, den = payload
+            num, den = K.poly_pair(payload)
             if not num:
                 return INF
             return value_sub(vq._eval_memo(num), vq._eval_memo(den))
@@ -592,32 +592,16 @@ def _fraction_residue_form(v: Valuation, K: Ring) -> Optional[ResidueForm]:
         and prov.gammas == (-1,)
     ):
         return None
-    poly = K.poly
 
     def lc_fraction(payload):
-        num, den = payload
-        dn = poly.degree(num)
-        dd = poly.degree(den)
-        if dn < dd:
-            return Fraction(0)
-        if dn > dd:
+        q = K.limit_at_infinity(payload)
+        if q is None:
             raise ValueError("element is outside the valuation ring")
-        return Fraction(poly.leading_coef(num)) / Fraction(poly.leading_coef(den))
-
-    def from_c(q: Fraction, _p=poly):
-        if q == 0:
-            return ((), _p.one_payload())
-        if isinstance(_p.base, RationalField):
-            num = (((0,) * _p.nvars, q),)
-            den = _p.one_payload()
-        else:
-            num = (((0,) * _p.nvars, q.numerator),)
-            den = (((0,) * _p.nvars, q.denominator),)
-        return K._normalize(num, den)
+        return q
 
     from .rings import QQ
 
-    return QQ, lc_fraction, from_c
+    return QQ, lc_fraction, K.rational_payload
 
 
 def transport_to_residue(u: Valuation, residue: ResidueDomainRing) -> Valuation:

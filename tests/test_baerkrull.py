@@ -141,7 +141,7 @@ def test_lift_deg_plus_is_positive_infinite_order():
     one_over_x = K.frac(QX.one(), QX.var("X"))
     assert lifted.strict(K.zero(), one_over_x)
     for n in range(0, 8):
-        q = K.el((QX.parse(f"{n}/7").payload, QX.one_payload()))
+        q = K.frac(QX.parse(f"{n}/7"), QX.one())
         if not q.is_zero():
             assert lifted.strict(one_over_x, q)
         assert lifted.strict(K.from_int(n), X)

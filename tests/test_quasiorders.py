@@ -168,6 +168,17 @@ def test_axiom_suites_pass(make, ring, dist):
     assert not bad, bad
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_no_vacuous_pass_from_a_nonpositive_sample_count(samples):
+    U = SampleUniverse(QQ, 1, 10)
+    with pytest.raises(ValueError, match="tuple count must be positive"):
+        check_qo_axioms(natural_order(QQ), U, samples=samples)
+    for arity in (1, 2, 3):
+        with pytest.raises(ValueError, match="tuple count must be positive"):
+            U.tuples(arity, samples, "t")
+    assert len(U.tuples(2, 1, "t")) == 1
+
+
 def test_planted_sign_fault_detected():
     bad_sign = SignOrder(ZZ, lambda n: -_sgn(n), "flipped", ZeroIdeal(ZZ))
     q = from_sign_order(bad_sign)

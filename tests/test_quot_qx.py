@@ -1,0 +1,264 @@
+"""Quot(Q[X]) beyond the kernel: every reader of the integer payload form
+against the formula it replaced, applied to the reference Q[X] pair, and
+the extended valuations against sympy."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qord.groups import INF, value_sub
+from qord.quasiorders import (
+    at_zero_order,
+    frac_extend_qo,
+    from_valuation,
+    leading_term_order,
+)
+from qord.rings import QQ, RationalFunctionField, poly_ring
+from qord.valuations import (
+    degree_valuation,
+    frac_extend_val,
+    gauss_on,
+    padic_valuation,
+)
+
+sympy = pytest.importorskip("sympy")
+
+QX = poly_ring(QQ, "X")
+K = RationalFunctionField(QX)
+SX = sympy.Symbol("X")
+
+
+@st.composite
+def qx_polys(draw):
+    d = {}
+    for e in range(draw(st.integers(min_value=0, max_value=4))):
+        num = draw(st.integers(min_value=-12, max_value=12))
+        den = draw(st.sampled_from([1, 2, 3, 4, 9]))
+        d[(e,)] = Fraction(num, den)
+    return QX._canon_dict(d)
+
+
+@st.composite
+def k_elements(draw):
+    """(element, raw Q[X] numerator, raw Q[X] denominator), often with a
+    common factor and a negative leading coefficient."""
+    num, den, g = draw(qx_polys()), draw(qx_polys()), draw(qx_polys())
+    den = den or QX.one_payload()
+    if g and draw(st.booleans()):
+        num, den = QX.mul(num, g), QX.mul(den, g)
+    if draw(st.booleans()):
+        den = QX.neg(den)
+    return K.frac(QX.el(num), QX.el(den)), num, den
+
+
+NEGATIVE_LEAD = ["(-1*X)/(1)", "(-3)/(2*X)", "(X - 2)/(-1/2*X^2 + 1)", "-X^3 + 1"]
+
+
+def _to_sympy(p):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * SX**e for (e,), c in p),
+        sympy.Integer(0),
+    )
+
+
+def _from_sympy(poly):
+    return tuple(
+        ((e,), Fraction(int(c.p), int(c.q))) for (e,), c in poly.terms() if c
+    )
+
+
+def ref_pair(num, den):
+    """The canonical Q[X] pair of num/den by sympy: coprime, monic den."""
+    if not num:
+        return (), QX.one_payload()
+    n, d = sympy.fraction(sympy.cancel(_to_sympy(num) / _to_sympy(den)))
+    n, d = sympy.Poly(n, SX, domain="QQ"), sympy.Poly(d, SX, domain="QQ")
+    lc = d.LC()
+    return _from_sympy(n.quo_ground(lc)), _from_sympy(d.quo_ground(lc))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+# the formulas the readers had while the payload was the Q[X] pair
+
+
+def pair_sign_at_infinity(pair):
+    num, den = pair
+    if not num:
+        return 0
+    return _sign(QX.leading_coef(num)) * _sign(QX.leading_coef(den))
+
+
+def pair_sign_at_zero(pair):
+    def lowest_coef(q):
+        best = None
+        for (e,), c in q:
+            if best is None or e < best[0]:
+                best = (e, c)
+        return best[1] if best else 0
+
+    num, den = pair
+    if not num:
+        return 0
+    return _sign(lowest_coef(num)) * _sign(lowest_coef(den))
+
+
+def pair_frac_cmp(q, pa, pb):
+    x, y = pa
+    a, b = pb
+    left = QX.mul(QX.mul(x, y), QX.mul(b, b))
+    right = QX.mul(QX.mul(a, b), QX.mul(y, y))
+    return q._compare_payload(left, right)
+
+
+def pair_ext_value(v, pair):
+    num, den = pair
+    if not num:
+        return INF
+    return value_sub(v._eval_memo(num), v._eval_memo(den))
+
+
+def pair_lc_fraction(pair):
+    num, den = pair
+    dn, dd = QX.degree(num), QX.degree(den)
+    if dn < dd:
+        return Fraction(0)
+    if dn > dd:
+        raise ValueError("element is outside the valuation ring")
+    return Fraction(QX.leading_coef(num)) / Fraction(QX.leading_coef(den))
+
+
+def pair_from_c(q):
+    return ((((0,), q),) if q else ()), QX.one_payload()
+
+
+DEG = degree_valuation(QX)
+GAUSS3 = gauss_on(padic_valuation(3, QQ), QX, (1,))
+QO_DEG = from_valuation(DEG)
+QO_DEG_EXT = frac_extend_qo(QO_DEG)
+NU_DEG = frac_extend_val(DEG, uniformizer=QX.var("X"))
+NU_GAUSS3 = frac_extend_val(GAUSS3)
+LEAD = leading_term_order(K)
+AT_ZERO = at_zero_order(K)
+
+
+def _check_readers(x, pair):
+    p = x.payload
+    assert K.poly_pair(p) == pair
+    assert K.num_den(x) == (QX.el(pair[0]), QX.el(pair[1]))
+    assert str(x) == f"({QX.format(pair[0])})/({QX.format(pair[1])})"
+    assert K.sign_at_infinity(p) == pair_sign_at_infinity(pair)
+    assert K.sign_at_zero(p) == pair_sign_at_zero(pair)
+    assert LEAD.le(K.zero(), x) == (pair_sign_at_infinity(pair) >= 0)
+    assert AT_ZERO.le(K.zero(), x) == (pair_sign_at_zero(pair) >= 0)
+    assert NU_DEG(x) == pair_ext_value(DEG, pair)
+    assert NU_GAUSS3(x) == pair_ext_value(GAUSS3, pair)
+    _, to_c, from_c = NU_DEG.residue_form
+    try:
+        want = pair_lc_fraction(pair)
+    except ValueError:
+        with pytest.raises(ValueError):
+            to_c(p)
+    else:
+        assert to_c(p) == want
+        back = from_c(want)
+        assert K.poly_pair(back) == pair_from_c(want)
+        assert to_c(back) == want
+
+
+def _check_inverse(x, pair):
+    if not pair[0]:
+        with pytest.raises(ZeroDivisionError):
+            K.inv(x)
+        return
+    inv = K.inv(x)
+    n, d = inv.payload
+    assert d[-1] > 0 and all(type(c) is int for c in n + d)
+    want = ref_pair(pair[1], pair[0])
+    assert K.poly_pair(inv.payload) == want
+    assert inv == K.frac(QX.el(pair[1]), QX.el(pair[0]))
+    assert inv * x == K.one()
+    _check_readers(inv, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_elements(), k_elements())
+def test_readers_match_the_pair_formulas(xa, ya):
+    (x, xn, xd), (y, yn, yd) = xa, ya
+    px, py = ref_pair(xn, xd), ref_pair(yn, yd)
+    for el, pair in ((x, px), (y, py)):
+        _check_readers(el, pair)
+        _check_inverse(el, pair)
+    assert QO_DEG_EXT._compare_payload(x.payload, y.payload) == pair_frac_cmp(
+        QO_DEG, px, py
+    )
+    assert QO_DEG_EXT._compare_payload(y.payload, x.payload) == pair_frac_cmp(
+        QO_DEG, py, px
+    )
+
+
+@pytest.mark.parametrize("text", NEGATIVE_LEAD)
+def test_readers_on_negative_leading_coefficients(text):
+    x = K.parse(text)
+    num, den = K.num_den(x)
+    pair = ref_pair(num.payload, den.payload)
+    _check_readers(x, pair)
+    _check_inverse(x, pair)
+    assert K.sign_at_infinity(K.inv(x).payload) == -1
+
+
+def test_inverse_of_minus_x_is_printed_as_before():
+    x = K.parse("(-1*X)/(1)")
+    assert str(K.inv(x)) == "(-1)/(1*X)"
+    assert K.inv(x).payload == ((-1,), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the extended valuations against sympy
+
+
+def _sympy_parts(num, den):
+    return sympy.Poly(_to_sympy(num), SX, domain="QQ"), sympy.Poly(
+        _to_sympy(den), SX, domain="QQ"
+    )
+
+
+def _gauss_min(poly, p, gamma):
+    return min(
+        sympy.multiplicity(p, c) + gamma * e for (e,), c in poly.terms() if c
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_elements())
+def test_degree_extension_against_sympy(xa):
+    x, num, den = xa
+    if not num:
+        assert NU_DEG(x) is INF
+        return
+    n, d = _sympy_parts(num, den)
+    assert NU_DEG(x) == (-(sympy.degree(n, SX) - sympy.degree(d, SX)),)
+
+
+GAUSS_EXT = {
+    (p, gamma): frac_extend_val(gauss_on(padic_valuation(p, QQ), QX, (gamma,)))
+    for p in (2, 3, 5)
+    for gamma in (1, -1)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_elements(), st.sampled_from(sorted(GAUSS_EXT)))
+def test_gauss_extension_against_sympy(xa, key):
+    x, num, den = xa
+    p, gamma = key
+    nu = GAUSS_EXT[key]
+    if not num:
+        assert nu(x) is INF
+        return
+    n, d = _sympy_parts(num, den)
+    assert nu(x) == (_gauss_min(n, p, gamma) - _gauss_min(d, p, gamma),)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qord.rings import (
     VariableIdeal,
     ZeroIdeal,
     _dense,
+    _dense_fraction,
     _uni_exquo,
     _uni_gcd,
     _uni_mul,
@@ -415,19 +417,43 @@ def test_univariate_integer_division(a, b):
         assert _uni_mul(_uni_exquo(b, g), g) == b
 
 
+def _assert_int_form(p):
+    """p is a Quot(Q[X]) payload: int tuples without trailing zeros, coprime
+    in Q[X], joint content 1, positive leading denominator coefficient."""
+    n, d = p
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0 and (not n or n[-1])
+    assert math.gcd(*n, *d) == 1
+    if n:
+        assert _ref_gcd(_rational(n), _rational(d)) == QX.one_payload()
+    else:
+        assert d == (1,)
+
+
+def _k_format(pair):
+    return f"({QX.format(pair[0])})/({QX.format(pair[1])})"
+
+
 @settings(max_examples=80, deadline=None)
-@given(raw_k_payloads(), raw_k_payloads())
-def test_fraction_kernel_matches_reference(x, y):
+@given(raw_k_payloads(), raw_k_payloads(), st.sampled_from([1, -1, 3, -6]))
+def test_fraction_kernel_matches_reference(x, y, scale):
     K = RationalFunctionField(QX)
-    a, b = K.canon(x), K.canon(y)
-    assert a == _ref_normalize(*x) and b == _ref_normalize(*y)
-    assert K._normalize(*x) == a
-    for op, ref in _ref_ops(a, b).items():
+    a, b = K.from_poly_pair(*x), K.from_poly_pair(*y)
+    for p, raw in ((a, x), (b, y)):
+        _assert_int_form(p)
+        assert K.poly_pair(p) == _ref_normalize(*raw)
+        assert K.canon(p) == p
+        # canon normalizes any integer pair, scaled or not
+        n, d = _dense_fraction(*raw)
+        assert K.canon(tuple(tuple(scale * c for c in q) + (0,) for q in (n, d))) == p
+    for op, ref in _ref_ops(K.poly_pair(a), K.poly_pair(b)).items():
         got = getattr(K, op)(a, b)
-        assert got == ref, op
-        assert all(type(c) is Fraction for p in got for _, c in p)
-        assert K.format(got) == K.format(ref)
-        assert K.parse(K.format(got)).payload == ref
+        _assert_int_form(got)
+        assert K.poly_pair(got) == ref, op
+        assert all(type(c) is Fraction for q in K.poly_pair(got) for _, c in q)
+        assert K.format(got) == _k_format(ref)
+        assert K.parse(K.format(got)).payload == got
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,13 +478,14 @@ def test_fraction_kernel_matches_sympy_cancel(x, y):
             for p in (n.quo_ground(lc), d.quo_ground(lc))
         )
 
-    a, b = K.canon(x), K.canon(y)
-    sa = to_sympy(a[0]) / to_sympy(a[1])
-    sb = to_sympy(b[0]) / to_sympy(b[1])
-    assert a == canonical(to_sympy(x[0]) / to_sympy(x[1]))
-    assert K.add(a, b) == canonical(sa + sb)
-    assert K.sub(a, b) == canonical(sa - sb)
-    assert K.mul(a, b) == canonical(sa * sb)
+    a, b = K.from_poly_pair(*x), K.from_poly_pair(*y)
+    qa, qb = K.poly_pair(a), K.poly_pair(b)
+    sa = to_sympy(qa[0]) / to_sympy(qa[1])
+    sb = to_sympy(qb[0]) / to_sympy(qb[1])
+    assert qa == canonical(to_sympy(x[0]) / to_sympy(x[1]))
+    for got, expr in ((K.add(a, b), sa + sb), (K.sub(a, b), sa - sb), (K.mul(a, b), sa * sb)):
+        _assert_int_form(got)
+        assert K.poly_pair(got) == canonical(expr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,8 +496,9 @@ def test_fraction_normalize_over_q_cancels_common_factors(num, den, g):
         den = QX.one_payload()
     if not g:
         g = QX.one_payload()
-    n, d = K._normalize(num, den)
+    p = K.from_poly_pair(num, den)
+    n, d = K.poly_pair(p)
     assert QX.mul(n, den) == QX.mul(num, d)
     assert QX.leading_coef(d) == 1
     assert _ref_gcd(n, d) == QX.one_payload()
-    assert K._normalize(QX.mul(num, g), QX.mul(den, g)) == (n, d)
+    assert K.from_poly_pair(QX.mul(num, g), QX.mul(den, g)) == p
