@@ -104,7 +104,7 @@ class LiftData:
         v = self.basis.valuation
         if len(self.eta.signs) != v.group.rank:
             raise ValueError("eta must be defined on exactly the basis index set")
-        if self.residue_qo.ring.key != v.residue_ring().key:
+        if self.residue_qo.ring is not v.residue_ring():
             raise RingMismatchError(
                 "residue quasi-order must live on the residue domain of v"
             )
@@ -396,7 +396,7 @@ def bk3_lift(
     if nu.manis and uniformizer is None:
         basis = default_basis(nu)
     else:
-        t = to_field(uniformizer) if uniformizer.ring.key == ring.key else uniformizer
+        t = to_field(uniformizer) if uniformizer.ring is ring else uniformizer
         sign = nu(t)[0]
         basis = BasisData(nu, (t,), basis_signs=(sign,))
 

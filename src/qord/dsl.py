@@ -394,7 +394,7 @@ class SessionContext:
     samples: int = 500
     bounds: Bounds = field(default_factory=Bounds)
     env: Dict[str, object] = field(default_factory=dict)
-    pins: Dict[str, List[RingElement]] = field(default_factory=dict)
+    pins: Dict[Ring, List[RingElement]] = field(default_factory=dict)
     universes: Dict[tuple, SampleUniverse] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -407,19 +407,17 @@ class SessionContext:
         return self.env[ref.name]
 
     def pin(self, ring: Ring, elements: Sequence[RingElement]):
-        bucket = self.pins.setdefault(ring.key, [])
-        seen = {str(x) for x in bucket}
+        bucket = self.pins.setdefault(ring, [])
         for x in elements:
-            if str(x) not in seen:
+            if str(x) not in map(str, bucket):
                 bucket.append(x)
-                seen.add(str(x))
 
     def universe(self, ring: Ring, seed: int, count: int) -> SampleUniverse:
         """The session's one universe for (ring, seed, count, pins); a universe
-        is a pure function of them.  The cached universe holds the ring and
-        the pins, so their ids in the key cannot be reused."""
-        pins = tuple(self.pins.get(ring.key, ()))
-        key = (id(ring), seed, count, tuple(map(id, pins)))
+        is a pure function of them.  The cached universe holds the pins, so
+        their ids in the key cannot be reused."""
+        pins = tuple(self.pins.get(ring, ()))
+        key = (ring, seed, count, tuple(map(id, pins)))
         if key not in self.universes:
             self.universes[key] = SampleUniverse(
                 ring, seed=seed, count=count, bounds=self.bounds, distinguished=pins

@@ -129,7 +129,7 @@ class SignOrder:
         self.support_ideal = support_ideal
 
     def sign(self, x: RingElement) -> int:
-        if x.ring is not self.ring and x.ring.key != self.ring.key:
+        if x.ring is not self.ring:
             raise RingMismatchError(f"{self.name} is a sign map on {self.ring.name}")
         return self.sign_payload(x.payload)
 
@@ -213,11 +213,11 @@ def pullback(q: QuasiOrder, ring: Ring, f: Callable, name: str,
 def transport_qo(q: QuasiOrder, residue: ResidueDomainRing) -> QuasiOrder:
     """Move a quasi-order on the concrete residue ring up to Rv itself (or
     return one already on Rv)."""
-    if q.ring.key == residue.key:
+    if q.ring is residue:
         return q
     if residue.concrete_ring is None:
         raise ValueError(f"{residue.name} has no concrete residue form")
-    if q.ring.key != residue.concrete_ring.key:
+    if q.ring is not residue.concrete_ring:
         raise RingMismatchError(
             f"{q.name} lives on {q.ring.name}, expected {residue.concrete_ring.name}"
         )

@@ -94,7 +94,7 @@ def is_compatible(
     label: str = None,
 ) -> CheckResult:
     """0 <= y <= z forces v(z) <= v(y), swept over sampled pairs."""
-    if v.ring.key != q.ring.key:
+    if v.ring is not q.ring:
         raise RingMismatchError("valuation and quasi-order live on different rings")
     label = label or f"compat({v.name},{q.name})"
     zero = q.ring.zero()
@@ -599,7 +599,7 @@ def _num_den_in(v: Valuation, K, xi: RingElement):
     from .rings import QQ, RationalFunctionField
 
     base_ring = v.ring
-    if K.key == base_ring.key:
+    if K is base_ring:
         return xi, base_ring.one()
     if K is QQ:
         return base_ring.from_int(xi.payload.numerator), base_ring.from_int(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from fractions import Fraction
 from typing import Iterable
 
@@ -45,10 +46,9 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring is not self.ring and other.ring.key != self.ring.key:
-                raise RingMismatchError(
-                    f"cannot combine element of {other.ring.name} with {self.ring.name}"
-                )
+            if other.ring is not self.ring:
+                a, b = distinct_names(other.ring, self.ring)
+                raise RingMismatchError(f"cannot combine element of {a} with {b}")
             return other
         if isinstance(other, int):
             return self.ring.from_int(other)
@@ -104,7 +104,7 @@ class RingElement:
             other = self.ring.from_int(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        if other.ring is not self.ring and other.ring.key != self.ring.key:
+        if other.ring is not self.ring:
             return False
         return self.ring.eq(self.payload, other.payload)
 
@@ -113,7 +113,7 @@ class RingElement:
         return r if r is NotImplemented else not r
 
     def __hash__(self):
-        return hash((self.ring.key, self.ring.hash_payload(self.payload)))
+        return hash((self.ring, self.ring.hash_payload(self.payload)))
 
     def is_zero(self) -> bool:
         return self.ring.eq(self.payload, self.ring.zero_payload())
@@ -126,7 +126,8 @@ class RingElement:
 
 
 class Ring:
-    """Base class: payload-level arithmetic plus element conveniences."""
+    """Base class: payload-level arithmetic plus element conveniences.  A ring
+    is its object: ``is`` is the only ring-identity test (see ``_Interned``)."""
 
     kind = "abstract"
     name = "?"
@@ -134,40 +135,30 @@ class Ring:
     is_domain = True
     #: True when equal elements always carry identical payloads.
     canonical_eq = True
-    #: payload -> payload id, created by the first ``pid`` call
-    _ids = None
 
     @property
-    def key(self) -> str:
-        return self.name
+    def full_name(self) -> str:
+        return self.name  # residue rings add what tells like-named ones apart
 
     def pid(self, x: RingElement) -> int:
-        """A small int naming x's payload in this ring object's table.
-
-        Two payloads get one id exactly when they are == and hash-equal, so
-        a memo keyed on ids hits exactly when one keyed on payloads would.
-        The id is cached on x only when x belongs to this very object: an
-        element of another ring object with the same key is looked up in
-        this table, whose ids are not the other table's.
-        """
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = {}
-        if x.ring is self:
-            i = x._id
-            if i is None:
-                i = x._id = ids.setdefault(x.payload, len(ids))
-            return i
-        if x.ring.key != self.key:
-            raise RingMismatchError(f"{x.ring.name} is not {self.name}")
-        return ids.setdefault(x.payload, len(ids))
+        """A small int naming x's payload in this ring's one table (made by the
+        first call), cached on x.  Two payloads get one id exactly when they
+        are == and hash-equal, so a memo keyed on ids hits exactly when one
+        keyed on payloads would."""
+        if x.ring is not self:
+            raise RingMismatchError("%s is not %s" % distinct_names(x.ring, self))
+        i = x._id
+        if i is None:
+            ids = vars(self).setdefault("_ids", {})
+            i = x._id = ids.setdefault(x.payload, len(ids))
+        return i
 
     # payload protocol ---------------------------------------------------
     def zero_payload(self):
         raise NotImplementedError
 
     def one_payload(self):
-        raise NotImplementedError
+        return self.int_payload(1)
 
     def int_payload(self, n: int):
         raise NotImplementedError
@@ -191,6 +182,8 @@ class Ring:
         return a
 
     def hash_payload(self, a):
+        if not self.canonical_eq:
+            raise TypeError(f"elements of {self.name} are not hashable")
         return a
 
     def format(self, a) -> str:
@@ -222,6 +215,29 @@ class Ring:
         return f"Ring({self.name})"
 
 
+def distinct_names(a: Ring, b: Ring):
+    """Names of two different rings for a message, in full when they coincide."""
+    return (a.full_name, b.full_name) if a.name == b.name else (a.name, b.name)
+
+
+#: (class, constructor arguments) -> the live ring built from them
+_RINGS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Metaclass of the rings built from other objects: one live ring per
+    (class, constructor arguments).  Rings and ideals among the arguments
+    count by identity, other iterables by their items."""
+
+    def __call__(cls, *args):
+        args = tuple(a if isinstance(a, (Ring, Ideal, int)) else tuple(a) for a in args)
+        key = (cls, *args)
+        ring = _RINGS.get(key)
+        if ring is None:
+            ring = _RINGS[key] = super().__call__(*args)
+        return ring
+
+
 # ---------------------------------------------------------------------------
 # the integers and the rationals
 
@@ -232,9 +248,6 @@ class IntegerRing(Ring):
 
     def zero_payload(self):
         return 0
-
-    def one_payload(self):
-        return 1
 
     def int_payload(self, n):
         return int(n)
@@ -262,9 +275,6 @@ class RationalField(Ring):
 
     def zero_payload(self):
         return Fraction(0)
-
-    def one_payload(self):
-        return Fraction(1)
 
     def int_payload(self, n):
         return Fraction(n)
@@ -324,11 +334,10 @@ def _mono_key(exps):
     return (sum(exps), exps)
 
 
-class PolynomialRing(Ring):
+class PolynomialRing(Ring, metaclass=_Interned):
     kind = "polynomial"
 
     def __init__(self, base: Ring, variables: Iterable[str]):
-        variables = tuple(variables)
         if not variables:
             raise ValueError("polynomial ring needs at least one variable")
         if len(set(variables)) != len(variables):
@@ -346,9 +355,6 @@ class PolynomialRing(Ring):
 
     def zero_payload(self):
         return ()
-
-    def one_payload(self):
-        return self.int_payload(1)
 
     def int_payload(self, n):
         c = self.base.int_payload(n)
@@ -816,7 +822,7 @@ def _is_prime(n: int) -> bool:
 # quotient rings
 
 
-class IntegerModRing(Ring):
+class IntegerModRing(Ring, metaclass=_Interned):
     kind = "quotient"
 
     def __init__(self, modulus: int):
@@ -828,9 +834,6 @@ class IntegerModRing(Ring):
 
     def zero_payload(self):
         return 0
-
-    def one_payload(self):
-        return 1 % self.modulus
 
     def int_payload(self, n):
         return n % self.modulus
@@ -856,7 +859,7 @@ class IntegerModRing(Ring):
         return _parse_int(text, self.name) % self.modulus
 
 
-class QuotientRing(Ring):
+class QuotientRing(Ring, metaclass=_Interned):
     """Generic quotient by a prime-by-construction ideal.
 
     Falls back to representative-plus-membership equality when the ideal
@@ -878,9 +881,6 @@ class QuotientRing(Ring):
     def zero_payload(self):
         return self._reduce(self.base.zero_payload())
 
-    def one_payload(self):
-        return self._reduce(self.base.one_payload())
-
     def int_payload(self, n):
         return self._reduce(self.base.int_payload(n))
 
@@ -900,11 +900,6 @@ class QuotientRing(Ring):
 
     def canon(self, a):
         return self._reduce(a)
-
-    def hash_payload(self, a):
-        if not self.canonical_eq:
-            raise TypeError(f"elements of {self.name} are not hashable")
-        return a
 
     def format(self, a):
         return self.base.format(a)
@@ -969,7 +964,7 @@ def quotient_ring(base: Ring, ideal: Ideal):
 
 def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
     """Canonical coset representative of x modulo the ideal."""
-    if ideal.ring.key != x.ring.key:
+    if ideal.ring is not x.ring:
         raise RingMismatchError("ideal and element live in different rings")
     r = ideal.reduce(x.payload)
     if r is None:
@@ -993,7 +988,7 @@ def _trimmed(p):
     return p
 
 
-class RationalFunctionField(Ring):
+class RationalFunctionField(Ring, metaclass=_Interned):
     """Fractions of a polynomial ring over Z or Q.
 
     Over Q in one variable the representation is fully canonical and the
@@ -1080,9 +1075,6 @@ class RationalFunctionField(Ring):
             return _K_ZERO
         return ((), self.poly.one_payload())
 
-    def one_payload(self):
-        return self.int_payload(1)
-
     def int_payload(self, n):
         if self._full_canonical:
             return ((n,), (1,)) if n else _K_ZERO
@@ -1141,13 +1133,8 @@ class RationalFunctionField(Ring):
             num, den = tuple(-c for c in num), tuple(-c for c in den)
         return RingElement(self, (den, num))
 
-    def hash_payload(self, a):
-        if not self.canonical_eq:
-            raise TypeError(f"elements of {self.name} are not hashable")
-        return a
-
     def frac(self, num: RingElement, den: RingElement) -> RingElement:
-        if num.ring.key != self.poly.key or den.ring.key != self.poly.key:
+        if num.ring is not self.poly or den.ring is not self.poly:
             raise RingMismatchError("numerator/denominator must come from the base ring")
         return RingElement(self, self.from_poly_pair(num.payload, den.payload))
 
@@ -1156,7 +1143,7 @@ class RationalFunctionField(Ring):
         return RingElement(self.poly, num), RingElement(self.poly, den)
 
     def embed(self, x: RingElement) -> RingElement:
-        if x.ring.key != self.poly.key:
+        if x.ring is not self.poly:
             raise RingMismatchError("can only embed base-ring elements")
         return RingElement(self, self.from_poly_pair(x.payload, self.poly.one_payload()))
 

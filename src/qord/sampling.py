@@ -64,7 +64,7 @@ class SampleUniverse:
         if count < 1:
             raise ValueError("count must be positive")
         for d in distinguished:
-            if d.ring.key != ring.key:
+            if d.ring is not ring:
                 raise ValueError(
                     f"distinguished element {d!r} is not in {ring.name}"
                 )
@@ -91,7 +91,7 @@ class SampleUniverse:
                 if key not in seen:
                     seen.add(key)
                     forced.append(x)
-            rng = random.Random(self.seed ^ _stable_int(self.ring.key))
+            rng = random.Random(self.seed ^ _stable_int(self.ring.name))
             generated = [self._draw(rng) for _ in range(self.count)]
             # one object per distinct payload, so that a sweep can spot a
             # repeated tuple by the identity of its elements
@@ -170,7 +170,7 @@ class SampleUniverse:
             if len(out) >= n:
                 break
             out.append(tuple(elems[i] for i in combo))
-        rng = random.Random(self.seed ^ _stable_int(f"{self.ring.key}|{tag}|{arity}"))
+        rng = random.Random(self.seed ^ _stable_int(f"{self.ring.name}|{tag}|{arity}"))
         while len(out) < n:
             out.append(tuple(elems[rng.randrange(len(elems))] for _ in range(arity)))
         return out

@@ -43,6 +43,7 @@ from .rings import (
     RingMismatchError,
     SupportIdeal,
     ZeroIdeal,
+    distinct_names,
     fraction_field,
     quotient_ring,
 )
@@ -118,6 +119,7 @@ class Valuation:
         self._preimage_memo: dict = {}
         self.support = support if support is not None else SupportIdeal(self)
         self._residue_ring = None
+        self._passages: dict = {}  # filled by field_passage
         self._default_basis = None  # filled by baerkrull.default_basis
 
     # ------------------------------------------------------------------
@@ -129,10 +131,9 @@ class Valuation:
         return v
 
     def __call__(self, x: RingElement):
-        if x.ring is not self.ring and x.ring.key != self.ring.key:
-            raise RingMismatchError(
-                f"{self.name} is a valuation on {self.ring.name}, not {x.ring.name}"
-            )
+        if x.ring is not self.ring:
+            mine, got = distinct_names(self.ring, x.ring)
+            raise RingMismatchError(f"{self.name} is a valuation on {mine}, not {got}")
         return self._eval_memo(x.payload)
 
     @property
@@ -211,11 +212,11 @@ class ResidueDomainRing(Ring):
         self.concrete_ring, self._to_c, self._from_c = form or (None, None, None)
         self.canonical_eq = form is not None
         self.is_field = val.local
-        self.is_domain = True
 
     @property
-    def key(self):
-        return self.name
+    def full_name(self):
+        conc = self.concrete_ring
+        return f"{self.name} over {self.parent.name}" + (f" ({conc.name})" if conc else "")
 
     def zero_payload(self):
         return self.parent.zero_payload()
@@ -236,6 +237,9 @@ class ResidueDomainRing(Ring):
         return self.canon(self.parent.mul(a, b))
 
     def eq(self, a, b):
+        # a, b: any representatives in R_v; the lift passes cleared products
+        if self.canonical_eq:
+            return self._to_c(a) == self._to_c(b)
         diff = self.parent.sub(a, b)
         return value_lt(self.val.group.zero(), self.val._eval_memo(diff))
 
@@ -243,11 +247,6 @@ class ResidueDomainRing(Ring):
         if self._to_c is not None:
             return self._from_c(self._to_c(a))
         return self.parent.canon(a)
-
-    def hash_payload(self, a):
-        if not self.canonical_eq:
-            raise TypeError(f"elements of {self.name} are not hashable")
-        return a
 
     def inv(self, x):
         if not self.is_field:
@@ -272,7 +271,7 @@ class ResidueDomainRing(Ring):
     # ------------------------------------------------------------------
     def element(self, x: RingElement) -> RingElement:
         """The residue class of a valuation-ring element."""
-        if x.ring.key != self.parent.key:
+        if x.ring is not self.parent:
             raise RingMismatchError(f"{x!r} is not in {self.parent.name}")
         if not value_le(self.val.group.zero(), self.val(x)):
             raise ValueError(f"{x} is outside the valuation ring of {self.val.name}")
@@ -366,7 +365,7 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
     """Value 0 off the declared prime support, infinity on it."""
     if support is None:
         support = ZeroIdeal(ring)
-    if support.ring.key != ring.key:
+    if support.ring is not ring:
         raise RingMismatchError("support ideal lives in a different ring")
 
     def ev(payload):
@@ -402,7 +401,7 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
     a field with the same value group (constant witnesses), or a trivial
     base with both a +1 and a -1 twist (variable-power witnesses).
     """
-    if poly.base.key != u.ring.key:
+    if poly.base is not u.ring:
         raise RingMismatchError(
             f"{poly.name} is not a polynomial ring over {u.ring.name}"
         )
@@ -483,7 +482,7 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
 def on_quotient(v: Valuation, qring: Ring, project, section) -> Valuation:
     """v moved to qring = v.ring/supp(v) along the section, y -> v(section(y)),
     with the residue form of v, if any, carried along the same two maps."""
-    if qring.key == v.ring.key:
+    if qring is v.ring:
         return v
 
     def down(p):
@@ -510,8 +509,17 @@ def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None):
     """The passage R -> R/supp(v) -> Quot(R/supp(v)) of v.
 
     Returns (nu, to_field): nu is frac_extend_val(v, uniformizer) and
-    to_field maps x in v.ring to x/1 in nu.ring.
+    to_field maps x in v.ring to x/1 in nu.ring.  There is one passage per
+    (v, uniformizer), so one nu and one residue ring of nu.
     """
+    key = None if uniformizer is None else (uniformizer.ring, uniformizer.payload)
+    passage = v._passages.get(key)
+    if passage is None:
+        passage = v._passages[key] = _build_passage(v, uniformizer)
+    return passage
+
+
+def _build_passage(v: Valuation, uniformizer: Optional[RingElement]):
     base = v.ring
     qring, project, section = quotient_ring(base, v.support)
     vq = on_quotient(v, qring, project, section)
@@ -548,7 +556,7 @@ def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None):
     elif uniformizer is not None:
         if v.group.rank != 1:
             raise ValueError("uniformizer witnesses need a rank-1 group")
-        t = project(uniformizer) if uniformizer.ring.key == base.key else uniformizer
+        t = project(uniformizer) if uniformizer.ring is base else uniformizer
         tval = vq(t)
         if tval is INF or abs(tval[0]) != 1:
             raise ValueError(f"uniformizer must have value +-1, got {format_value(tval)}")
@@ -607,11 +615,11 @@ def _fraction_residue_form(v: Valuation, K: Ring) -> Optional[ResidueForm]:
 def transport_to_residue(u: Valuation, residue: ResidueDomainRing) -> Valuation:
     """Move a valuation on the concrete residue ring up to Rv itself (or
     return one already on Rv)."""
-    if u.ring.key == residue.key:
+    if u.ring is residue:
         return u
     if residue.concrete_ring is None:
         raise ValueError(f"{residue.name} has no concrete residue form")
-    if u.ring.key != residue.concrete_ring.key:
+    if u.ring is not residue.concrete_ring:
         raise RingMismatchError(
             f"{u.name} lives on {u.ring.name}, expected {residue.concrete_ring.name}"
         )
@@ -656,7 +664,7 @@ def composite_valuation(
     if len(sections) != v.group.rank:
         raise ValueError("need one section uniformizer per basis generator")
     for i, s in enumerate(sections):
-        if s.ring.key != v.ring.key:
+        if s.ring is not v.ring:
             raise RingMismatchError("section uniformizers live in the base ring")
         want = tuple(1 if j == i else 0 for j in range(v.group.rank))
         if v(s) != want:
@@ -719,7 +727,7 @@ def quotient_val(
     Precondition, checked on samples: v is Manis and the quasi-order of w
     is v-compatible, i.e. w(z) <= w(y) implies v(z) <= v(y).
     """
-    if w.ring.key != v.ring.key:
+    if w.ring is not v.ring:
         raise RingMismatchError("w and v must live on the same ring")
     if not v.manis:
         raise PreconditionError(f"quotient valuation needs Manis v, {v.name} is not")
@@ -848,7 +856,7 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
     The verdict entry passes exactly when both containments hold on the
     samples, i.e. when v looks like a coarsening of w.
     """
-    if v.ring.key != w.ring.key:
+    if v.ring is not w.ring:
         raise RingMismatchError("coarsening_check wants valuations on one ring")
     label = label or f"coarsening({v.name},{w.name})"
     seed = universe.seed
@@ -932,7 +940,7 @@ def is_coarsening(v: Valuation, w: Valuation, universe, samples: int = 500) -> b
 def equivalent_check(v: Valuation, w: Valuation, universe, samples: int = 500,
                      label: str = None):
     """Both directions of: v(x) <= v(y) iff w(x) <= w(y), on sampled pairs."""
-    if v.ring.key != w.ring.key:
+    if v.ring is not w.ring:
         raise RingMismatchError("equivalent_check wants valuations on one ring")
     label = label or f"equivalent({v.name},{w.name})"
     seed = universe.seed

@@ -301,8 +301,9 @@ def test_criterion_9_rank_values():
     )
 
 
-#: sha256 of `qord corpus run all --format json` at seed 42.
+#: sha256 of `qord corpus run all --format json` at seeds 42 and 7.
 CORPUS_JSON_SHA256_SEED_42 = "51847844a9ca7eecd2a7ef537c80eb5b953ec81a62dec6b3000a2ae45ee68384"
+CORPUS_JSON_SHA256_SEED_7 = "5298a033424f9bbb6e9d3604db8e7277b6dfd279dfa3779873c8278fc49d8047"
 
 
 def test_criterion_10_corpus_determinism():
@@ -315,5 +316,15 @@ def test_criterion_10_corpus_determinism():
     assert digest == CORPUS_JSON_SHA256_SEED_42, (
         f"corpus JSON at seed 42 hashes to {digest}, pinned "
         f"{CORPUS_JSON_SHA256_SEED_42}: the digest moves only with an audited, "
+        "explained byte change (tools/pin_goldens.py, a CHANGES.md entry, a new pin)"
+    )
+
+
+def test_corpus_json_digest_at_a_second_seed():
+    # sample streams are seeded from ring names, so a second seed guards them
+    digest = hashlib.sha256(render_json(run_corpus(seed=7))).hexdigest()
+    assert digest == CORPUS_JSON_SHA256_SEED_7, (
+        f"corpus JSON at seed 7 hashes to {digest}, pinned "
+        f"{CORPUS_JSON_SHA256_SEED_7}: the digest moves only with an audited, "
         "explained byte change (tools/pin_goldens.py, a CHANGES.md entry, a new pin)"
     )

@@ -228,6 +228,21 @@ check compat(v, q) samples(universe=60)
     assert [u.distinguished for u in seen[:3]] == [(), (), (seen[2].ring.parse("3"),)]
 
 
+def test_pins_stay_on_their_ring_when_a_name_is_rebound():
+    # both residue rings are named Rv(v); the F_3 pin must not reach F_2
+    report = run_text(
+        """
+let v = padic(3) on Q
+pin "2" on residue(v)
+let v = padic(2) on Q
+let t = trivial() on residue(v)
+check val_axioms(t) samples(count=20, seed=42)
+"""
+    )
+    assert len(report.checks) == 7
+    assert [c.status for c in report.checks] == ["pass"] * 7, render_text(report)
+
+
 def test_shared_universes_keep_corpus_bytes(monkeypatch):
     shared = [render_json(run_instance(inst, samples=60)) for inst in CORPUS]
 
@@ -237,7 +252,7 @@ def test_shared_universes_keep_corpus_bytes(monkeypatch):
             seed=seed,
             count=count,
             bounds=ctx.bounds,
-            distinguished=tuple(ctx.pins.get(ring.key, ())),
+            distinguished=tuple(ctx.pins.get(ring, ())),
         )
 
     monkeypatch.setattr(SessionContext, "universe", fresh)

@@ -61,15 +61,14 @@ def U(ring, seed=42, count=250, distinguished=()):
 # comparators
 
 
-def test_le_memo_agrees_across_ring_objects_with_one_key():
-    # two ring objects with one key, each with its own payload-id table
-    A, B = PolynomialRing(QQ, ["X"]), PolynomialRing(QQ, ["X"])
-    assert A is not B and A.key == B.key == "Q[X]"
+def test_le_memo_agrees_on_one_interned_ring():
+    # equal structure gives one ring object, with one payload-id table
+    A = PolynomialRing(QQ, ["X"])
+    assert A is poly_ring(QQ, "X")
     uA = U(A, seed=1, count=40).elements()
-    uB = U(B, seed=2, count=40).elements()
-    # B's table hands out its ids first, so B's elements carry ids that
-    # name other payloads in A's table
-    qB = const_term_order(B)
+    uB = U(A, seed=2, count=40).elements()
+    # a first comparator hands out ids in uB's order before the others look
+    qB = const_term_order(A)
     for x in uB:
         for y in uB:
             qB.le(x, y)
@@ -83,7 +82,7 @@ def test_le_memo_agrees_across_ring_objects_with_one_key():
                 d = x - y
                 assert q.le(d, zero) == bool(ref(d.payload, zero.payload)), (q, d)
         message = rf"^{re.escape(q.name)} compares elements of Q\[X\]$"
-        for x, y in ((ZX.one(), A.one()), (B.one(), ZX.one())):
+        for x, y in ((ZX.one(), A.one()), (A.one(), ZX.one())):
             with pytest.raises(RingMismatchError, match=message):
                 q.le(x, y)
 

@@ -111,7 +111,7 @@ def test_universe_elements_share_one_object_per_payload():
     for x in elems:
         assert by_payload.setdefault(x.payload, x) is x
     # the draws and their order are those of the generator
-    rng = random.Random(u.seed ^ _stable_int(ZZ.key))
+    rng = random.Random(u.seed ^ _stable_int(ZZ.name))
     drawn = [u._draw(rng).payload for _ in range(u.count)]
     assert [x.payload for x in elems] == [2, 0, 1, -1] + drawn
     assert u.forced_size == 4

@@ -9,11 +9,15 @@ from qord.rings import (
     QQ,
     ZZ,
     ElementSyntaxError,
+    IntegerModRing,
+    PolynomialRing,
     PrincipalIdeal,
+    QuotientRing,
     RationalFunctionField,
     RingMismatchError,
     VariableIdeal,
     ZeroIdeal,
+    _RINGS,
     _dense,
     _dense_fraction,
     _uni_exquo,
@@ -162,6 +166,39 @@ def test_payloads_are_hashable():
     for U in universes:
         for x in U.elements():
             hash(x.payload)
+
+
+def test_equal_structure_is_one_ring_object():
+    assert PolynomialRing(ZZ, ["X", "Y"]) is ZXY is poly_ring(ZZ, "X", "Y")
+    assert poly_ring(QQ, "X") is not poly_ring(ZZ, "X")
+    assert poly_ring(QQ, "X", "Y") is not poly_ring(QQ, "Y", "X")
+    assert IntegerModRing(5) is quotient_ring(ZZ, PrincipalIdeal(ZZ, 5))[0]
+    assert fraction_field(QX)[0] is RationalFunctionField(QX)
+    assert quotient_ring(ZXY, VariableIdeal(ZXY, ("Y",)))[0] is ZX
+    # ideals count by identity
+    ideal = ZeroIdeal(ZX)
+    assert QuotientRing(ZX, ideal) is QuotientRing(ZX, ideal)
+    assert QuotientRing(ZX, ideal) is not QuotientRing(ZX, ZeroIdeal(ZX))
+
+
+def test_ring_table_does_not_keep_rings_alive():
+    import gc
+
+    ring = poly_ring(QQ, "Unused")
+    key = (PolynomialRing, QQ, ("Unused",))
+    assert _RINGS[key] is ring
+    del ring
+    gc.collect()
+    assert key not in _RINGS
+
+
+def test_pid_rejects_elements_of_other_rings():
+    A = poly_ring(QQ, "X")
+    with pytest.raises(RingMismatchError, match=r"^Z\[X\] is not Q\[X\]$"):
+        A.pid(ZX.one())
+    with pytest.raises(RingMismatchError):
+        IntegerModRing(3).pid(IntegerModRing(2).one())
+    assert A.pid(A.var("X")) == A.pid(poly_ring(QQ, "X").parse("X"))
 
 
 def test_fraction_field_constructions():

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from qord.groups import INF, TRIVIAL_GROUP, Z_GROUP
+from qord.groups import INF, TRIVIAL_GROUP, Z_GROUP, value_le, value_lt
 from qord.report import PASS, PreconditionError
 from qord.rings import (
     QQ,
     ZZ,
+    IntegerModRing,
     PrincipalIdeal,
     RingMismatchError,
     VariableIdeal,
@@ -471,3 +472,59 @@ def test_residue_payloads_are_canonical_fixed_points():
         for p in payloads:
             assert repr(residue.canon(p)) == repr(p), (name, p)
     assert rings >= 5
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: padic_valuation(3, ZZ), lambda: padic_valuation(3, QQ), deg_ext],
+    ids=["v3-on-Z", "v3-on-Q", "degree-on-Quot(Q[X])"],
+)
+def test_residue_eq_is_the_valuation_rule_on_representatives(make):
+    # eq(a, b) is v(a - b) > 0 for any representatives in R_v, not only for
+    # the canonical payloads the ring hands out: the Baer-Krull lift hands
+    # the residue comparator cleared products of the parent ring
+    v = make()
+    R = v.residue_ring()
+    assert R.canonical_eq
+    zero = v.group.zero()
+    reps = [x.payload for x in SampleUniverse(v.ring, seed=5, count=60).elements()
+            if value_le(zero, v(x))]
+    payloads = reps + [R.canon(p) for p in reps]
+    apart = 0
+    for a in payloads:
+        for b in payloads:
+            want = value_lt(zero, v._eval_memo(v.ring.sub(a, b)))
+            assert R.eq(a, b) == want, (a, b)
+            apart += want and a != b
+    assert apart > 0  # some equal classes have different payloads
+
+
+def test_one_passage_per_valuation_and_uniformizer():
+    v = degree_valuation(QX)
+    nu = frac_extend_val(v, uniformizer=QX.var("X"))
+    assert frac_extend_val(v, uniformizer=QX.parse("X")) is nu
+    assert nu.residue_ring() is frac_extend_val(v, QX.var("X")).residue_ring()
+    assert field_passage(v2z) is field_passage(v2z)
+    # rings tied to a valuation are one per valuation, other rings one per
+    # structure
+    assert v2.residue_ring() is v2.residue_ring()
+    assert v2.residue_ring().concrete_ring is IntegerModRing(2)
+
+
+def test_residue_rings_of_one_name_do_not_mix():
+    RZ = trivial_valuation(ZZ).residue_ring()
+    RQ = trivial_valuation(QQ).residue_ring()
+    assert RZ.name == RQ.name == "Rv(triv({0}))"
+    message = r"Rv\(triv\(\{0\}\)\) over Q with Rv\(triv\(\{0\}\)\) over Z$"
+    with pytest.raises(RingMismatchError, match=message):
+        RZ.one() + RQ.el(Fraction(1, 2))
+    assert RZ.one() != RQ.one()
+    with pytest.raises(RingMismatchError, match=r"over Q is not .* over Z$"):
+        RZ.pid(RQ.one())
+    # like-named residue rings over one parent are told apart by their forms
+    w3, w2 = padic_valuation(3, QQ), padic_valuation(2, QQ)
+    w3.name = w2.name = "v"
+    with pytest.raises(RingMismatchError, match=r"over Q \(Z/3Z\) with .* over Q \(Z/2Z\)$"):
+        w2.residue_ring().one() + w3.residue_ring().one()
+    with pytest.raises(RingMismatchError, match=r"on Rv\(v\) over Q \(Z/2Z\), not Rv\(v\) over Q \(Z/3Z\)$"):
+        trivial_valuation(w2.residue_ring())(w3.residue_ring().one())
