@@ -132,12 +132,18 @@ def gamma_data(
         raise PreconditionError("gamma needs an argument outside the support")
     gamma = max((value_neg(val) for val in finite))
     dec = mod2_decompose(basis.group, gamma)
+    return dec, clearing_multiplier(basis, dec), v.preimage(dec.delta)
+
+
+def clearing_multiplier(basis: BasisData, dec: GammaDecomposition) -> RingElement:
+    """prod(pi_i for i in dec.index_set) * a^2 with a = preimage(dec.delta):
+    the multiplier that clears the value dec decomposes."""
+    v = basis.valuation
     a = v.preimage(dec.delta)
     m = v.ring.one()
     for i in sorted(dec.index_set):
         m = m * basis.pis[i]
-    m = m * a * a
-    return dec, m, a
+    return m * a * a
 
 
 def default_basis(v: Valuation) -> BasisData:
@@ -163,7 +169,6 @@ def lift(data: LiftData) -> QuasiOrder:
     ring = v.ring
     rq = data.residue_qo
     group = data.basis.group
-    pis = data.basis.pis
     eta = data.eta
     multiplier_cache: dict = {}
 
@@ -171,12 +176,7 @@ def lift(data: LiftData) -> QuasiOrder:
         key = (tuple(sorted(dec.index_set)), dec.delta)
         got = multiplier_cache.get(key)
         if got is None:
-            a = v.preimage(dec.delta)
-            m = ring.one()
-            for i in key[0]:
-                m = m * pis[i]
-            m = m * a * a
-            multiplier_cache[key] = got = m.payload
+            got = multiplier_cache[key] = clearing_multiplier(data.basis, dec).payload
         return got
 
     kind = classify_qo(rq)

@@ -813,7 +813,10 @@ def execute_statement(ctx: SessionContext, stmt, label_prefix: str) -> Optional[
                 if not isinstance(on, Ring):
                     raise DslError("the 'on' clause must name a ring", stmt.line, stmt.col)
             value = _eval(ctx, stmt.expr, on)
-            if isinstance(value, (Valuation, QuasiOrder)):
+            # an object keeps the name of its first let; a later one is an alias
+            if isinstance(value, (Valuation, QuasiOrder)) and not any(
+                value is bound for bound in ctx.env.values()
+            ):
                 value.name = stmt.name
             ctx.env[stmt.name] = value
         except (PreconditionError, ValueError, ZeroDivisionError, RingMismatchError,

@@ -9,7 +9,6 @@ them are only ever compared by agreement on a sample universe.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Optional
 
@@ -238,21 +237,12 @@ def frac_extend_qo(q: QuasiOrder) -> QuasiOrder:
         return q
     dom = domain
 
-    if isinstance(K, RationalField) and isinstance(domain, IntegerRing):
-
-        def cmp(pa: Fraction, pb: Fraction):
-            x, y = pa.numerator, pa.denominator
-            a, b = pb.numerator, pb.denominator
-            return q._compare_payload(x * y * b * b, a * b * y * y)
-
-    else:
-
-        def cmp(pa, pb):
-            x, y = K.poly_pair(pa)
-            a, b = K.poly_pair(pb)
-            left = dom.mul(dom.mul(x, y), dom.mul(b, b))
-            right = dom.mul(dom.mul(a, b), dom.mul(y, y))
-            return q._compare_payload(left, right)
+    def cmp(pa, pb):
+        x, y = K.poly_pair(pa)
+        a, b = K.poly_pair(pb)
+        left = dom.mul(dom.mul(x, y), dom.mul(b, b))
+        right = dom.mul(dom.mul(a, b), dom.mul(y, y))
+        return q._compare_payload(left, right)
 
     return QuasiOrder(
         K,

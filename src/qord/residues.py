@@ -538,6 +538,7 @@ def special_star_check(
 
     field_universe = universe.on(K)
     multipliers = [x for x in universe.elements() if v(x) is not INF]
+    split = _num_den_in(v, K)
 
     checked = 0
     witness = None
@@ -546,8 +547,8 @@ def special_star_check(
         if nu(xi) is INF or not value_le(zero_v, nu(xi)):
             continue
         checked += 1
-        num, den = _num_den_in(v, K, xi)
-        if den is None or v(den) is INF:
+        num, den = split(xi)
+        if v(den) is INF:
             inconclusive = (str(xi),)
             continue
 
@@ -594,20 +595,20 @@ def special_star_check(
     ]
 
 
-def _num_den_in(v: Valuation, K, xi: RingElement):
-    """Split a fraction-field element into base-ring numerator/denominator."""
-    from .rings import QQ, RationalFunctionField
+def _num_den_in(v: Valuation, K) -> Callable:
+    """The split of K = Quot(R/supp(v)) into numerator and denominator in
+    R = v.ring: K.poly_pair read in R/supp(v), lifted by the quotient
+    section; when R/supp(v) is a field, the denominator is 1."""
+    qring, _, section = quotient_ring(v.ring, v.support)
+    if K is qring:
+        one = v.ring.one()
+        return lambda x: (section(x), one)
 
-    base_ring = v.ring
-    if K is base_ring:
-        return xi, base_ring.one()
-    if K is QQ:
-        return base_ring.from_int(xi.payload.numerator), base_ring.from_int(
-            xi.payload.denominator
-        )
-    if isinstance(K, RationalFunctionField) and v.support.is_zero:
-        return K.num_den(xi)
-    return None, None
+    def split(x):
+        num, den = K.poly_pair(x.payload)
+        return section(RingElement(qring, num)), section(RingElement(qring, den))
+
+    return split
 
 
 def _representation_candidates(v: Valuation, num, den, multipliers):

@@ -273,6 +273,10 @@ class RationalField(Ring):
     name = "Q"
     is_field = True
 
+    def poly_pair(self, a):
+        """(numerator, denominator) of a as Z payloads: Q read as Quot(Z)."""
+        return a.numerator, a.denominator
+
     def zero_payload(self):
         return Fraction(0)
 
@@ -557,20 +561,22 @@ def _parse_poly(ring: PolynomialRing, text: str):
 
 
 # univariate integer kernel -------------------------------------------------
-# Quot(Q[X]) stores and computes on integer coefficients, lowest degree
-# first, with no trailing zero (the zero polynomial is empty); the kernel
+# Quot(Z[X]) and Quot(Q[X]) store and compute on integer coefficients, lowest
+# degree first, with no trailing zero (the zero polynomial is empty); the kernel
 # takes them as tuples or lists.  Numerator and denominator are
 # formed in Z[X]; their gcd, by primitive PRS (Collins 1967; Brown 1971),
 # is cancelled by exact division, then the joint content, with the sign
 # that makes the denominator's leading coefficient positive.  Such a pair
 # is unique for its fraction: N/D = N'/D' with both coprime forces
 # N' = cN, D' = cD for a rational c, and the content and sign rules force
-# c = 1.  Q[X] payloads are turned into integers (``_dense_fraction``) and
-# back (``_sparse``) only on the way in and out of the field.
+# c = 1; over Z it is coprime in Z[X] as well.  Z[X] and Q[X] payloads are
+# turned into integers (``_dense_fraction``) and back (``_sparse``) only on
+# the way in and out of the field.
 
 
 def _dense(p):
-    """(dense integer coefficients, denominator) of a nonzero Q[X] payload."""
+    """(dense integer coefficients, denominator) of a nonzero Z[X] or Q[X]
+    payload."""
     ratios = [c.as_integer_ratio() for _, c in p]
     den = math.lcm(*[d for _, d in ratios])
     out = [0] * (p[0][0][0] + 1)
@@ -580,7 +586,7 @@ def _dense(p):
 
 
 def _dense_fraction(num, den):
-    """Integer polynomials N, D with N/D = num/den, for nonzero Q[X] den."""
+    """Integer polynomials N, D with N/D = num/den, for nonzero den."""
     if not num:
         return [], [1]
     n, dn = _dense(num)
@@ -592,10 +598,13 @@ def _dense_fraction(num, den):
     return n, d
 
 
-def _sparse(a, lead):
-    """The Q[X] payload of a/lead, for dense integer a."""
+def _sparse(a, lead=None):
+    """The Z[X] payload of dense integer a, or with lead the Q[X] payload of
+    a/lead."""
     return tuple(
-        ((e,), Fraction(a[e], lead)) for e in range(len(a) - 1, -1, -1) if a[e]
+        ((e,), a[e] if lead is None else Fraction(a[e], lead))
+        for e in range(len(a) - 1, -1, -1)
+        if a[e]
     )
 
 
@@ -976,7 +985,7 @@ def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
 # fraction fields
 
 
-#: zero of Quot(Q[X]) in integer form
+#: zero of a univariate fraction field in integer form
 _K_ZERO = ((), (1,))
 
 
@@ -991,17 +1000,17 @@ def _trimmed(p):
 class RationalFunctionField(Ring, metaclass=_Interned):
     """Fractions of a polynomial ring over Z or Q.
 
-    Over Q in one variable the representation is fully canonical and the
-    payload is a pair (N, D) of integer coefficient tuples, lowest degree
-    first, with no trailing zeros: N and D are coprime in Q[X], the gcd of
-    all their coefficients together is 1, and D has a positive leading
-    coefficient; zero is ((), (1,)).  Arithmetic runs on the integer kernel
-    above.  The pair of Q[X] payloads (num, den), with den monic, enters
-    through ``from_poly_pair`` and leaves through ``poly_pair``; num = N/lc(D)
-    and den = D/lc(D).  Otherwise the payload is that pair of polynomial
-    payloads, only the content and the sign of the denominator's leading
-    coefficient are normalized (over Q the content is a rational number),
-    and equality cross-multiplies.
+    In one variable the representation is fully canonical and the payload
+    is a pair (N, D) of integer coefficient tuples, lowest degree first,
+    with no trailing zeros: N and D are coprime, the gcd of all their
+    coefficients together is 1, and D has a positive leading coefficient;
+    zero is ((), (1,)).  Arithmetic runs on the integer kernel above.  A
+    pair of polynomial payloads (num, den) enters through ``from_poly_pair``
+    and leaves through ``poly_pair``: over Z num = N and den = D, over Q
+    num = N/lc(D) and den = D/lc(D) is monic.  In several variables the
+    payload is that pair of polynomial payloads, only the content and the
+    sign of the denominator's leading coefficient are normalized (over Q
+    the content is a rational number), and equality cross-multiplies.
     """
 
     kind = "fraction-field"
@@ -1014,9 +1023,8 @@ class RationalFunctionField(Ring, metaclass=_Interned):
             raise ValueError(f"unsupported fraction base {poly.base.name}")
         self.poly = poly
         self.name = f"Quot({poly.name})"
-        self._full_canonical = (
-            isinstance(poly.base, RationalField) and poly.nvars == 1
-        )
+        self._full_canonical = poly.nvars == 1
+        self._over_q = isinstance(poly.base, RationalField)
         self.canonical_eq = self._full_canonical
 
     def from_poly_pair(self, num, den):
@@ -1049,11 +1057,13 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         return (num, den)
 
     def poly_pair(self, a):
-        """(num, den) polynomial payloads of a; over Q in one variable den is
-        monic and the pair is coprime."""
+        """(num, den) polynomial payloads of a; in one variable the pair is
+        coprime, with den monic over Q and of positive leading coefficient
+        over Z."""
         if self._full_canonical:
             n, d = a
-            return _sparse(n, d[-1]), _sparse(d, d[-1])
+            lead = d[-1] if self._over_q else None
+            return _sparse(n, lead), _sparse(d, lead)
         return a
 
     def _from_integer(self, num, den):
@@ -1147,57 +1157,33 @@ class RationalFunctionField(Ring, metaclass=_Interned):
             raise RingMismatchError("can only embed base-ring elements")
         return RingElement(self, self.from_poly_pair(x.payload, self.poly.one_payload()))
 
+    # univariate helpers ------------------------------------------------
+    # They read or write the integer form (N, D) of a one-variable field,
+    # where lc(D) > 0.
+
     def rational_payload(self, q: Fraction):
         """The payload of the constant q."""
-        if self._full_canonical:
-            return ((q.numerator,), (q.denominator,)) if q else _K_ZERO
-        poly = self.poly
-        if not q:
-            return ((), poly.one_payload())
-        zero_exps = (0,) * poly.nvars
-        if isinstance(poly.base, RationalField):
-            return self.from_poly_pair(((zero_exps, q),), poly.one_payload())
-        return self.from_poly_pair(
-            ((zero_exps, q.numerator),), ((zero_exps, q.denominator),)
-        )
-
-    # univariate readers ------------------------------------------------
-    # lc(D) > 0 in the integer form, so reading N and D through _lead and
-    # _lowest gives the signs of today's monic Q[X] pair.
-
-    def _lead(self, p):
-        """(degree, leading coefficient) of one part; (-1, 0) for zero."""
-        if self._full_canonical:
-            return len(p) - 1, p[-1] if p else 0
-        return self.poly.degree(p), self.poly.leading_coef(p)
-
-    def _lowest(self, p):
-        """The lowest-degree coefficient of a nonzero univariate part."""
-        if self._full_canonical:
-            return next(filter(None, p))
-        return min(p, key=lambda t: t[0][0])[1]
+        return ((q.numerator,), (q.denominator,)) if q else _K_ZERO
 
     def sign_at_infinity(self, a) -> int:
-        """Sign of a(X) for all large X: lc(num) * lc(den)."""
-        num, den = a
-        if not num:
-            return 0
-        return num_sign(self._lead(num)[1]) * num_sign(self._lead(den)[1])
+        """Sign of a(X) for all large X: the sign of lc(N), as lc(D) > 0."""
+        num, _ = a
+        return num_sign(num[-1]) if num else 0
 
     def sign_at_zero(self, a) -> int:
         """Sign of a(X) for all small X > 0: the product of the signs of the
-        lowest-degree coefficients of num and den."""
+        lowest-degree coefficients of N and D."""
         num, den = a
         if not num:
             return 0
-        return num_sign(self._lowest(num)) * num_sign(self._lowest(den))
+        return num_sign(next(filter(None, num))) * num_sign(next(filter(None, den)))
 
     def limit_at_infinity(self, a):
         """lim a(X) as X -> infinity, as a Fraction; None when it is infinite."""
-        (dn, cn), (dd, cd) = self._lead(a[0]), self._lead(a[1])
-        if dn < dd:
+        num, den = a
+        if len(num) < len(den):
             return Fraction(0)
-        return Fraction(cn, cd) if dn == dd else None
+        return Fraction(num[-1], den[-1]) if len(num) == len(den) else None
 
     def format(self, a):
         num, den = self.poly_pair(a)

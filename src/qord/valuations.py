@@ -527,22 +527,11 @@ def _build_passage(v: Valuation, uniformizer: Optional[RingElement]):
     if K is qring:
         return vq, project
 
-    if isinstance(K, RationalField):
-
-        def ev(x: Fraction):
-            if x == 0:
-                return INF
-            num = vq._eval_memo(x.numerator)
-            den = vq._eval_memo(x.denominator)
-            return value_sub(num, den)
-
-    else:
-
-        def ev(payload):
-            num, den = K.poly_pair(payload)
-            if not num:
-                return INF
-            return value_sub(vq._eval_memo(num), vq._eval_memo(den))
+    def ev(payload):
+        num, den = K.poly_pair(payload)
+        if not num:
+            return INF
+        return value_sub(vq._eval_memo(num), vq._eval_memo(den))
 
     if uniformizer is None and not vq.manis and isinstance(v.provenance, Padic):
         uniformizer = base.from_int(v.provenance.prime)

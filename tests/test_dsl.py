@@ -243,6 +243,29 @@ check val_axioms(t) samples(count=20, seed=42)
     assert [c.status for c in report.checks] == ["pass"] * 7, render_text(report)
 
 
+def test_a_second_let_of_one_object_is_an_alias():
+    # frac_extend is memoized per valuation and frac_extend_qo on a field
+    # returns its argument, so these lets bind objects that are already bound
+    ctx = SessionContext()
+    for stmt in parse_session(
+        """
+let v = padic(2) on Z
+let a = frac_extend(v)
+let b = frac_extend(v)
+let w = v
+let q = natural_order() on Q
+let q2 = frac_extend_qo(q)
+"""
+    ).statements:
+        assert dsl.execute_statement(ctx, stmt, "") is None
+    env = ctx.env
+    assert env["a"] is env["b"] and env["w"] is env["v"] and env["q2"] is env["q"]
+    assert env["a"].name == "a"
+    assert env["a"].residue_ring().name == "Rv(a)"
+    assert env["v"].name == "v"
+    assert env["q"].name == "q"
+
+
 def test_shared_universes_keep_corpus_bytes(monkeypatch):
     shared = [render_json(run_instance(inst, samples=60)) for inst in CORPUS]
 

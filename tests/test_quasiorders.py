@@ -301,12 +301,16 @@ def test_frac_extend_example():
 
 
 def test_frac_extend_matches_valuation_extension():
-    v2z = padic_valuation(2, ZZ)
-    ext_qo = frac_extend_qo(from_valuation(v2z))
-    nu = frac_extend_val(v2z)
-    direct = from_valuation(nu)
-    for x, y in U(QQ, seed=9, count=150).pairs(400, "cmp"):
-        assert ext_qo.le(x, y) == direct.le(x, y)
+    # Z -> Q, and Z[X] -> Quot(Z[X]) on the univariate integer kernel
+    for v, uniformizer in (
+        (padic_valuation(2, ZZ), None),
+        (degree_valuation(ZX), ZX.var("X")),
+    ):
+        ext_qo = frac_extend_qo(from_valuation(v))
+        direct = from_valuation(frac_extend_val(v, uniformizer=uniformizer))
+        assert ext_qo.ring is direct.ring
+        for x, y in U(direct.ring, seed=9, count=150).pairs(400, "cmp"):
+            assert ext_qo.le(x, y) == direct.le(x, y)
 
 
 def test_frac_extend_classification_invariant():

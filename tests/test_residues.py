@@ -30,6 +30,7 @@ from qord.rings import (
     QQ,
     ZZ,
     PrincipalIdeal,
+    VariableIdeal,
     poly_ring,
 )
 from qord.sampling import SampleUniverse
@@ -424,6 +425,17 @@ def test_special_star_manis_always_passes():
     v2 = padic_valuation(2, QQ)
     U2 = SampleUniverse(QQ, seed=42, count=200)
     assert special_star_check(v2, U2, samples=200)[0].status == PASS
+    # nonzero support: a fraction over R/supp(v) is split by poly_pair there
+    # and lifted to R by the quotient section
+    for ring, ideal in (
+        (ZZ, PrincipalIdeal(ZZ, 5)),
+        (ZX, VariableIdeal(ZX, ["X"])),
+        (QX, VariableIdeal(QX, ["X"])),
+        (ZXY, VariableIdeal(ZXY, ["Y"])),
+    ):
+        U3 = SampleUniverse(ring, seed=42, count=60)
+        (got,) = special_star_check(trivial_valuation(ring, ideal), U3, samples=60)
+        assert got.status == PASS and got.samples_used > 0, (ring.name, got)
 
 
 # ---------------------------------------------------------------------------

@@ -539,3 +539,55 @@ def test_fraction_normalize_over_q_cancels_common_factors(num, den, g):
     assert QX.leading_coef(d) == 1
     assert _ref_gcd(n, d) == QX.one_payload()
     assert K.from_poly_pair(QX.mul(num, g), QX.mul(den, g)) == p
+
+
+@st.composite
+def raw_zx_pairs(draw):
+    """(num, den) over Z[X], often sharing a factor, not yet normalized."""
+    num, den, g = (
+        ZX._canon_dict({(e,): draw(small_ints) for e in range(draw(st.integers(0, 4)))})
+        for _ in range(3)
+    )
+    den = den or ZX.one_payload()
+    if draw(st.booleans()) and g:
+        num, den = ZX.mul(num, g), ZX.mul(den, g)
+    return num, den
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_zx_pairs(), raw_zx_pairs())
+def test_zx_fraction_kernel_matches_sympy_cancel(x, y):
+    # Quot(Z[X]) runs on the integer kernel: N/D cancelled, joint content 1,
+    # lc(D) > 0, read back as int-coefficient Z[X] payloads
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    K = RationalFunctionField(ZX)
+    assert K.canonical_eq
+
+    def to_sympy(p):
+        return sum((c * X**e for (e,), c in p), sympy.Integer(0))
+
+    def canonical(expr):
+        n, d = (sympy.Poly(p, X, domain="QQ") for p in sympy.fraction(sympy.cancel(expr)))
+        terms = [
+            [((e,), Fraction(int(c.p), int(c.q))) for (e,), c in p.terms() if c] for p in (n, d)
+        ]
+        scale = math.lcm(*(c.denominator for t in terms for _, c in t))
+        ints = [[(e, int(c * scale)) for e, c in t] for t in terms]
+        g = math.gcd(*(c for t in ints for _, c in t))
+        g = -g if ints[1][0][1] < 0 else g
+        return tuple(tuple((e, c // g) for e, c in t) for t in ints)
+
+    a, b = K.from_poly_pair(*x), K.from_poly_pair(*y)
+    sa, sb = to_sympy(x[0]) / to_sympy(x[1]), to_sympy(y[0]) / to_sympy(y[1])
+    assert K.from_poly_pair(*(ZX.mul(p, (((0,), -3),)) for p in x)) == a
+    for got, expr in (
+        (a, sa), (b, sb), (K.add(a, b), sa + sb), (K.sub(a, b), sa - sb), (K.mul(a, b), sa * sb)
+    ):
+        pair = K.poly_pair(got)
+        assert pair == canonical(expr)
+        assert all(type(c) is int for q in pair for _, c in q)
+        assert K.from_poly_pair(*pair) == got
+        el = K.el(got)
+        back = K.parse(str(el))
+        assert back.payload == got and back == el and hash(back) == hash(el)
