@@ -35,7 +35,7 @@ from qord.quasiorders import (
     natural_order,
     transport_qo,
 )
-from qord.report import PASS, render_json
+from qord.report import PASS, Report, render_json
 from qord.residues import rank_check, table_blank_cells
 from qord.rings import QQ, ZeroIdeal, poly_ring
 from qord.sampling import SampleUniverse
@@ -210,6 +210,38 @@ def test_criterion_6_axiom_suites():
         f" quasi-orders (QR1-QR5 + 9 lemmas) at 1000 tuples, {elapsed:.1f}s",
         ok,
     ), failures[:3]
+
+
+#: sha256 of the JSON report of the criterion-6 sweep at seed 42, 50 tuples
+#: per check (the `axiom-sweep` benchmark workload).
+AXIOM_SWEEP_SHA256_SEED_42 = "05d040fb76863567eaf54d71c05be3fec2db8664775285b4be10bad1370ac822"
+
+
+def test_axiom_sweep_digest():
+    # the path through the Gauss and extended valuations; universes are
+    # rebuilt at the seed, as the benchmark does
+    def reseed(U):
+        return SampleUniverse(
+            U.ring, seed=42, count=U.count, bounds=U.bounds, distinguished=U.distinguished
+        )
+
+    valuations, quasiorders = shipped_objects()
+    valuations = [(n, v, reseed(U)) for n, v, U in valuations]
+    quasiorders = [(n, q, reseed(U)) for n, q, U in quasiorders]
+    for _, _, U in valuations + quasiorders:
+        U.elements()
+    results = []
+    for name, v, U in valuations:
+        results += check_val_axioms(v, U, samples=50, label=name)
+    for name, q, U in quasiorders:
+        results += check_qo_axioms(q, U, samples=50, label=name)
+        results += check_derived_lemmas(q, U, samples=50, label=name)
+    assert len(results) == 343
+    assert [r.name for r in results if r.status != PASS] == []
+    digest = hashlib.sha256(render_json(Report(seed=42, checks=results))).hexdigest()
+    assert digest == AXIOM_SWEEP_SHA256_SEED_42, (
+        f"axiom sweep at seed 42 hashes to {digest}, pinned {AXIOM_SWEEP_SHA256_SEED_42}"
+    )
 
 
 def _lift_instances():
