@@ -630,8 +630,8 @@ def _representation_candidates(v: Valuation, num, den, multipliers):
     ring = v.ring
     if isinstance(ring, PolynomialRing):
         # constant pairs built from the top coefficients
-        ncoefs = [c for _, c in num.payload[:4]]
-        dcoefs = [c for _, c in den.payload[:4]]
+        ncoefs = [c for _, c in ring.terms(num.payload)[:4]]
+        dcoefs = [c for _, c in ring.terms(den.payload)[:4]]
         for cn in ncoefs:
             for cd in dcoefs:
                 a = RingElement(ring, ring._canon_dict({(0,) * ring.nvars: cn}))

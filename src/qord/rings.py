@@ -1,8 +1,9 @@
 """Exact arithmetic for the concrete commutative rings everything else acts on.
 
-Supported ring kinds: the integers, the rationals, sparse multivariate
-polynomial rings over them, quotients by ideals that are prime by
-construction, and fraction fields of domains.  All payloads are immutable
+Supported ring kinds: the integers, the rationals, polynomial rings over
+them (dense integer coefficients in one variable over Z or Q, sparse
+terms otherwise), quotients by ideals that are prime by construction,
+and fraction fields of domains.  All payloads are immutable
 hashable Python values (int, Fraction, tuples), all operations are pure,
 and every ring has a canonical element syntax that round-trips through
 ``parse``.
@@ -10,6 +11,7 @@ and every ring has a canonical element syntax that round-trips through
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import weakref
@@ -140,6 +142,14 @@ class Ring:
     def full_name(self) -> str:
         return self.name  # residue rings add what tells like-named ones apart
 
+    @property
+    def serial(self) -> int:
+        """A number of this ring object alone, handed out on first use."""
+        s = vars(self).get("_serial")
+        if s is None:
+            s = self._serial = next(_SERIALS)
+        return s
+
     def pid(self, x: RingElement) -> int:
         """A small int naming x's payload in this ring's one table (made by the
         first call), cached on x.  Two payloads get one id exactly when they
@@ -216,8 +226,16 @@ class Ring:
 
 
 def distinct_names(a: Ring, b: Ring):
-    """Names of two different rings for a message, in full when they coincide."""
-    return (a.full_name, b.full_name) if a.name == b.name else (a.name, b.name)
+    """Names of two different rings for a message: in full when they coincide,
+    and with each ring's serial when the full names coincide too."""
+    if a.name != b.name:
+        return a.name, b.name
+    if a.full_name != b.full_name:
+        return a.full_name, b.full_name
+    return f"{a.full_name} #{a.serial}", f"{b.full_name} #{b.serial}"
+
+
+_SERIALS = itertools.count(1)
 
 
 #: (class, constructor arguments) -> the live ring built from them
@@ -328,14 +346,25 @@ def _parse_fraction(text: str, where: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials
+# polynomials
 
-# payload: tuple of (exponent-tuple, coefficient-payload), sorted descending
-# in graded-lex order, with no zero coefficients.
+# Two payload forms.  One variable over Z or Q is dense (``dense``): the
+# integer coefficients N, lowest degree first, with no trailing zero, the
+# same form the univariate kernel below and the fraction field use.  Over Z
+# the payload is N itself, zero is (); over Q it is a pair (N, d) standing
+# for N/d, with d > 0 and gcd(content(N), d) = 1, zero is ((), 1).  Every
+# other polynomial ring is sparse: a tuple of (exponent-tuple,
+# coefficient-payload), sorted descending in graded-lex order, with no zero
+# coefficients.  ``terms`` reads either form as the sparse one and
+# ``_canon_dict`` builds either from a term dict.
 
 
 def _mono_key(exps):
     return (sum(exps), exps)
+
+
+#: zero of Q[X] in dense form
+_QX_ZERO = ((), 1)
 
 
 class PolynomialRing(Ring, metaclass=_Interned):
@@ -352,21 +381,32 @@ class PolynomialRing(Ring, metaclass=_Interned):
         self.base = base
         self.variables = variables
         self.name = f"{base.name}[{','.join(variables)}]"
+        self.dense = len(variables) == 1 and isinstance(base, (IntegerRing, RationalField))
+        self._over_q = self.dense and isinstance(base, RationalField)
 
     @property
     def nvars(self):
         return len(self.variables)
 
     def zero_payload(self):
-        return ()
+        return _QX_ZERO if self._over_q else ()
 
     def int_payload(self, n):
-        c = self.base.int_payload(n)
-        if self.base.eq(c, self.base.zero_payload()):
-            return ()
-        return (((0,) * self.nvars, c),)
+        return self._canon_dict({(0,) * self.nvars: self.base.int_payload(n)})
 
     def _canon_dict(self, d: dict):
+        """The payload of the polynomial with terms {exponent-tuple: coefficient
+        payload}; the one constructor from terms."""
+        if self.dense:
+            n = [0] * (1 + max((e for (e,) in d), default=-1))
+            if not self._over_q:
+                for (e,), c in d.items():
+                    n[e] = c
+                return tuple(_trimmed(n))
+            den = math.lcm(*[c.denominator for c in d.values()])
+            for (e,), c in d.items():
+                n[e] = c.numerator * (den // c.denominator)
+            return _q_reduced(_trimmed(n), den)
         items = []
         zero = self.base.zero_payload()
         for exps, c in d.items():
@@ -376,10 +416,48 @@ class PolynomialRing(Ring, metaclass=_Interned):
         items.sort(key=lambda t: _mono_key(t[0]), reverse=True)
         return tuple(items)
 
+    def terms(self, a):
+        """a in the sparse form: (exponent-tuple, coefficient payload) pairs,
+        largest monomial first."""
+        if not self.dense:
+            return a
+        n, d = self.int_form(a)
+        return tuple(
+            ((e,), Fraction(n[e], d) if self._over_q else n[e])
+            for e in range(len(n) - 1, -1, -1)
+            if n[e]
+        )
+
+    def int_form(self, a):
+        """(N, d) of a dense payload: a = N/d with d = 1 over Z."""
+        return a if self._over_q else (a, 1)
+
     def canon(self, a):
-        return self._canon_dict(dict(a))
+        if not self.dense:
+            return self._canon_dict(dict(a))
+        if not self._over_q:
+            return tuple(_trimmed(a))
+        n, d = a
+        if d < 0:
+            n, d = [-c for c in n], -d
+        elif not d:
+            raise ZeroDivisionError(f"zero denominator in {self.name}")
+        return _q_reduced(_trimmed(n), d)
 
     def add(self, a, b):
+        if self.dense:
+            if not self._over_q:
+                return tuple(_uni_add(a, b))
+            (na, da), (nb, db) = a, b
+            if not na:
+                return b
+            if not nb:
+                return a
+            if da != db:
+                g = math.gcd(da, db)
+                sa, sb = db // g, da // g
+                na, nb, da = [c * sa for c in na], [c * sb for c in nb], da * sa
+            return _q_reduced(_uni_add(na, nb), da)
         d = dict(a)
         for exps, c in b:
             if exps in d:
@@ -389,9 +467,20 @@ class PolynomialRing(Ring, metaclass=_Interned):
         return self._canon_dict(d)
 
     def neg(self, a):
+        if self.dense:
+            if self._over_q:
+                return tuple(-c for c in a[0]), a[1]
+            return tuple(-c for c in a)
         return tuple((exps, self.base.neg(c)) for exps, c in a)
 
     def mul(self, a, b):
+        if self.dense:
+            if not self._over_q:
+                return tuple(_uni_mul(a, b))
+            (na, da), (nb, db) = a, b
+            if not na or not nb:
+                return _QX_ZERO
+            return _q_reduced(_uni_mul(na, nb), da * db)
         d: dict = {}
         for e1, c1 in a:
             for e2, c2 in b:
@@ -406,6 +495,10 @@ class PolynomialRing(Ring, metaclass=_Interned):
     # polynomial-specific helpers ---------------------------------------
     def const_coef(self, a):
         """Coefficient of the all-zero monomial, as a base payload."""
+        if self.dense:
+            n, d = self.int_form(a)
+            c = n[0] if n else 0
+            return Fraction(c, d) if self._over_q else c
         zero_exps = (0,) * self.nvars
         for exps, c in a:
             if exps == zero_exps:
@@ -414,32 +507,31 @@ class PolynomialRing(Ring, metaclass=_Interned):
 
     def degree(self, a) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not a:
-            return -1
-        return max(sum(exps) for exps, _ in a)
+        return max((sum(exps) for exps, _ in self.terms(a)), default=-1)
 
     def leading_coef(self, a):
         """Coefficient of the largest monomial in graded-lex order."""
-        if not a:
-            return self.base.zero_payload()
-        return a[0][1]
+        t = self.terms(a)
+        return t[0][1] if t else self.base.zero_payload()
 
     def var(self, name: str) -> RingElement:
         i = self.variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.el(((exps, self.base.one_payload()),))
+        return RingElement(self, self._canon_dict({exps: self.base.one_payload()}))
 
-    def substitute_zero(self, a, var_indices) -> tuple:
+    def substitute_zero(self, a, var_indices):
         """Drop every monomial involving one of the given variables."""
-        keep = [t for t in a if all(t[0][i] == 0 for i in var_indices)]
-        return tuple(keep)
+        return self._canon_dict(
+            {e: c for e, c in self.terms(a) if all(e[i] == 0 for i in var_indices)}
+        )
 
     # printing / parsing --------------------------------------------------
     def format(self, a):
-        if not a:
+        terms = self.terms(a)
+        if not terms:
             return "0"
         parts = []
-        for exps, c in a:
+        for exps, c in terms:
             factors = [self.base.format(c)]
             for v, e in zip(self.variables, exps):
                 if e == 1:
@@ -561,51 +653,34 @@ def _parse_poly(ring: PolynomialRing, text: str):
 
 
 # univariate integer kernel -------------------------------------------------
-# Quot(Z[X]) and Quot(Q[X]) store and compute on integer coefficients, lowest
-# degree first, with no trailing zero (the zero polynomial is empty); the kernel
-# takes them as tuples or lists.  Numerator and denominator are
-# formed in Z[X]; their gcd, by primitive PRS (Collins 1967; Brown 1971),
-# is cancelled by exact division, then the joint content, with the sign
-# that makes the denominator's leading coefficient positive.  Such a pair
-# is unique for its fraction: N/D = N'/D' with both coprime forces
+# Dense integer coefficients, lowest degree first, with no trailing zero (the
+# zero polynomial is empty); the functions take them as tuples or lists.
+# Z[X] and Q[X] payloads are built from them (see ``PolynomialRing``), and
+# so are the pairs (N, D) of Quot(Z[X]) and Quot(Q[X]): numerator and
+# denominator are formed in Z[X], their gcd, by primitive PRS (Collins 1967;
+# Brown 1971), is cancelled by exact division, then the joint content, with
+# the sign that makes the denominator's leading coefficient positive.  Such
+# a pair is unique for its fraction: N/D = N'/D' with both coprime forces
 # N' = cN, D' = cD for a rational c, and the content and sign rules force
-# c = 1; over Z it is coprime in Z[X] as well.  Z[X] and Q[X] payloads are
-# turned into integers (``_dense_fraction``) and back (``_sparse``) only on
-# the way in and out of the field.
+# c = 1; over Z it is coprime in Z[X] as well.
 
 
-def _dense(p):
-    """(dense integer coefficients, denominator) of a nonzero Z[X] or Q[X]
-    payload."""
-    ratios = [c.as_integer_ratio() for _, c in p]
-    den = math.lcm(*[d for _, d in ratios])
-    out = [0] * (p[0][0][0] + 1)
-    for ((e,), _), (n, d) in zip(p, ratios):
-        out[e] = n * (den // d)
-    return out, den
+def _trimmed(p):
+    """Dense integer coefficients p without trailing zeros, as a list."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _dense_fraction(num, den):
-    """Integer polynomials N, D with N/D = num/den, for nonzero den."""
-    if not num:
-        return [], [1]
-    n, dn = _dense(num)
-    d, dd = _dense(den)
-    if dd != 1:
-        n = [c * dd for c in n]
-    if dn != 1:
-        d = [c * dn for c in d]
-    return n, d
-
-
-def _sparse(a, lead=None):
-    """The Z[X] payload of dense integer a, or with lead the Q[X] payload of
-    a/lead."""
-    return tuple(
-        ((e,), a[e] if lead is None else Fraction(a[e], lead))
-        for e in range(len(a) - 1, -1, -1)
-        if a[e]
-    )
+def _q_reduced(n, d):
+    """The Q[X] payload of n/d, for trimmed dense integer n and d > 0."""
+    if not n:
+        return _QX_ZERO
+    g = math.gcd(d, *n)
+    if g == 1:
+        return tuple(n), d
+    return tuple(c // g for c in n), d // g
 
 
 def _uni_mul(a, b):
@@ -782,7 +857,8 @@ class VariableIdeal(Ideal):
         self.indices = tuple(ring.variables.index(v) for v in variables)
 
     def contains(self, a):
-        return all(any(exps[i] > 0 for i in self.indices) for exps, _ in a)
+        terms = self.ring.terms(a)
+        return all(any(exps[i] > 0 for i in self.indices) for exps, _ in terms)
 
     def reduce(self, a):
         return self.ring.substitute_zero(a, self.indices)
@@ -951,13 +1027,13 @@ def quotient_ring(base: Ring, ideal: Ideal):
         keep = [i for i in range(poly.nvars) if i not in idx]
 
         def project(x):
-            terms = poly.substitute_zero(x.payload, idx)
+            terms = poly.terms(poly.substitute_zero(x.payload, idx))
             dropped = {tuple(exps[i] for i in keep): c for exps, c in terms}
-            return target.el(target._canon_dict(dropped))
+            return RingElement(target, target._canon_dict(dropped))
 
         def section(y):
             out = {}
-            for exps, c in y.payload:
+            for exps, c in target.terms(y.payload):
                 it = iter(exps)
                 out[tuple(0 if i in idx else next(it) for i in range(poly.nvars))] = c
             return RingElement(poly, poly._canon_dict(out))
@@ -989,14 +1065,6 @@ def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
 _K_ZERO = ((), (1,))
 
 
-def _trimmed(p):
-    """Dense integer coefficients p without trailing zeros, as a list."""
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
 class RationalFunctionField(Ring, metaclass=_Interned):
     """Fractions of a polynomial ring over Z or Q.
 
@@ -1005,9 +1073,10 @@ class RationalFunctionField(Ring, metaclass=_Interned):
     with no trailing zeros: N and D are coprime, the gcd of all their
     coefficients together is 1, and D has a positive leading coefficient;
     zero is ((), (1,)).  Arithmetic runs on the integer kernel above.  A
-    pair of polynomial payloads (num, den) enters through ``from_poly_pair``
-    and leaves through ``poly_pair``: over Z num = N and den = D, over Q
-    num = N/lc(D) and den = D/lc(D) is monic.  In several variables the
+    pair of dense polynomial payloads (num, den) enters through
+    ``from_poly_pair`` and leaves through ``poly_pair`` with no change of
+    coefficient type: over Z num = N and den = D, over Q num = N/lc(D) and
+    den = D/lc(D) is monic.  In several variables the
     payload is that pair of polynomial payloads, only the content and the
     sign of the denominator's leading coefficient are normalized (over Q
     the content is a rational number), and equality cross-multiplies.
@@ -1023,17 +1092,22 @@ class RationalFunctionField(Ring, metaclass=_Interned):
             raise ValueError(f"unsupported fraction base {poly.base.name}")
         self.poly = poly
         self.name = f"Quot({poly.name})"
-        self._full_canonical = poly.nvars == 1
+        self._full_canonical = poly.dense
         self._over_q = isinstance(poly.base, RationalField)
         self.canonical_eq = self._full_canonical
 
     def from_poly_pair(self, num, den):
         """The payload of num/den, for polynomial payloads num and den."""
         poly = self.poly
-        if not den:
+        if den == poly.zero_payload():
             raise ZeroDivisionError(f"zero denominator in {self.name}")
         if self._full_canonical:
-            return self._from_integer(*_dense_fraction(num, den))
+            (n, dn), (d, dd) = poly.int_form(num), poly.int_form(den)
+            if dd != 1:
+                n = [c * dd for c in n]
+            if dn != 1:
+                d = [c * dn for c in d]
+            return self._from_integer(n, d)
         if not num:
             return ((), poly.one_payload())
         cn, cd = _content(poly, num), _content(poly, den)
@@ -1060,10 +1134,9 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         """(num, den) polynomial payloads of a; in one variable the pair is
         coprime, with den monic over Q and of positive leading coefficient
         over Z."""
-        if self._full_canonical:
+        if self._full_canonical and self._over_q:
             n, d = a
-            lead = d[-1] if self._over_q else None
-            return _sparse(n, lead), _sparse(d, lead)
+            return _q_reduced(n, d[-1]), _q_reduced(d, d[-1])
         return a
 
     def _from_integer(self, num, den):

@@ -150,7 +150,7 @@ class SampleUniverse:
                 d[exps] = ring.base.add(d[exps], coef.payload)
             else:
                 d[exps] = coef.payload
-        return ring.el(ring._canon_dict(d))
+        return RingElement(ring, ring._canon_dict(d))
 
     # ------------------------------------------------------------------
     def tuples(self, arity: int, n: int, tag: str) -> List[Tuple[RingElement, ...]]:

@@ -416,16 +416,38 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
             return INF
         return val if u.group.rank == 1 else (0,)
 
-    def ev(payload):
-        best = INF
-        for exps, coef in payload:
-            c = embed(u._eval_memo(coef))
-            if c is INF:
-                continue
-            term = (c[0] + sum(e * g for e, g in zip(exps, gammas)),)
-            if best is INF or term < best:
-                best = term
-        return best
+    if poly.dense:
+        # payload N/d: min over e of u(N_e) + e*gamma, less u(d), which is 0
+        # when u is trivial (d is a unit of Q); u is read on base payloads, so
+        # its memo keys stay ints over Z and Fractions over Q
+        lift, (gamma,) = u.ring.int_payload, gammas
+
+        def ev(payload):
+            coefs, den = poly.int_form(payload)
+            best = None
+            for e, c in enumerate(coefs):
+                if c:
+                    val = embed(u._eval_memo(lift(c)))
+                    if val is not INF and (best is None or val[0] + e * gamma < best):
+                        best = val[0] + e * gamma
+            if best is None:
+                return INF
+            if den != 1 and u.group.rank:
+                best -= u._eval_memo(lift(den))[0]
+            return (best,)
+
+    else:
+
+        def ev(payload):
+            best = INF
+            for exps, coef in payload:
+                c = embed(u._eval_memo(coef))
+                if c is INF:
+                    continue
+                term = (c[0] + sum(e * g for e, g in zip(exps, gammas)),)
+                if best is INF or term < best:
+                    best = term
+            return best
 
     manis = False
     preimage = None
@@ -434,7 +456,7 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
 
         def preimage(g, _p=poly):
             c = u.preimage(g)
-            return _p.el((((0,) * _p.nvars, c.payload),))
+            return RingElement(_p, _p._canon_dict({(0,) * _p.nvars: c.payload}))
 
     elif u.group.rank == 0:
         pos = next((i for i, g in enumerate(gammas) if g == 1), None)
@@ -529,7 +551,7 @@ def _build_passage(v: Valuation, uniformizer: Optional[RingElement]):
 
     def ev(payload):
         num, den = K.poly_pair(payload)
-        if not num:
+        if num == qring.zero_payload():
             return INF
         return value_sub(vq._eval_memo(num), vq._eval_memo(den))
 

@@ -1,0 +1,145 @@
+"""Z[X] and Q[X] on the dense integer kernel against sympy: arithmetic,
+canonical form, printing and parsing, and the Gauss and degree valuations
+read on the dense payloads."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qord.groups import INF
+from qord.rings import QQ, ZZ, poly_ring
+from qord.valuations import degree_valuation, gauss_on, padic_valuation
+
+sympy = pytest.importorskip("sympy")
+
+ZX = poly_ring(ZZ, "X")
+QX = poly_ring(QQ, "X")
+SX = sympy.Symbol("X")
+
+int_coefs = st.lists(st.integers(-40, 40), max_size=6)
+rational_coefs = st.lists(
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 10])),
+    max_size=6,
+)
+
+
+@st.composite
+def elements(draw, ring):
+    """(ring, element, sympy Poly) from one coefficient list, lowest degree
+    first; the element is built from its term dict."""
+    coefs = draw(int_coefs if ring is ZX else rational_coefs)
+    x = ring.el(ring._canon_dict({(e,): c for e, c in enumerate(coefs) if c}))
+    domain = "ZZ" if ring is ZX else "QQ"
+    terms = [
+        sympy.Rational(c.numerator, c.denominator) * SX**e
+        for e, c in enumerate(map(Fraction, coefs))
+    ]
+    return ring, x, sympy.Poly(sum(terms, sympy.Integer(0)), SX, domain=domain)
+
+
+rings = st.sampled_from([ZX, QX])
+any_element = rings.flatmap(elements)
+
+
+def _to_sympy(ring, x):
+    return sympy.Poly(
+        sum(
+            (sympy.Rational(c.numerator, c.denominator) * SX**e
+             for (e,), c in ring.terms(x.payload)),
+            sympy.Integer(0),
+        ),
+        SX,
+        domain="ZZ" if ring is ZX else "QQ",
+    )
+
+
+def _reference_text(poly):
+    """Highest degree first, c*X^e terms joined by ' + ', '0' for zero."""
+    parts = []
+    for (e,), c in poly.terms():
+        if c:
+            parts.append(str(c) if e == 0 else f"{c}*X" if e == 1 else f"{c}*X^{e}")
+    return " + ".join(parts) or "0"
+
+
+def _assert_dense(ring, p):
+    """Z[X]: an int tuple without trailing zero.  Q[X]: (N, d), N such a
+    tuple, d > 0 and gcd(content(N), d) = 1; zero is ((), 1)."""
+    n, d = p if ring is QX else (p, 1)
+    assert type(n) is tuple and all(type(c) is int for c in n) and type(d) is int
+    assert not n or n[-1]
+    assert d > 0 and math.gcd(d, *n) == 1
+
+
+def _check(ring, x, poly):
+    _assert_dense(ring, x.payload)
+    assert _to_sympy(ring, x) == poly
+    assert str(x) == _reference_text(poly)
+    assert ring.parse(str(x)) == x and ring.parse(str(x)).payload == x.payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings, st.data())
+def test_kernel_against_sympy_poly(ring, data):
+    _, x, px = data.draw(elements(ring))
+    _, y, py = data.draw(elements(ring))
+    _check(ring, x, px)
+    for got, want in ((x + y, px + py), (x * y, px * py), (-x, -px), (x - y, px - py)):
+        _check(ring, got, want)
+    assert (x == y) == (px == py)
+    assert x * y == y * x and (x + y) - y == x
+    # canon reduces any scaled or padded form to the one payload
+    n, d = ring.int_form(x.payload)
+    k = data.draw(st.sampled_from([1, 2, -3, 6]))
+    if ring is QX:
+        assert ring.canon((tuple(k * c for c in n) + (0,), k * d)) == x.payload
+    else:
+        assert ring.canon(n + (0, 0)) == x.payload
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [(ZX, "0"), (QX, "0"), (QX, "1/2*X^2 + -3*X + 2/3"), (ZX, "-1*X^3 + 2"),
+     (QX, "X + X + 1/2 + 1/2"), (QX, "2/4*X")],
+)
+def test_parse_then_print(ring, text):
+    x = ring.parse(text)
+    _assert_dense(ring, x.payload)
+    poly = sympy.Poly(sympy.sympify(text.replace("^", "**")), SX, domain="QQ")
+    assert str(x) == _reference_text(poly)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss and degree valuations on the dense payloads
+
+
+GAUSS = {
+    (ring.name, p, gamma): gauss_on(padic_valuation(p, ring.base), ring, (gamma,))
+    for ring in (ZX, QX)
+    for p in (2, 3, 5)
+    for gamma in (1, -1)
+}
+DEGREE = {ring.name: degree_valuation(ring) for ring in (ZX, QX)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_element, st.sampled_from([2, 3, 5]), st.sampled_from([1, -1]))
+def test_gauss_valuation_against_sympy(xa, p, gamma):
+    ring, x, poly = xa
+    v = GAUSS[ring.name, p, gamma]
+    if poly.is_zero:
+        assert v(x) is INF
+        return
+    want = min(sympy.multiplicity(p, c) + gamma * e for (e,), c in poly.terms() if c)
+    assert v(x) == (want,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_element)
+def test_degree_valuation_against_sympy(xa):
+    ring, x, poly = xa
+    v = DEGREE[ring.name]
+    assert v(x) == (INF if poly.is_zero else (-poly.degree(),))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -528,3 +529,19 @@ def test_residue_rings_of_one_name_do_not_mix():
         w2.residue_ring().one() + w3.residue_ring().one()
     with pytest.raises(RingMismatchError, match=r"on Rv\(v\) over Q \(Z/2Z\), not Rv\(v\) over Q \(Z/3Z\)$"):
         trivial_valuation(w2.residue_ring())(w3.residue_ring().one())
+
+
+def test_residue_rings_of_one_full_name_do_not_mix():
+    # two valuations with one name, parent and form: the messages number them
+    a, b = trivial_valuation(QQ), trivial_valuation(QQ)
+    a.name = b.name = "v"
+    A, B = a.residue_ring(), b.residue_ring()
+    assert A.full_name == B.full_name and A.serial != B.serial
+    with pytest.raises(RingMismatchError) as err:
+        A.one() + B.one()
+    got = re.fullmatch(r"cannot combine element of (.*) with (.*)", str(err.value))
+    assert got and got[1] != got[2]
+    assert got[1] == f"Rv(v) over Q #{B.serial}" and got[2] == f"Rv(v) over Q #{A.serial}"
+    with pytest.raises(RingMismatchError, match=rf"over Q #{B.serial} is not .* over Q #{A.serial}$"):
+        A.pid(B.one())
+    assert A.one() != B.one()
