@@ -1093,7 +1093,6 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         self.poly = poly
         self.name = f"Quot({poly.name})"
         self._full_canonical = poly.dense
-        self._over_q = isinstance(poly.base, RationalField)
         self.canonical_eq = self._full_canonical
 
     def from_poly_pair(self, num, den):
@@ -1134,7 +1133,7 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         """(num, den) polynomial payloads of a; in one variable the pair is
         coprime, with den monic over Q and of positive leading coefficient
         over Z."""
-        if self._full_canonical and self._over_q:
+        if self.poly._over_q:
             n, d = a
             return _q_reduced(n, d[-1]), _q_reduced(d, d[-1])
         return a
