@@ -426,10 +426,11 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
             coefs, den = poly.int_form(payload)
             best = None
             for e, c in enumerate(coefs):
-                if c:
-                    val = embed(u._eval_memo(lift(c)))
-                    if val is not INF and (best is None or val[0] + e * gamma < best):
-                        best = val[0] + e * gamma
+                val = embed(u._eval_memo(lift(c))) if c else INF
+                if val is not INF:
+                    term = val[0] + e * gamma
+                    if best is None or term < best:
+                        best = term
             if best is None:
                 return INF
             if den != 1 and u.group.rank:
