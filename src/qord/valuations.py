@@ -416,39 +416,16 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
             return INF
         return val if u.group.rank == 1 else (0,)
 
-    if poly.dense:
-        # payload N/d: min over e of u(N_e) + e*gamma, less u(d), which is 0
-        # when u is trivial (d is a unit of Q); u is read on base payloads, so
-        # its memo keys stay ints over Z and Fractions over Q
-        lift, (gamma,) = u.ring.int_payload, gammas
-
-        def ev(payload):
-            coefs, den = poly.int_form(payload)
-            best = None
-            for e, c in enumerate(coefs):
-                val = embed(u._eval_memo(lift(c))) if c else INF
-                if val is not INF:
-                    term = val[0] + e * gamma
-                    if best is None or term < best:
-                        best = term
-            if best is None:
-                return INF
-            if den != 1 and u.group.rank:
-                best -= u._eval_memo(lift(den))[0]
-            return (best,)
-
-    else:
-
-        def ev(payload):
-            best = INF
-            for exps, coef in payload:
-                c = embed(u._eval_memo(coef))
-                if c is INF:
-                    continue
-                term = (c[0] + sum(e * g for e, g in zip(exps, gammas)),)
-                if best is INF or term < best:
-                    best = term
-            return best
+    def ev(payload):
+        best = INF
+        for exps, coef in poly.terms(payload):
+            c = embed(u._eval_memo(coef))
+            if c is INF:
+                continue
+            term = (c[0] + sum(e * g for e, g in zip(exps, gammas)),)
+            if best is INF or term < best:
+                best = term
+        return best
 
     manis = False
     preimage = None
