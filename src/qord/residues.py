@@ -31,7 +31,7 @@ from .report import (
     sweep,
 )
 from .rings import RingElement, RingMismatchError, ZeroIdeal, quotient_ring
-from .sampling import SampleUniverse
+from .sampling import SampleUniverse, draws
 from .valuations import (
     Valuation,
     field_passage,
@@ -196,12 +196,10 @@ def residue_rule_report(
         for x in rv_forced:
             for y in rv_forced:
                 yield x, y
-        rng = random.Random(universe.seed ^ 0x5EED)
-        while rv_elems:
-            yield (
-                rv_elems[rng.randrange(len(rv_elems))],
-                rv_elems[rng.randrange(len(rv_elems))],
-            )
+        if rv_elems:
+            rng = random.Random(universe.seed ^ 0x5EED)
+            slots = draws(rng, rv_elems)
+            yield from zip(slots, slots)
 
     witness = None
     budget = samples * 4

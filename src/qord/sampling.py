@@ -45,6 +45,27 @@ def _stable_int(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
+def draws(rng: random.Random, elems: Sequence):
+    """An endless stream of draws ``elems[rng.randrange(len(elems))]``.
+
+    The index is drawn as CPython's ``randrange(m)`` draws it for a
+    ``random.Random``: ``getrandbits(m.bit_length())``, drawn again while
+    it is not below m.  So the stream, and everything sampled from it, is
+    the one ``randrange`` gives.  An empty ``elems`` raises ValueError at
+    the first draw, as ``randrange(0)`` does.
+    """
+    m = len(elems)
+    if not m:
+        raise ValueError("no elements to draw from")
+    getrandbits = rng.getrandbits
+    k = m.bit_length()
+    while True:
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        yield elems[r]
+
+
 class SampleUniverse:
     """Deterministic bounded element generator over a ring.
 
@@ -158,8 +179,10 @@ class SampleUniverse:
 
         The forced block guarantees that every pair/triple of distinguished
         elements is swept before any random tuple, which pins the first
-        counterexample a check reports.  n < 1 raises ValueError: a sweep
-        over no tuples would pass vacuously.
+        counterexample a check reports.  After it, each slot of each tuple,
+        in order, is ``elements()[rng.randrange(len(elements()))]`` (drawn
+        by ``draws``), as a test in tests/test_rings.py pins.  n < 1 raises
+        ValueError: a sweep over no tuples would pass vacuously.
         """
         if n < 1:
             raise ValueError(f"tuple count must be positive, got {n}")
@@ -171,8 +194,8 @@ class SampleUniverse:
                 break
             out.append(tuple(elems[i] for i in combo))
         rng = random.Random(self.seed ^ _stable_int(f"{self.ring.name}|{tag}|{arity}"))
-        while len(out) < n:
-            out.append(tuple(elems[rng.randrange(len(elems))] for _ in range(arity)))
+        slots = draws(rng, elems)
+        out.extend(itertools.islice(zip(*[slots] * arity), n - len(out)))
         return out
 
     def singles(self, n: int, tag: str) -> List[RingElement]:

@@ -396,7 +396,12 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
 def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valuation:
     """Extend u to a polynomial ring by min over monomials of u(coef)+sum(e_i*g_i).
 
-    The value group is Z; the base group must be trivial or Z.  The Manis
+    The value group is Z; the base group must be trivial or Z.  On Z[X]
+    and Q[X] the polynomial is read as N/d with integer coefficients N_e
+    (``PolynomialRing.int_form``) and its value is min_e(u(N_e) + e*g) -
+    u(d); u's value on each integer is kept in a table of this valuation,
+    so u is called once per distinct integer, always on the base payload
+    ``u.ring.int_payload(c)``.  Other polynomial rings read ``terms``.  The Manis
     flag is set only for the recognized witness patterns: a Manis base on
     a field with the same value group (constant witnesses), or a trivial
     base with both a +1 and a -1 twist (variable-power witnesses).
@@ -416,16 +421,41 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
             return INF
         return val if u.group.rank == 1 else (0,)
 
-    def ev(payload):
-        best = INF
-        for exps, coef in poly.terms(payload):
-            c = embed(u._eval_memo(coef))
-            if c is INF:
-                continue
-            term = (c[0] + sum(e * g for e, g in zip(exps, gammas)),)
-            if best is INF or term < best:
-                best = term
-        return best
+    if poly.dense:
+        # u on each integer met so far, read on its base payload
+        on_int: dict = {}
+        (gamma,) = gammas
+
+        def u_int(c):
+            val = on_int.get(c)
+            if val is None:
+                val = on_int[c] = embed(u._eval_memo(u.ring.int_payload(c)))
+            return val
+
+        def ev(payload):
+            n, d = poly.int_form(payload)
+            best = None
+            for e, c in enumerate(n):
+                if c:
+                    val = u_int(c)
+                    if val is not INF:
+                        term = val[0] + e * gamma
+                        if best is None or term < best:
+                            best = term
+            return INF if best is None else (best - u_int(d)[0],)
+
+    else:
+
+        def ev(payload):
+            best = INF
+            for exps, coef in poly.terms(payload):
+                c = embed(u._eval_memo(coef))
+                if c is INF:
+                    continue
+                term = (c[0] + sum(e * g for e, g in zip(exps, gammas)),)
+                if best is INF or term < best:
+                    best = term
+            return best
 
     manis = False
     preimage = None

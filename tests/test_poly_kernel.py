@@ -1,6 +1,6 @@
 """Z[X] and Q[X] on the dense integer kernel against sympy: arithmetic,
 canonical form, printing and parsing, and the Gauss and degree valuations
-read on the dense payloads."""
+read on the dense payloads (with the sparse Z[X,Y] next to them)."""
 
 import math
 from fractions import Fraction
@@ -10,14 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qord.groups import INF
-from qord.rings import QQ, ZZ, poly_ring
-from qord.valuations import degree_valuation, gauss_on, padic_valuation
+from qord.rings import QQ, ZZ, PrincipalIdeal, poly_ring
+from qord.valuations import (
+    degree_valuation,
+    gauss_on,
+    padic_valuation,
+    trivial_valuation,
+)
 
 sympy = pytest.importorskip("sympy")
 
 ZX = poly_ring(ZZ, "X")
 QX = poly_ring(QQ, "X")
-SX = sympy.Symbol("X")
+ZXY = poly_ring(ZZ, "X", "Y")
+SX, SY = sympy.symbols("X Y")
 
 int_coefs = st.lists(st.integers(-40, 40), max_size=6)
 rational_coefs = st.lists(
@@ -116,17 +122,18 @@ def test_parse_then_print(ring, text):
 # the Gauss and degree valuations on the dense payloads
 
 
+GAMMAS = (1, -1, 0, 2)
 GAUSS = {
     (ring.name, p, gamma): gauss_on(padic_valuation(p, ring.base), ring, (gamma,))
     for ring in (ZX, QX)
     for p in (2, 3, 5)
-    for gamma in (1, -1)
+    for gamma in GAMMAS
 }
 DEGREE = {ring.name: degree_valuation(ring) for ring in (ZX, QX)}
 
 
-@settings(max_examples=150, deadline=None)
-@given(any_element, st.sampled_from([2, 3, 5]), st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+@given(any_element, st.sampled_from([2, 3, 5]), st.sampled_from(GAMMAS))
 def test_gauss_valuation_against_sympy(xa, p, gamma):
     ring, x, poly = xa
     v = GAUSS[ring.name, p, gamma]
@@ -143,3 +150,59 @@ def test_degree_valuation_against_sympy(xa):
     ring, x, poly = xa
     v = DEGREE[ring.name]
     assert v(x) == (INF if poly.is_zero else (-poly.degree(),))
+
+
+# a base valuation with nonzero support: u = 0 off 3Z, infinity on it
+MOD3 = gauss_on(trivial_valuation(ZZ, PrincipalIdeal(ZZ, 3)), ZX, (1,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(ZX))
+def test_gauss_over_a_supported_base(xa):
+    _, x, poly = xa
+    kept = [e for (e,), c in poly.terms() if c % 3]
+    assert MOD3(x) == ((min(kept),) if kept else INF)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("3*X^2 + 6", INF), ("0", INF), ("3 + 1*X", (1,)), ("-9*X + 2*X^3", (3,)),
+     ("1 + 3*X", (0,))],
+)
+def test_gauss_over_a_supported_base_examples(text, want):
+    assert MOD3(ZX.parse(text)) == want
+
+
+# the sparse Z[X,Y]: min over monomials of v_p(c) + e_X*g_X + e_Y*g_Y
+GAMMA_PAIRS = ((1, -1), (0, 2), (-1, -1), (2, 0))
+GAUSS_XY = {
+    (p, g): gauss_on(padic_valuation(p, ZZ), ZXY, g)
+    for p in (2, 3)
+    for g in GAMMA_PAIRS
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-40, 40),
+        max_size=5,
+    ),
+    st.sampled_from([2, 3]),
+    st.sampled_from(GAMMA_PAIRS),
+)
+def test_gauss_on_zxy_against_sympy(coefs, p, gammas):
+    x = ZXY.el(ZXY._canon_dict({e: c for e, c in coefs.items() if c}))
+    poly = sympy.Poly(
+        sum((c * SX**ex * SY**ey for (ex, ey), c in coefs.items()), sympy.Integer(0)),
+        SX, SY, domain="ZZ",
+    )
+    v = GAUSS_XY[p, gammas]
+    if poly.is_zero:
+        assert v(x) is INF
+        return
+    want = min(
+        sympy.multiplicity(p, c) + sum(e * g for e, g in zip(exps, gammas))
+        for exps, c in poly.terms()
+    )
+    assert v(x) == (want,)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from qord.rings import (
     quotient_reduce,
     quotient_ring,
 )
-from qord.sampling import Bounds, SampleUniverse
+from qord.sampling import Bounds, SampleUniverse, _stable_int, draws
 
 ZX = poly_ring(ZZ, "X")
 ZXY = poly_ring(ZZ, "X", "Y")
@@ -282,6 +284,40 @@ def test_sample_universe_bounds():
         assert ZX.degree(f.payload) <= 2
         for _, c in ZX.terms(f.payload):
             assert abs(c) <= 3 * 3  # coefficients may merge across draws
+
+
+def _randrange_tuples(U, arity, n, tag):
+    """SampleUniverse.tuples as written with one rng.randrange per slot."""
+    elems = U.elements()
+    out = list(itertools.islice(
+        itertools.product(elems[:U.forced_size], repeat=arity), n
+    ))
+    rng = random.Random(U.seed ^ _stable_int(f"{U.ring.name}|{tag}|{arity}"))
+    while len(out) < n:
+        out.append(tuple(elems[rng.randrange(len(elems))] for _ in range(arity)))
+    return out
+
+
+@pytest.mark.parametrize("count", [5, 6, 13, 29])  # 8, 9, 16 and 32 elements
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_sample_tuples_draw_as_randrange(arity, count):
+    U = SampleUniverse(ZZ, seed=11, count=count)
+    size = len(U.elements())
+    assert size == U.forced_size + count
+    for n in (2, U.forced_size ** arity, 300):
+        got = U.tuples(arity, n, "pin")
+        assert got == _randrange_tuples(U, arity, n, "pin")
+        assert len(got) == n and {len(t) for t in got} == {arity}
+
+
+def test_draws_is_randrange():
+    for m in range(1, 70):
+        a, b = random.Random(m), random.Random(m)
+        got = list(itertools.islice(draws(a, range(m)), 50))
+        assert got == [b.randrange(m) for _ in range(50)]
+        assert a.getstate() == b.getstate()
+    with pytest.raises(ValueError):
+        next(draws(random.Random(0), []))
 
 
 def test_distinguished_elements_lead():
