@@ -218,7 +218,6 @@ def lift(data: LiftData) -> QuasiOrder:
         cmp,
         f"lift({v.name};{','.join('%+d' % s for s in eta.signs)};{rq.name})",
         support_ideal=v.support,
-        expected_kind=kind,
     )
 
 
@@ -257,7 +256,6 @@ def psi(
         "psi.support",
         universe.tuples(1, samples, "psi.support"),
         lambda x: q.sim(x, zero) != (v(x) is INF),
-        universe.seed,
     )
     if supports.witness:
         raise PreconditionError(
@@ -275,7 +273,6 @@ def roundtrip_check(
     """lift then extract: eta must match exactly and the residue
     quasi-order must agree with the input on sampled residue pairs."""
     v = data.basis.valuation
-    seed = universe.seed
     lifted = lift(data)
 
     got_eta = extract_eta(lifted, data.basis)
@@ -284,7 +281,6 @@ def roundtrip_check(
         got_eta == data.eta,
         (str(got_eta.signs), str(data.eta.signs)),
         len(data.eta.signs),
-        seed,
     )
 
     rq_back = residue_qo(lifted, v)
@@ -293,7 +289,6 @@ def roundtrip_check(
         f"{label}.residue-agree",
         runiverse.pairs(samples, f"{label}.residue"),
         lambda a, b: rq_back.le(a, b) != data.residue_qo.le(a, b),
-        seed,
     )
     return [eta, agree]
 
@@ -313,7 +308,6 @@ def reconstruct_check(
             f"{label}.agree",
             universe.pairs(samples, label),
             lambda x, y: q.le(x, y) != lifted.le(x, y),
-            universe.seed,
         )
     ]
 
@@ -329,7 +323,6 @@ def lift_properties_check(
     from .quasiorders import check_qo_axioms
 
     v = data.basis.valuation
-    seed = universe.seed
     lifted = lift(data)
     out = check_qo_axioms(lifted, universe, samples, label=f"{label}.axioms")
 
@@ -339,7 +332,6 @@ def lift_properties_check(
             f"{label}.support",
             universe.tuples(1, samples, f"{label}.support"),
             lambda x: lifted.sim(x, zero) != (v(x) is INF),
-            seed,
         )
     )
 
@@ -363,7 +355,6 @@ def lift_properties_check(
             f"{label}.residue-landing",
             universe.pairs(samples, f"{label}.residue-landing"),
             landing_fails,
-            seed,
             given=lambda x, y: not (v(x) is INF and v(y) is INF),
         )
     )
@@ -417,7 +408,6 @@ def bk3_lift(
         verdict_r == verdict_k,
         None,
         samples,
-        universe.seed,
         detail=f"R:{verdict_r} K:{verdict_k}",
     )
     return restricted, lifted, [agree]

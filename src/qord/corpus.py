@@ -443,7 +443,6 @@ def run_corpus(
                 status=PASS if not mismatches else FAIL,
                 witness=tuple(mismatches) or None,
                 samples_used=len(rep.checks),
-                seed=seed,
                 detail="interpretation" if inst.interpretation else None,
             )
         )

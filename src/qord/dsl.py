@@ -676,7 +676,7 @@ def _ck_classify(call, label, U, n, q, expect=None):
     ok = expect is None or kind == {"order": "order", "proper": "proper-quasi-order"}.get(
         expect, expect
     )
-    return [result(label, ok, (kind,), 1, U.seed, detail=kind)]
+    return [result(label, ok, (kind,), 1, detail=kind)]
 
 
 def _ck_convex(call, label, U, n, v, q, set="iv"):
@@ -691,7 +691,7 @@ def _ck_convex(call, label, U, n, v, q, set="iv"):
 
 def _ck_table(call, label, U, n, v, q):
     rep = table_conditions(v, q, U, samples=n, label=label)
-    return rep.checks + [result(f"{label}.flags", True, None, n, U.seed, rep.format_flags())]
+    return rep.checks + [result(f"{label}.flags", True, None, n, rep.format_flags())]
 
 
 def _ck_rank(call, label, U, n, q, *candidates, expect=None):
@@ -719,7 +719,7 @@ def _ck_val_value(call, label, U, n, v, x, want_text):
         want = tuple(int(t) for t in re.findall(r"-?\d+", want_text))
         ok = got is not INF and got == want
     detail = f"{v.name}({x}) = {format_value(got)}"
-    return [result(label, ok, (str(x), format_value(got)), 1, U.seed, detail=detail)]
+    return [result(label, ok, (str(x), format_value(got)), 1, detail=detail)]
 
 
 def _ck_val_agree(call, label, U, n, v, w):
@@ -727,11 +727,11 @@ def _ck_val_agree(call, label, U, n, v, w):
     # the witness carries both values, so this is not a plain sweep
     x = next((x for x in singles if v(x) != w(x)), None)
     witness = None if x is None else (x, format_value(v(x)), format_value(w(x)))
-    return [result(label, x is None, witness, len(singles), U.seed)]
+    return [result(label, x is None, witness, len(singles))]
 
 
 def _ck_qo_agree(call, label, U, n, q1, q2):
-    return [sweep(label, U.pairs(n, label), lambda x, y: q1.le(x, y) != q2.le(x, y), U.seed)]
+    return [sweep(label, U.pairs(n, label), lambda x, y: q1.le(x, y) != q2.le(x, y))]
 
 
 def _ck_unbounded_above(call, label, U, n, q, x):
@@ -746,7 +746,6 @@ def _ck_unbounded_above(call, label, U, n, q, x):
             label,
             [(k,) for k in ns],
             lambda k: not q.strict(q.ring.from_int(k), x),
-            U.seed,
             detail=f"{x} exceeds all sampled integers up to 10^6",
         )
     ]
@@ -822,8 +821,7 @@ def execute_statement(ctx: SessionContext, stmt, label_prefix: str) -> Optional[
         except (PreconditionError, ValueError, ZeroDivisionError, RingMismatchError,
                 GroupMismatchError) as e:
             witness = getattr(e, "witness", None)
-            return result(f"{label_prefix}let {stmt.name}", False, witness, 0, ctx.seed,
-                          detail=str(e))
+            return result(f"{label_prefix}let {stmt.name}", False, witness, 0, detail=str(e))
     elif isinstance(stmt, Pin):
         ring = _eval(ctx, stmt.on)
         if not isinstance(ring, Ring):
@@ -831,8 +829,7 @@ def execute_statement(ctx: SessionContext, stmt, label_prefix: str) -> Optional[
         ctx.pin(ring, [_parse_element(ring, t, stmt) for t in stmt.literals])
     elif isinstance(stmt, Show):
         value = ctx.lookup(Ref(stmt.name, stmt.line, stmt.col))
-        return result(f"{label_prefix}show({stmt.name})", True, None, 0, ctx.seed,
-                      detail=repr(value))
+        return result(f"{label_prefix}show({stmt.name})", True, None, 0, detail=repr(value))
     else:
         raise DslError("unknown statement", 0, 0)
     return None
@@ -889,7 +886,7 @@ def _run_check(ctx: SessionContext, stmt: Check, label_prefix: str) -> List[Chec
         witness, detail = e.witness, f"precondition: {e}"
     except (RingMismatchError, ValueError, ZeroDivisionError) as e:
         witness, detail = None, f"check error: {e}"
-    return [result(b.label, False, witness, 0, b.seed, detail=detail)]
+    return [result(b.label, False, witness, 0, detail=detail)]
 
 
 def run_text(text: str, seed: int = 42, samples: int = 500) -> Report:

@@ -48,13 +48,11 @@ class QuasiOrder:
         name: str,
         *,
         support_ideal: Optional[Ideal] = None,
-        expected_kind: Optional[str] = None,
     ):
         self.ring = ring
         self._compare_payload = compare_payload
         self.name = name
         self.support_ideal = support_ideal
-        self.expected_kind = expected_kind
         self._memo: dict = {}
 
     def le(self, x: RingElement, y: RingElement) -> bool:
@@ -113,7 +111,6 @@ def from_valuation(w: Valuation) -> QuasiOrder:
         cmp,
         f"qo({w.name})",
         support_ideal=w.support,
-        expected_kind=PROPER,
     )
 
 
@@ -145,7 +142,6 @@ def from_sign_order(s: SignOrder) -> QuasiOrder:
         cmp,
         s.name,
         support_ideal=s.support_ideal,
-        expected_kind=ORDER,
     )
 
 
@@ -205,7 +201,6 @@ def pullback(q: QuasiOrder, ring: Ring, f: Callable, name: str,
         lambda pa, pb: compare(f(pa), f(pb)),
         name,
         support_ideal=support_ideal,
-        expected_kind=q.expected_kind,
     )
 
 
@@ -249,7 +244,6 @@ def frac_extend_qo(q: QuasiOrder) -> QuasiOrder:
         cmp,
         f"{q.name}~",
         support_ideal=ZeroIdeal(K),
-        expected_kind=q.expected_kind,
     )
 
 
@@ -282,7 +276,6 @@ def classify_qo(q: QuasiOrder) -> str:
 def check_qo_axioms(q: QuasiOrder, universe, samples: int = 500, label: str = None):
     """Reflexivity, totality, transitivity, QR1-QR5, and primeness of E_0."""
     label = label or q.name
-    seed = universe.seed
     zero = q.ring.zero()
     one = q.ring.one()
 
@@ -299,40 +292,35 @@ def check_qo_axioms(q: QuasiOrder, universe, samples: int = 500, label: str = No
         return q.sim(x * y, zero) and not (sx or sy)
 
     return [
-        sweep(f"{label}.reflexive", singles, lambda x: not q.le(x, x), seed),
-        sweep(f"{label}.total", pairs, lambda x, y: not (q.le(x, y) or q.le(y, x)), seed),
+        sweep(f"{label}.reflexive", singles, lambda x: not q.le(x, x)),
+        sweep(f"{label}.total", pairs, lambda x, y: not (q.le(x, y) or q.le(y, x))),
         sweep(
             f"{label}.transitive",
             triples,
             lambda x, y, z: q.le(x, y) and q.le(y, z) and not q.le(x, z),
-            seed,
         ),
-        result(f"{label}.QR1", q.strict(zero, one), ("0", "1"), 1, seed),
+        result(f"{label}.QR1", q.strict(zero, one), ("0", "1"), 1),
         sweep(
             f"{label}.QR2",
             pairs,
             lambda x, y: q.le(x * y, zero) and not (q.le(x, zero) or q.le(y, zero)),
-            seed,
         ),
         sweep(
             f"{label}.QR3",
             triples,
             lambda x, y, z: q.le(x, y) and q.le(zero, z) and not q.le(x * z, y * z),
-            seed,
         ),
         sweep(
             f"{label}.QR4",
             triples,
             lambda x, y, z: q.le(x, y) and not q.sim(z, y) and not q.le(x + z, y + z),
-            seed,
         ),
         sweep(
             f"{label}.QR5",
             triples,
             lambda x, y, z: q.strict(zero, z) and q.le(x * z, y * z) and not q.le(x, y),
-            seed,
         ),
-        sweep(f"{label}.support-ideal", pairs, support_fails, seed),
+        sweep(f"{label}.support-ideal", pairs, support_fails),
     ]
 
 
@@ -348,7 +336,6 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
     and is gated on 0 < -1; for orders it is reported as vacuously true.
     """
     label = label or q.name
-    seed = universe.seed
     zero = q.ring.zero()
 
     singles = universe.singles(samples, f"dl:{label}:1")
@@ -360,25 +347,21 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
             f"{label}.cancel-sim",
             triples,
             lambda x, y, z: not q.sim(z, zero) and q.sim(x * z, y * z) and not q.sim(x, y),
-            seed,
         ),
         sweep(
             f"{label}.support-translate",
             pairs,
             lambda x, y: q.sim(x, zero) and not q.sim(y, zero) and not q.sim(x + y, y),
-            seed,
         ),
         sweep(
             f"{label}.sym-criterion",
             [(x,) for x in singles],
             lambda x: q.sim(x, -x) != (q.le(zero, x) and q.le(zero, -x)),
-            seed,
         ),
         sweep(
             f"{label}.mul-preserves-sim",
             triples,
             lambda a, x, y: q.sim(x, y) and not q.sim(a * x, a * y),
-            seed,
         ),
     ]
 
@@ -387,14 +370,13 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
             hi = y if q.le(x, y) else x
             return not q.le(x + y, hi)
 
-        out.append(sweep(f"{label}.sum-below-max", pairs, above_max, seed))
+        out.append(sweep(f"{label}.sum-below-max", pairs, above_max))
     else:
         out.append(
             CheckResult(
                 name=f"{label}.sum-below-max",
                 status=PASS,
                 samples_used=0,
-                seed=seed,
                 detail="gated: 0 < -1 fails, bound is vacuous",
             )
         )
@@ -404,19 +386,16 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
             f"{label}.QR3-neg",
             triples,
             lambda x, y, z: q.le(x, y) and q.le(z, zero) and not q.le(y * z, x * z),
-            seed,
         ),
         sweep(
             f"{label}.QR5-neg",
             triples,
             lambda x, y, z: q.le(x * z, y * z) and q.strict(z, zero) and not q.le(y, x),
-            seed,
         ),
         sweep(
             f"{label}.class-translate",
             pairs,
             lambda c, x: q.sim(c, zero) and not q.sim(c + x, x),
-            seed,
         ),
     ]
 
@@ -462,7 +441,6 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
             witness is None,
             witness,
             len(singles),
-            seed,
             detail=f"{checked} classes with extra members",
         )
     )

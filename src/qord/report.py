@@ -34,7 +34,6 @@ class CheckResult:
     status: str
     witness: Optional[Tuple[str, ...]] = None
     samples_used: int = 0
-    seed: int = 0
     elapsed_ms: float = 0.0
     detail: Optional[str] = None
 
@@ -49,19 +48,18 @@ class CheckResult:
         return self.status in (PASS, INCONCLUSIVE)
 
 
-def result(name, ok, witness, n, seed, detail=None) -> CheckResult:
+def result(name, ok, witness, n, detail=None) -> CheckResult:
     """A pass or a fail; the witness is kept only on a fail."""
     return CheckResult(
         name=name,
         status=PASS if ok else FAIL,
         witness=None if ok else witness,
         samples_used=n,
-        seed=seed,
         detail=detail,
     )
 
 
-def sweep(name, tuples, fails, seed, *, given=None, detail=None) -> CheckResult:
+def sweep(name, tuples, fails, *, given=None, detail=None) -> CheckResult:
     """Sweep a universal claim over a list of tuples, stopping at the first
     tuple t with fails(*t); that tuple is the witness and no later tuple is
     evaluated.
@@ -88,8 +86,8 @@ def sweep(name, tuples, fails, seed, *, given=None, detail=None) -> CheckResult:
             hits += 1
             if fails(*t):
                 n = len(tuples) if given is None else hits
-                return result(name, False, t, n, seed, detail)
-    return result(name, True, None, hits, seed, detail)
+                return result(name, False, t, n, detail)
+    return result(name, True, None, hits, detail)
 
 
 @dataclass
@@ -159,7 +157,6 @@ def parse_json(data: bytes) -> Report:
                 status=entry["status"],
                 witness=tuple(entry["witness"]) if "witness" in entry else None,
                 samples_used=entry["samples_used"],
-                seed=doc["seed"],
                 elapsed_ms=entry.get("elapsed_ms", 0),
             )
         )

@@ -61,13 +61,11 @@ def is_convex(
     require_symmetric: bool = False,
 ) -> CheckResult:
     """For symmetric S containing 0: sweep 0 <= y <= z, z in S implies y in S."""
-    seed = universe.seed
     if require_symmetric:
         sym = sweep(
             f"{label}:sym",
             universe.tuples(1, min(samples, 100), f"{label}:sym"),
             lambda x: member(x) != member(-x),
-            seed,
         )
         if sym.witness:
             raise PreconditionError(
@@ -82,7 +80,6 @@ def is_convex(
         label,
         pairs,
         lambda y, z: member(z) and q.le(zero, y) and q.le(y, z) and not member(y),
-        seed,
     )
 
 
@@ -102,7 +99,6 @@ def is_compatible(
         label,
         universe.pairs(samples, label),
         lambda y, z: q.le(zero, y) and q.le(y, z) and not value_le(v(z), v(y)),
-        universe.seed,
     )
 
 
@@ -143,7 +139,6 @@ def residue_qo(q: QuasiOrder, v: Valuation) -> QuasiOrder:
         rule,
         f"{q.name}/{v.name}",
         support_ideal=ZeroIdeal(residue),
-        expected_kind=q.expected_kind,
     )
 
 
@@ -179,7 +174,6 @@ def residue_rule_report(
     support exactly {0}, and the full axiom suite on residue samples.
     """
     label = label or f"residue-rule({q.name},{v.name})"
-    seed = universe.seed
     out: List[CheckResult] = []
     rule = residue_rule(q, v)
     ring = v.ring
@@ -222,7 +216,7 @@ def residue_rule_report(
                 witness = (str(x), str(y), str(c))
                 break
     out.append(
-        result(f"{label}.representative-invariance", witness is None, witness, used, seed)
+        result(f"{label}.representative-invariance", witness is None, witness, used)
     )
 
     residue = v.residue_ring()
@@ -232,7 +226,6 @@ def residue_rule_report(
             f"{label}.support-zero",
             [(x,) for x in rv_elems],
             lambda x: rq.sim(residue.el(x.payload), residue.zero()),
-            seed,
             given=lambda x: in_uv(v, x),
         )
     )
@@ -258,7 +251,6 @@ class CompatReport:
     c5: bool
     witnesses: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     checks: List[CheckResult] = field(default_factory=list)
-    seed: int = 0
     samples: int = 0
 
     def flag(self, i: int) -> bool:
@@ -281,7 +273,6 @@ def table_conditions(
 ) -> CompatReport:
     """Evaluate the five table conditions with recorded witnesses."""
     label = label or f"table({v.name},{q.name})"
-    seed = universe.seed
     checks: List[CheckResult] = []
     witnesses: Dict[str, Tuple[str, ...]] = {}
 
@@ -322,7 +313,6 @@ def table_conditions(
         c5=c5,
         witnesses=witnesses,
         checks=checks,
-        seed=seed,
         samples=samples,
     )
 
@@ -368,7 +358,6 @@ def implication_table(
                         status=PASS if not offenders else HARD,
                         witness=tuple(offenders) or None,
                         samples_used=len(instance_reports),
-                        seed=0,
                         detail="checkmark holds" if not offenders else "checkmark violated",
                     )
                 )
@@ -380,7 +369,6 @@ def implication_table(
                         status=PASS if offenders else FAIL,
                         witness=tuple(offenders) or None,
                         samples_used=len(instance_reports),
-                        seed=0,
                         detail=(
                             "blank cell witnessed"
                             if offenders
@@ -411,7 +399,6 @@ def theorem_compat_report(
     label = label or f"compat_equivalence({v.name},{q.name})"
     rep = table_conditions(v, q, universe, samples, label=label)
     out = list(rep.checks)
-    seed = universe.seed
 
     t1, t2, t3, t4 = rep.c1, rep.c3, rep.c5, rep.c2
     agree = t1 == t2 == t3
@@ -426,7 +413,6 @@ def theorem_compat_report(
                 f"compat={t1}", f"Iv-convex={t2}", f"residue={t3}", f"Rv-convex={t4}",
             ),
             samples_used=rep.samples,
-            seed=seed,
             detail=scope if agree else f"{DISAGREE}; {scope}",
         )
     )
@@ -437,7 +423,6 @@ def theorem_compat_report(
                 rep.c4,
                 rep.witnesses.get("c4"),
                 rep.samples,
-                seed,
             )
         )
         rq = residue_qo(q, v)
@@ -448,7 +433,6 @@ def theorem_compat_report(
                 same,
                 (classify_qo(rq), classify_qo(q)) if not same else None,
                 1,
-                seed,
             )
         )
     return out
@@ -483,7 +467,6 @@ def iv_prec_one(
         status=PASS if agree else INCONCLUSIVE,
         witness=None if agree else (f"Iv-below-1={t_below}", f"compatible={t_compat}"),
         samples_used=samples,
-        seed=universe.seed,
         detail=None if agree else DISAGREE,
     )
     return [below, compat, equivalence]
@@ -496,7 +479,6 @@ def _iv_below_one(v, q, universe, samples, name, tag) -> CheckResult:
         name,
         universe.tuples(1, samples, tag),
         lambda x: not q.strict(x, one),
-        universe.seed,
         given=lambda x: in_iv(v, x),
     )
 
@@ -520,7 +502,6 @@ def special_star_check(
     inconclusive, not failures.
     """
     label = label or f"special*({v.name})"
-    seed = universe.seed
     uniformizer = None
     if not v.manis:
         # bounded search for value witnesses happens below; the extension
@@ -583,7 +564,6 @@ def special_star_check(
             status=status,
             witness=witness or inconclusive,
             samples_used=checked,
-            seed=seed,
             detail=None if status == PASS else (
                 "no representation found within the sampled multipliers"
                 if status == INCONCLUSIVE
@@ -658,7 +638,6 @@ def rank_check(
     inconsistency.  Returns (chain length, coarsest-first chain, checks).
     """
     out: List[CheckResult] = []
-    seed = universe.seed
     if not q.ring.is_field:
         raise PreconditionError(f"rank wants a quasi-ordered field, got {q.ring.name}")
     for v in candidates:
@@ -676,7 +655,6 @@ def rank_check(
                 status=PASS,
                 witness=res.witness,
                 samples_used=res.samples_used,
-                seed=seed,
                 detail="compatible" if ok else "incompatible",
             )
         )
@@ -705,7 +683,6 @@ def rank_check(
             status=PASS if chain_ok else HARD,
             witness=witness,
             samples_used=samples,
-            seed=seed,
             detail=None if chain_ok else "survivors are not totally ordered by coarsening",
         )
     )
@@ -722,7 +699,6 @@ def rank_check(
             expect is None or expect == len(chain),
             (str(len(chain)), f"expected {expect}"),
             samples,
-            seed,
             detail=f"rank {len(chain)}: " + (" < ".join(v.name for v in chain) or "empty"),
         )
     )
@@ -749,12 +725,10 @@ def associated_qofield(
     support = q.support_ideal
     if support is None:
         raise PreconditionError(f"{q.name} has no declared support ideal")
-    seed = universe.seed
     agree = sweep(
         f"{label}.support-agree",
         universe.tuples(1, samples, f"{label}.support-agree"),
         lambda x: q.sim(x, ring.zero()) != support.contains(x.payload),
-        seed,
     )
     if agree.witness:
         raise PreconditionError(
@@ -795,7 +769,6 @@ def associated_qofield(
                 name=f"{label}.compat-levels-agree",
                 status=PASS if agree else HARD,
                 samples_used=samples,
-                seed=seed,
                 detail=detail,
             )
         )

@@ -134,7 +134,6 @@ class Ring:
     kind = "abstract"
     name = "?"
     is_field = False
-    is_domain = True
     #: True when equal elements always carry identical payloads.
     canonical_eq = True
 
@@ -286,6 +285,10 @@ class IntegerRing(Ring):
         return _parse_int(text, self.name)
 
 
+#: zero of Q; one shared Fraction, since Fractions are immutable
+_Q_ZERO = Fraction(0)
+
+
 class RationalField(Ring):
     kind = "rationals"
     name = "Q"
@@ -296,7 +299,7 @@ class RationalField(Ring):
         return a.numerator, a.denominator
 
     def zero_payload(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def int_payload(self, n):
         return Fraction(n)

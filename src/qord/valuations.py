@@ -755,7 +755,6 @@ def quotient_val(
         tag,
         universe.pairs(samples, tag),
         lambda y, z: value_le(w(z), w(y)) and not value_le(v(z), v(y)),
-        universe.seed,
     )
     if compat.witness:
         raise PreconditionError(
@@ -830,7 +829,6 @@ def quotient_val(
 def check_val_axioms(v: Valuation, universe, samples: int = 500, label: str = None):
     """V1-V4, the min-equality lemma, and primeness of the support."""
     label = label or v.name
-    seed = universe.seed
     zero = v.group.zero()
 
     pairs = universe.pairs(samples, f"val_axioms:{label}")
@@ -843,27 +841,24 @@ def check_val_axioms(v: Valuation, universe, samples: int = 500, label: str = No
         return v(x + y) != lo
 
     return [
-        result(f"{label}.V1", v(v.ring.zero()) is INF, ("0",), 1, seed),
-        result(f"{label}.V2", v(v.ring.one()) == zero, ("1",), 1, seed),
-        sweep(f"{label}.V3", pairs, lambda x, y: v(x * y) != value_add(v(x), v(y)), seed),
+        result(f"{label}.V1", v(v.ring.zero()) is INF, ("0",), 1),
+        result(f"{label}.V2", v(v.ring.one()) == zero, ("1",), 1),
+        sweep(f"{label}.V3", pairs, lambda x, y: v(x * y) != value_add(v(x), v(y))),
         sweep(
             f"{label}.V4",
             pairs,
             lambda x, y: not value_le(v(x) if value_le(v(x), v(y)) else v(y), v(x + y)),
-            seed,
         ),
-        sweep(f"{label}.valmin", pairs, valmin_fails, seed),
+        sweep(f"{label}.valmin", pairs, valmin_fails),
         sweep(
             f"{label}.support-prime",
             pairs,
             lambda x, y: v(x * y) is INF and v(x) is not INF and v(y) is not INF,
-            seed,
         ),
         sweep(
             f"{label}.support-agree",
             universe.tuples(1, samples, f"support-agree:{label}"),
             lambda x: v.support.contains(x.payload) != (v(x) is INF),
-            seed,
         ),
     ]
 
@@ -878,7 +873,6 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
     if v.ring is not w.ring:
         raise RingMismatchError("coarsening_check wants valuations on one ring")
     label = label or f"coarsening({v.name},{w.name})"
-    seed = universe.seed
     singles = universe.tuples(1, samples, label)
     pairs = universe.pairs(samples, label)
     zv, zw = v.group.zero(), w.group.zero()
@@ -888,13 +882,11 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
             f"{label}.Rw-in-Rv",
             singles,
             lambda x: value_le(zw, w(x)) and not value_le(zv, v(x)),
-            seed,
         ),
         sweep(
             f"{label}.Iv-in-Iw",
             singles,
             lambda x: value_lt(zv, v(x)) and not value_lt(zw, w(x)),
-            seed,
         ),
     ]
     verdict = all(r.status == PASS for r in out)
@@ -903,21 +895,18 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
             f"{label}.transfer-1",
             pairs,
             lambda x, y: value_le(w(x), w(y)) and not value_le(v(x), v(y)),
-            seed,
         ),
         sweep(
             f"{label}.transfer-2",
             pairs,
             lambda x, y: value_le(w(x), w(y)) and value_le(zv, v(x))
             and not value_le(zv, v(y)),
-            seed,
         ),
         sweep(
             f"{label}.transfer-3",
             pairs,
             lambda x, y: value_le(w(x), w(y)) and value_lt(zv, v(x))
             and not value_lt(zv, v(y)),
-            seed,
         ),
     ]
 
@@ -927,7 +916,6 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
                 f"{label}.supports-equal",
                 singles,
                 lambda x: (v(x) is INF) != (w(x) is INF),
-                seed,
             )
         )
 
@@ -937,7 +925,6 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
             verdict,
             None,
             len(singles),
-            seed,
             detail="v <= w" if verdict else "containment failed",
         )
     )
@@ -952,7 +939,6 @@ def is_coarsening(v: Valuation, w: Valuation, universe, samples: int = 500) -> b
         universe.tuples(1, samples, tag),
         lambda x: (value_le(zw, w(x)) and not value_le(zv, v(x)))
         or (value_lt(zv, v(x)) and not value_lt(zw, w(x))),
-        universe.seed,
     ).status == PASS
 
 
@@ -962,25 +948,22 @@ def equivalent_check(v: Valuation, w: Valuation, universe, samples: int = 500,
     if v.ring is not w.ring:
         raise RingMismatchError("equivalent_check wants valuations on one ring")
     label = label or f"equivalent({v.name},{w.name})"
-    seed = universe.seed
     pairs = universe.pairs(samples, label)
     fwd = sweep(
         f"{label}.forward",
         pairs,
         lambda x, y: value_le(v(x), v(y)) and not value_le(w(x), w(y)),
-        seed,
     )
     bwd = sweep(
         f"{label}.backward",
         pairs,
         lambda x, y: value_le(w(x), w(y)) and not value_le(v(x), v(y)),
-        seed,
     )
     both = fwd.status == PASS and bwd.status == PASS
     return [
         fwd,
         bwd,
-        result(f"{label}.equivalent", both, fwd.witness or bwd.witness, len(pairs), seed),
+        result(f"{label}.equivalent", both, fwd.witness or bwd.witness, len(pairs)),
     ]
 
 
@@ -990,5 +973,4 @@ def are_equivalent(v: Valuation, w: Valuation, universe, samples: int = 500) -> 
         tag,
         universe.pairs(samples, tag),
         lambda x, y: value_le(v(x), v(y)) != value_le(w(x), w(y)),
-        universe.seed,
     ).status == PASS

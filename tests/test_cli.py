@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from qord.cli import main
+from qord.corpus import corpus_exit_code
 from qord.report import (
     EXIT_FAIL,
     EXIT_HARD,
@@ -96,12 +97,23 @@ def test_table_command(capsys):
 def test_exit_code_mapping():
     r = Report(seed=1)
     assert r.exit_code() == EXIT_OK
-    r.checks.append(CheckResult(name="x", status="fail", seed=1))
+    r.checks.append(CheckResult(name="x", status="fail"))
     assert r.exit_code() == EXIT_FAIL
-    r.checks.append(CheckResult(name="y", status=HARD, seed=1))
+    r.checks.append(CheckResult(name="y", status=HARD))
     assert r.exit_code() == EXIT_HARD
     r2 = Report(seed=1, halted=True)
     assert r2.exit_code() == EXIT_PRECONDITION
+    # a corpus run fails on golden mismatches only, not on content failures
+    content_fail, hard = r.checks
+    golden_fail = CheckResult(name="exp1::golden-match", status="fail")
+    cases = [
+        ([content_fail], False, EXIT_OK),
+        ([golden_fail], False, EXIT_FAIL),
+        ([golden_fail], True, EXIT_PRECONDITION),
+        ([golden_fail, hard], True, EXIT_HARD),
+    ]
+    for checks, halted, code in cases:
+        assert corpus_exit_code(Report(seed=1, checks=checks, halted=halted)) == code
 
 
 def test_non_positive_sample_counts_exit_2(tmp_path, capsys):

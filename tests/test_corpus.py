@@ -18,7 +18,7 @@ from qord.corpus import (
     shipped_objects,
     table_reports,
 )
-from qord.report import EXIT_PRECONDITION, PASS, PreconditionError
+from qord.report import EXIT_PRECONDITION, PASS, CheckResult, PreconditionError, Report
 from qord.residues import table_blank_cells
 
 
@@ -110,6 +110,36 @@ def test_run_corpus_all_matches_goldens():
     assert corpus_exit_code(report) == 0
 
 
+def test_diff_golden_reports_every_mismatch(monkeypatch):
+    inst = get_instance("exp1")
+    report = Report(seed=42, checks=[
+        CheckResult(name="exp1::a", status="fail"),
+        CheckResult(name="exp1::b", status="fail", witness=("2",)),
+        CheckResult(name="exp1::c", status="pass", detail="y"),
+        CheckResult(name="exp1::d", status="pass"),
+    ])
+    doctored = {
+        "version": 0,
+        "checks": {
+            "a": {"status": "pass"},
+            "b": {"status": "fail", "witness": ["1"]},
+            "c": {"status": "pass", "detail": "x"},
+            "d": {"status": "pass"},
+            "gone": {"status": "pass"},
+        },
+    }
+    monkeypatch.setattr(corpus, "golden_fragment", lambda _: doctored)
+    assert diff_golden(report, inst) == [
+        "exp1: golden version mismatch",
+        "exp1::a: status fail != pass",
+        "exp1::b: witness ['2'] != ['1']",
+        "exp1::c: detail 'y' != 'x'",
+        "exp1::gone: missing from report",
+    ]
+    monkeypatch.setattr(corpus, "golden_fragment", lambda _: None)
+    assert diff_golden(report, inst) == ["exp1: golden fragment missing"]
+
+
 def test_table_blank_cells_all_witnessed():
     checks, witnesses, reports = implication_matrix(samples=400)
     assert all(c.status == PASS for c in checks), [
@@ -186,6 +216,20 @@ def test_table_text_digest_is_pinned(capsys):
     assert digest == TABLE_TEXT_SHA256_SEED_42, (
         f"`qord table --seed 42` text hashes to {digest}, pinned "
         f"{TABLE_TEXT_SHA256_SEED_42}: the digest moves only with an audited, "
+        "explained byte change (a CHANGES.md entry and a new pin)"
+    )
+
+
+#: sha256 of the `qord table --format json --seed 42` bytes.
+TABLE_JSON_SHA256_SEED_42 = "bdabd164f97b2ae64405a15d96b50d19d5dcc9ae5ca28a3a83a62e193406fe4e"
+
+
+def test_table_json_digest_is_pinned(capsysbinary):
+    assert cli.main(["table", "--format", "json", "--seed", "42"]) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digest == TABLE_JSON_SHA256_SEED_42, (
+        f"`qord table --format json --seed 42` hashes to {digest}, pinned "
+        f"{TABLE_JSON_SHA256_SEED_42}: the digest moves only with an audited, "
         "explained byte change (a CHANGES.md entry and a new pin)"
     )
 

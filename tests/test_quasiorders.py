@@ -230,7 +230,6 @@ def _ref_class_symmetric(q, universe, samples, label):
         witness is None,
         witness,
         len(singles),
-        universe.seed,
         detail=f"{checked} classes with extra members",
     )
 

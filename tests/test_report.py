@@ -15,15 +15,15 @@ def test_sweep_witness_is_first_failure_and_stops_there():
         seen.append((x, y))
         return x > 2
 
-    r = sweep("s", tuples, fails, seed=9)
-    assert r.status == FAIL and r.name == "s" and r.seed == 9
+    r = sweep("s", tuples, fails)
+    assert r.status == FAIL and r.name == "s"
     assert r.witness == ("3", "4")
     assert seen == [(1, 2), (3, 4)]
     assert r.samples_used == len(tuples)
 
 
 def test_sweep_pass_has_no_witness_and_counts_every_tuple():
-    r = sweep("s", [(1,), (2,), (3,)], lambda x: False, seed=0)
+    r = sweep("s", [(1,), (2,), (3,)], lambda x: False)
     assert r.status == PASS and r.witness is None
     assert r.samples_used == 3
 
@@ -36,18 +36,18 @@ def test_sweep_given_counts_hypothesis_hits_up_to_the_witness():
         seen.append(x)
         return x == 6
 
-    r = sweep("s", tuples, fails, seed=0, given=lambda x: x % 2 == 0)
+    r = sweep("s", tuples, fails, given=lambda x: x % 2 == 0)
     assert r.status == FAIL and r.witness == ("6",)
     assert seen == [0, 2, 4, 6]  # fails never runs off the hypothesis
     assert r.samples_used == 4
 
-    r = sweep("s", tuples, lambda x: False, seed=0, given=lambda x: x % 2 == 0)
+    r = sweep("s", tuples, lambda x: False, given=lambda x: x % 2 == 0)
     assert r.status == PASS and r.samples_used == 5
 
 
 def test_result_drops_the_witness_on_a_pass():
-    assert result("r", True, ("x",), 1, 0).witness is None
-    r = result("r", False, ("x",), 1, 0, detail="why")
+    assert result("r", True, ("x",), 1).witness is None
+    r = result("r", False, ("x",), 1, detail="why")
     assert r.status == FAIL and r.witness == ("x",) and r.detail == "why"
 
 
@@ -90,7 +90,7 @@ def test_sweep_evaluates_each_distinct_tuple_once():
             calls[id(x), id(y)] += 1
             return is_witness(x, y)
 
-        r = sweep("s", tuples, fails, seed=0, given=g)
+        r = sweep("s", tuples, fails, given=g)
         witness, n = _brute_sweep(tuples, is_witness, g)
         assert witness is tuples[cut]
         assert r.status == FAIL and r.witness == (str(xs[1]), str(twin))
@@ -99,7 +99,7 @@ def test_sweep_evaluates_each_distinct_tuple_once():
         assert set(calls) == {k for k, t in zip(keys(tuples), tuples[: cut + 1])
                               if g is None or g(*t)}
 
-        r = sweep("s", tuples, lambda x, y: False, seed=0, given=g)
+        r = sweep("s", tuples, lambda x, y: False, given=g)
         assert r.status == PASS
         assert r.samples_used == _brute_sweep(tuples, lambda x, y: False, g)[1]
 

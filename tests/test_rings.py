@@ -641,3 +641,62 @@ def test_zx_fraction_kernel_matches_sympy_cancel(x, y):
         el = K.el(got)
         back = K.parse(str(el))
         assert back.payload == got and back == el and hash(back) == hash(el)
+
+
+@st.composite
+def two_var_fractions(draw, poly):
+    """An element of Quot(poly) for poly in two variables, as num/den with
+    den nonzero and, half the time, a common factor left in."""
+
+    def draw_poly():
+        coeffs = st.fractions(-6, 6, max_denominator=3) if poly.base is QQ else small_ints
+        exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        terms = draw(st.dictionaries(exps, coeffs, max_size=3))
+        return poly._canon_dict({e: poly.base.canon(c) for e, c in terms.items()})
+
+    num, den, g = draw_poly(), draw_poly(), draw_poly()
+    den = den or poly.one_payload()
+    if g and draw(st.booleans()):
+        num, den = poly.mul(num, g), poly.mul(den, g)
+    return RationalFunctionField(poly).frac(poly.el(num), poly.el(den))
+
+
+@pytest.mark.parametrize("base", [ZZ, QQ], ids=["ZXY", "QXY"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_two_variable_fraction_field_matches_sympy_cancel(base, data):
+    # Quot(Z[X,Y]) and Quot(Q[X,Y]) keep un-cancelled pairs and compare by
+    # cross-multiplying, so each result is checked as a rational function
+    sympy = pytest.importorskip("sympy")
+    poly = poly_ring(base, "X", "Y")
+    K = RationalFunctionField(poly)
+    assert not K.canonical_eq
+    syms = sympy.symbols("X Y")
+
+    def to_sympy(x):
+        num, den = (
+            sum(
+                (sympy.Rational(c) * syms[0] ** i * syms[1] ** j for (i, j), c in poly.terms(p)),
+                sympy.Integer(0),
+            )
+            for p in x.payload
+        )
+        return num / den
+
+    def same(x, expr):
+        return sympy.cancel(to_sympy(x) - expr) == 0
+
+    a, b = (data.draw(two_var_fractions(poly)) for _ in range(2))
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert same(a + b, sa + sb) and same(a - b, sa - sb) and same(a * b, sa * sb)
+    assert same(-a, -sa)
+    assert (a == b) == (sympy.cancel(sa - sb) == 0)
+    assert a - a == K.zero() and a + K.zero() == a
+    assert same(K.from_int(-3), -3) and a * K.from_int(2) == a + a
+    for x in (a, b, a * b):
+        assert K.parse(str(x)) == x
+    if sa == 0:
+        with pytest.raises(ZeroDivisionError):
+            K.inv(a)
+    else:
+        assert same(K.inv(a), 1 / sa) and K.inv(a) * a == K.one()

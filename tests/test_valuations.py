@@ -447,6 +447,33 @@ def test_fraction_extensions_carry_concrete_residue_fields():
     assert deg_ext().residue_ring().concrete_ring is QQ
 
 
+@pytest.mark.parametrize(
+    "make, units",
+    [
+        (lambda: v2, ["1", "3", "1/3", "-5/7"]),
+        (deg_ext, ["(2*X + 1)/(X - 3)", "(-1/2*X^2)/(X^2 + X)", "3", "(X + 1)/(X)"]),
+    ],
+    ids=["v2-on-Q", "degree-on-Quot(Q[X])"],
+)
+def test_residue_field_inverse(make, units):
+    # Rv(v_2 on Q) is F_2 and Rv of the degree extension is Q
+    v = make()
+    R = v.residue_ring()
+    assert R.is_field
+    for text in units:
+        x = R.element(v.ring.parse(text))
+        assert x * R.inv(x) == R.one(), text
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.zero())
+
+
+def test_residue_inverse_needs_a_local_valuation():
+    R = v2z.residue_ring()
+    assert not R.is_field
+    with pytest.raises(NotImplementedError):
+        R.inv(R.one())
+
+
 def test_residue_payloads_are_canonical_fixed_points():
     # ResidueDomainRing.format prints a payload without re-canonicalizing it
     # whenever canonical_eq holds; that is sound only while every payload
