@@ -170,13 +170,16 @@ def lift(data: LiftData) -> QuasiOrder:
     rq = data.residue_qo
     group = data.basis.group
     eta = data.eta
-    multiplier_cache: dict = {}
+    # gamma -> (payload of the multiplier that clears gamma, eta's sign on
+    # it): each value is decomposed and cleared once
+    clearing: dict = {}
 
-    def multiplier(dec: GammaDecomposition):
-        key = (tuple(sorted(dec.index_set)), dec.delta)
-        got = multiplier_cache.get(key)
-        if got is None:
-            got = multiplier_cache[key] = clearing_multiplier(data.basis, dec).payload
+    def clear(gamma):
+        dec = mod2_decompose(group, gamma)
+        got = clearing[gamma] = (
+            clearing_multiplier(data.basis, dec).payload,
+            eta.product_over(dec.index_set),
+        )
         return got
 
     kind = classify_qo(rq)
@@ -189,9 +192,10 @@ def lift(data: LiftData) -> QuasiOrder:
             tv = v._eval_memo(t)
             if tv is INF:
                 return True
-            dec = mod2_decompose(group, value_neg(tv))
-            tm = ring.mul(t, multiplier(dec))
-            if eta.product_over(dec.index_set) == 1:
+            gamma = value_neg(tv)
+            m, sign = clearing.get(gamma) or clear(gamma)
+            tm = ring.mul(t, m)
+            if sign == 1:
                 return rq._compare_payload(zero, tm)
             return rq._compare_payload(tm, zero)
 
@@ -205,11 +209,10 @@ def lift(data: LiftData) -> QuasiOrder:
             gamma = max(
                 (value_neg(val) for val in (vx, vy) if val is not INF)
             )
-            dec = mod2_decompose(group, gamma)
-            m = multiplier(dec)
+            m, sign = clearing.get(gamma) or clear(gamma)
             xm = ring.mul(px, m)
             ym = ring.mul(py, m)
-            if eta.product_over(dec.index_set) == 1:
+            if sign == 1:
                 return rq._compare_payload(xm, ym)
             return rq._compare_payload(ym, xm)
 

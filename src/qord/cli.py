@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print(f"cannot read {args.file}: {e}", file=sys.stderr)
             return EXIT_USAGE
         try:

@@ -662,7 +662,10 @@ def _parse_poly(ring: PolynomialRing, text: str):
 # so are the pairs (N, D) of Quot(Z[X]) and Quot(Q[X]): numerator and
 # denominator are formed in Z[X], their gcd, by primitive PRS (Collins 1967;
 # Brown 1971), is cancelled by exact division, then the joint content, with
-# the sign that makes the denominator's leading coefficient positive.  Such
+# the sign that makes the denominator's leading coefficient positive.  Sums
+# and products of canonical pairs split that gcd into gcds of the smaller
+# parts (Henrici 1956; Knuth, TAOCP 2, 4.5.1), so coprime denominators cost
+# no gcd on the sum, and products cancel crosswise.  Such
 # a pair is unique for its fraction: N/D = N'/D' with both coprime forces
 # N' = cN, D' = cD for a rational c, and the content and sign rules force
 # c = 1; over Z it is coprime in Z[X] as well.
@@ -749,6 +752,27 @@ def _uni_gcd(a, b):
         if len(r) == 1:
             return [1]
         a, b = b, _primitive(r)
+
+
+def _common_factor(a, b):
+    """The primitive gcd of nonzero a and b in Z[X] when it has positive
+    degree, else None; a constant operand needs no gcd."""
+    if len(a) == 1 or len(b) == 1:
+        return None
+    g = _uni_gcd(a, b)
+    return g if len(g) > 1 else None
+
+
+def _unit_normal(num, den):
+    """(num, den) divided by their joint content, with the sign that makes
+    lc(den) positive, as tuples: the payload of num/den for coprime nonzero
+    num and den in Z[X]."""
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num, den = [x // c for x in num], [x // c for x in den]
+    return tuple(num), tuple(den)
 
 
 def _uni_exquo(a, b):
@@ -1148,12 +1172,7 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         g = _uni_gcd(num, den)
         if len(g) > 1:
             num, den = _uni_exquo(num, g), _uni_exquo(den, g)
-        c = math.gcd(*num, *den)
-        if den[-1] < 0:
-            c = -c
-        if c != 1:
-            num, den = [x // c for x in num], [x // c for x in den]
-        return tuple(num), tuple(den)
+        return _unit_normal(num, den)
 
     def zero_payload(self):
         if self._full_canonical:
@@ -1174,8 +1193,21 @@ class RationalFunctionField(Ring, metaclass=_Interned):
                 return a
             if da == db:
                 return self._from_integer(_uni_add(na, nb), da)
-            n = _uni_add(_uni_mul(na, db), _uni_mul(nb, da))
-            return self._from_integer(n, _uni_mul(da, db))
+            # Henrici: with g = gcd(da, db), t = na*(db/g) + nb*(da/g) and
+            # g2 = gcd(t, g), the sum is (t/g2) / ((da/g)*(db/g2)) in
+            # lowest terms; g = 1 needs no gcd on the sum at all
+            g = _common_factor(da, db)
+            if g:
+                da, db_g = _uni_exquo(da, g), _uni_exquo(db, g)
+            else:
+                db_g = db
+            t = _uni_add(_uni_mul(na, db_g), _uni_mul(nb, da))
+            if not t:
+                return _K_ZERO
+            g2 = g and _common_factor(t, g)
+            if g2:
+                t, db = _uni_exquo(t, g2), _uni_exquo(db, g2)
+            return _unit_normal(t, _uni_mul(da, db))
         n = self.poly.add(self.poly.mul(a[0], b[1]), self.poly.mul(b[0], a[1]))
         return self.from_poly_pair(n, self.poly.mul(a[1], b[1]))
 
@@ -1189,7 +1221,14 @@ class RationalFunctionField(Ring, metaclass=_Interned):
             (na, da), (nb, db) = a, b
             if not na or not nb:
                 return _K_ZERO
-            return self._from_integer(_uni_mul(na, nb), _uni_mul(da, db))
+            # Henrici: cancel crosswise, na against db and nb against da;
+            # the cofactor products are coprime already
+            g1, g2 = _common_factor(na, db), _common_factor(nb, da)
+            if g1:
+                na, db = _uni_exquo(na, g1), _uni_exquo(db, g1)
+            if g2:
+                nb, da = _uni_exquo(nb, g2), _uni_exquo(da, g2)
+            return _unit_normal(_uni_mul(na, nb), _uni_mul(da, db))
         return self.from_poly_pair(
             self.poly.mul(a[0], b[0]), self.poly.mul(a[1], b[1])
         )

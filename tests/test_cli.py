@@ -53,6 +53,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.qord")]) == EXIT_USAGE
 
 
+def test_undecodable_session_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "latin.qord"
+    f.write_bytes(b"\xff\xfe let u = trivial() on Q\n")
+    assert main(["run", str(f)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {f}:") and "Traceback" not in err
+
+
 def test_precondition_halt_exits_3(tmp_path, capsys):
     f = tmp_path / "halt.qord"
     f.write_text(

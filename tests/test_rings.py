@@ -20,6 +20,8 @@ from qord.rings import (
     VariableIdeal,
     ZeroIdeal,
     _RINGS,
+    _trimmed,
+    _uni_add,
     _uni_exquo,
     _uni_gcd,
     _uni_mul,
@@ -641,6 +643,92 @@ def test_zx_fraction_kernel_matches_sympy_cancel(x, y):
         el = K.el(got)
         back = K.parse(str(el))
         assert back.payload == got and back == el and hash(back) == hash(el)
+
+
+# Henrici's add and mul split the gcd of a result by the denominators'
+# shared factor; operands drawn at random almost never share one, so these
+# are built to: a/(g*d1) with c/(k*g*d2), a sum that cancels the part g2 of
+# g = g1*g2, products whose parts cancel crosswise, and zero sums
+
+
+def _sympy_int_pair(sympy, expr, X):
+    """The canonical integer pair (N, D) of the rational function expr,
+    from sympy.cancel: coprime, joint content 1, lc(D) > 0."""
+    parts = [
+        [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(p, X, domain="QQ").all_coeffs())]
+        for p in sympy.fraction(sympy.cancel(expr))
+    ]
+    scale = math.lcm(*(c.denominator for p in parts for c in p))
+    n, d = ([int(c * scale) for c in p] for p in parts)
+    g = math.gcd(*n, *d)
+    g = -g if d[-1] < 0 else g
+    return tuple(_trimmed([c // g for c in n])), tuple(c // g for c in d)
+
+
+int_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(_trimmed).filter(bool)
+factors = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(_trimmed).filter(
+    lambda p: len(p) > 1
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_henrici_kernel_on_shared_factors_matches_sympy_cancel(data):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    K = RationalFunctionField(data.draw(st.sampled_from([QX, ZX])))
+    g1, g2, p, q = (data.draw(factors) for _ in range(4))
+    a, c, e, d1, d2, d3, r1, r2 = (data.draw(int_polys) for _ in range(8))
+    k = data.draw(st.sampled_from([1, 2, -3, 6]))
+    g = _uni_mul(g1, g2)
+
+    def frac(num, den):
+        return K.canon((tuple(num), tuple(den)))
+
+    x = frac(a, _uni_mul(g, d1))
+    y = frac(c, [k * v for v in _uni_mul(g, d2)])
+    # x + z = e/(g1*d3): the sum keeps g1 of g and cancels g2
+    ed = _uni_mul(g1, d3)
+    gd1 = _uni_mul(g, d1)
+    z = frac(_uni_add(_uni_mul(e, gd1), [-v for v in _uni_mul(a, ed)]), _uni_mul(ed, gd1))
+    # p and q cancel crosswise in u*w
+    u = frac(_uni_mul(p, r1), _uni_mul(q, [k]))
+    w = frac(_uni_mul(q, r2), _uni_mul(p, d1))
+
+    def to_sympy(pair):
+        n, d = (sum((c * X**i for i, c in enumerate(p)), sympy.Integer(0)) for p in pair)
+        return n / d
+
+    cases = [(x, y), (x, z), (y, z), (x, K.neg(x)), (u, w), (w, u), (x, w)]
+    for l, r in cases:
+        sl, sr = to_sympy(l), to_sympy(r)
+        for got, expr in ((K.add(l, r), sl + sr), (K.sub(l, r), sl - sr), (K.mul(l, r), sl * sr)):
+            _assert_int_form(got)
+            assert got == _sympy_int_pair(sympy, expr, X), (l, r, got)
+
+
+@pytest.mark.parametrize("poly", [QX, ZX], ids=["QX", "ZX"])
+def test_henrici_kernel_examples(poly):
+    K = RationalFunctionField(poly)
+
+    def el(text):
+        return K.parse(text).payload
+
+    cases = [
+        # g = X is shared; the sum 2X/(X*(X^2 - 1)) cancels it
+        (K.add, "(1)/(X^2 - X)", "(1)/(X^2 + X)", ((2,), (-1, 0, 1))),
+        (K.mul, "(X + 1)/(X)", "(X^2)/(X^2 + 2*X + 1)", ((0, 1), (1, 1))),
+        (K.add, "(X)/(X + 1)", "(-X)/(X + 1)", ((), (1,))),
+        (K.sub, "(1)/(X^2 - 1)", "(1)/(X^2 - 1)", ((), (1,))),
+        # non-primitive denominators
+        (K.add, "(1)/(2*X + 2)", "(1)/(X + 1)", ((3,), (2, 2))),
+        (K.add, "(1)/(2*X + 2)", "(1)/(2*X + 2)", ((1,), (1, 1))),
+        (K.mul, "(2*X)/(3)", "(3)/(4*X^2 + 4*X)", ((1,), (2, 2))),
+    ]
+    for op, x, y, want in cases:
+        got = op(el(x), el(y))
+        _assert_int_form(got)
+        assert got == want, (op.__name__, x, y, got)
 
 
 @st.composite
