@@ -34,6 +34,7 @@ from .baerkrull import (
 )
 from .groups import INF, GroupMismatchError, format_value
 from .quasiorders import (
+    PROPER,
     QuasiOrder,
     at_zero_order,
     check_derived_lemmas,
@@ -46,7 +47,7 @@ from .quasiorders import (
     natural_order,
     transport_qo,
 )
-from .report import FAIL, CheckResult, PreconditionError, Report, result, sweep
+from .report import FAIL, PASS, CheckResult, PreconditionError, Report, result, sweep
 from .residues import (
     is_compatible,
     is_convex,
@@ -446,6 +447,17 @@ _TYPES = {RING: Ring, IDEAL: Ideal, VAL: Valuation, QO: QuasiOrder, INT: int, ST
 _ITEM_TYPES = {INTS: int, ELEMS: str}
 
 
+class OneOf(str):
+    """The kind of a string argument from a fixed set of words.  It equals
+    STR, so it binds and type-checks as a string; the binder then rejects
+    any other word."""
+
+    def __new__(cls, *words: str):
+        kind = super().__new__(cls, STR)
+        kind.words = words
+        return kind
+
+
 @dataclass(frozen=True)
 class Signature:
     """The argument kinds of a constructor or check: one per required
@@ -506,6 +518,9 @@ def _arg(ctx: SessionContext, kind: str, node, on):
         ok = isinstance(value, _TYPES[kind])
     if not ok:
         raise DslError(f"{kind} expected, got {type(value).__name__}", node.line, node.col)
+    if isinstance(kind, OneOf) and value not in kind.words:
+        words = ", ".join(f'"{w}"' for w in kind.words)
+        raise DslError(f"one of {words} expected, got {node_text(node)}", node.line, node.col)
     return value
 
 
@@ -673,20 +688,13 @@ def _lib(check: Callable) -> Callable:
 
 def _ck_classify(call, label, U, n, q, expect=None):
     kind = classify_qo(q)
-    ok = expect is None or kind == {"order": "order", "proper": "proper-quasi-order"}.get(
-        expect, expect
-    )
+    ok = expect is None or kind == {"proper": PROPER}.get(expect, expect)
     return [result(label, ok, (kind,), 1, detail=kind)]
 
 
 def _ck_convex(call, label, U, n, v, q, set="iv"):
-    if set == "iv":
-        member = lambda x: in_iv(v, x)
-    elif set == "rv":
-        member = lambda x: in_rv(v, x)
-    else:
-        raise PreconditionError(f"convex: unknown set {set!r}")
-    return [is_convex(member, q, U, samples=n, label=label)]
+    within = in_iv if set == "iv" else in_rv
+    return [is_convex(lambda x: within(v, x), q, U, samples=n, label=label)]
 
 
 def _ck_table(call, label, U, n, v, q):
@@ -741,14 +749,10 @@ def _ck_unbounded_above(call, label, U, n, q, x):
     ns = [1, 2, 3, 5, 10, 100, 1000, 10 ** 6]
     while len(ns) < n:
         ns.append(rng.randint(1, 10 ** 6))
-    return [
-        sweep(
-            label,
-            [(k,) for k in ns],
-            lambda k: not q.strict(q.ring.from_int(k), x),
-            detail=f"{x} exceeds all sampled integers up to 10^6",
-        )
-    ]
+    r = sweep(label, [(k,) for k in ns], lambda k: not q.strict(q.ring.from_int(k), x))
+    if r.status == PASS:
+        r.detail = f"{x} exceeds all sampled integers up to 10^6"
+    return [r]
 
 
 #: name -> (runner, signature).  Every check's first argument is its subject,
@@ -757,9 +761,9 @@ CHECKS: Dict[str, Tuple[Callable, Signature]] = {
     "val_axioms": (_lib(check_val_axioms), sig(VAL)),
     "qo_axioms": (_lib(check_qo_axioms), sig(QO)),
     "derived_lemmas": (_lib(check_derived_lemmas), sig(QO)),
-    "classify": (_ck_classify, sig(QO, expect=STR)),
+    "classify": (_ck_classify, sig(QO, expect=OneOf("order", "proper", PROPER))),
     "compat": (_lib(is_compatible), sig(VAL, QO)),
-    "convex": (_ck_convex, sig(VAL, QO, set=STR)),
+    "convex": (_ck_convex, sig(VAL, QO, set=OneOf("iv", "rv"))),
     "table_conditions": (_ck_table, sig(VAL, QO)),
     "compat_equivalence": (_lib(theorem_compat_report), sig(VAL, QO)),
     "iv_prec_one": (_lib(iv_prec_one), sig(VAL, QO)),

@@ -9,11 +9,12 @@ them are only ever compared by agreement on a sample universe.
 
 from __future__ import annotations
 
+import operator
 from functools import cmp_to_key
 from typing import Callable, Optional
 
 from .groups import value_le
-from .report import PASS, CheckResult, PreconditionError, result, sweep
+from .report import PASS, CheckResult, PreconditionError, once, result, sweep
 from .rings import (
     Ideal,
     IntegerRing,
@@ -282,14 +283,15 @@ def check_qo_axioms(q: QuasiOrder, universe, samples: int = 500, label: str = No
     singles = universe.tuples(1, samples, f"qo:{label}:1")
     pairs = universe.pairs(samples, f"qo:{label}:2")
     triples = universe.triples(samples, f"qo:{label}:3")
+    mul, add = once(operator.mul), once(operator.add)
 
     def support_fails(x, y):
         sx, sy = q.sim(x, zero), q.sim(y, zero)
-        if sx and sy and not q.sim(x + y, zero):
+        if sx and sy and not q.sim(add(x, y), zero):
             return True
-        if sx and not q.sim(x * y, zero):
+        if sx and not q.sim(mul(x, y), zero):
             return True
-        return q.sim(x * y, zero) and not (sx or sy)
+        return q.sim(mul(x, y), zero) and not (sx or sy)
 
     return [
         sweep(f"{label}.reflexive", singles, lambda x: not q.le(x, x)),
@@ -303,22 +305,26 @@ def check_qo_axioms(q: QuasiOrder, universe, samples: int = 500, label: str = No
         sweep(
             f"{label}.QR2",
             pairs,
-            lambda x, y: q.le(x * y, zero) and not (q.le(x, zero) or q.le(y, zero)),
+            lambda x, y: q.le(mul(x, y), zero)
+            and not (q.le(x, zero) or q.le(y, zero)),
         ),
         sweep(
             f"{label}.QR3",
             triples,
-            lambda x, y, z: q.le(x, y) and q.le(zero, z) and not q.le(x * z, y * z),
+            lambda x, y, z: q.le(x, y) and q.le(zero, z)
+            and not q.le(mul(x, z), mul(y, z)),
         ),
         sweep(
             f"{label}.QR4",
             triples,
-            lambda x, y, z: q.le(x, y) and not q.sim(z, y) and not q.le(x + z, y + z),
+            lambda x, y, z: q.le(x, y) and not q.sim(z, y)
+            and not q.le(add(x, z), add(y, z)),
         ),
         sweep(
             f"{label}.QR5",
             triples,
-            lambda x, y, z: q.strict(zero, z) and q.le(x * z, y * z) and not q.le(x, y),
+            lambda x, y, z: q.strict(zero, z) and q.le(mul(x, z), mul(y, z))
+            and not q.le(x, y),
         ),
         sweep(f"{label}.support-ideal", pairs, support_fails),
     ]
@@ -341,17 +347,20 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
     singles = universe.singles(samples, f"dl:{label}:1")
     pairs = universe.pairs(samples, f"dl:{label}:2")
     triples = universe.triples(samples, f"dl:{label}:3")
+    mul, add = once(operator.mul), once(operator.add)
 
     out = [
         sweep(
             f"{label}.cancel-sim",
             triples,
-            lambda x, y, z: not q.sim(z, zero) and q.sim(x * z, y * z) and not q.sim(x, y),
+            lambda x, y, z: not q.sim(z, zero) and q.sim(mul(x, z), mul(y, z))
+            and not q.sim(x, y),
         ),
         sweep(
             f"{label}.support-translate",
             pairs,
-            lambda x, y: q.sim(x, zero) and not q.sim(y, zero) and not q.sim(x + y, y),
+            lambda x, y: q.sim(x, zero) and not q.sim(y, zero)
+            and not q.sim(add(x, y), y),
         ),
         sweep(
             f"{label}.sym-criterion",
@@ -361,14 +370,14 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
         sweep(
             f"{label}.mul-preserves-sim",
             triples,
-            lambda a, x, y: q.sim(x, y) and not q.sim(a * x, a * y),
+            lambda a, x, y: q.sim(x, y) and not q.sim(mul(a, x), mul(a, y)),
         ),
     ]
 
     if q.strict(zero, -q.ring.one()):
         def above_max(x, y):
             hi = y if q.le(x, y) else x
-            return not q.le(x + y, hi)
+            return not q.le(add(x, y), hi)
 
         out.append(sweep(f"{label}.sum-below-max", pairs, above_max))
     else:
@@ -385,17 +394,19 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
         sweep(
             f"{label}.QR3-neg",
             triples,
-            lambda x, y, z: q.le(x, y) and q.le(z, zero) and not q.le(y * z, x * z),
+            lambda x, y, z: q.le(x, y) and q.le(z, zero)
+            and not q.le(mul(y, z), mul(x, z)),
         ),
         sweep(
             f"{label}.QR5-neg",
             triples,
-            lambda x, y, z: q.le(x * z, y * z) and q.strict(z, zero) and not q.le(y, x),
+            lambda x, y, z: q.le(mul(x, z), mul(y, z)) and q.strict(z, zero)
+            and not q.le(y, x),
         ),
         sweep(
             f"{label}.class-translate",
             pairs,
-            lambda c, x: q.sim(c, zero) and not q.sim(c + x, x),
+            lambda c, x: q.sim(c, zero) and not q.sim(add(c, x), x),
         ),
     ]
 

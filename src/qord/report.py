@@ -90,6 +90,26 @@ def sweep(name, tuples, fails, *, given=None, detail=None) -> CheckResult:
     return result(name, True, None, hits, detail)
 
 
+def once(op):
+    """op memoized on the operand objects: op(x, y) is formed once per (x, y).
+
+    For the sweeps of one check call, which form the same product or sum
+    of the same sampled elements again and again; op must be pure.  Each
+    entry keeps x and y alive, so no id is reused while the table lives;
+    build a fresh one per check call, never a table that outlives it.
+    """
+    table = {}  # (id(x), id(y)) -> (x, y, op(x, y))
+
+    def f(x, y):
+        key = id(x), id(y)
+        hit = table.get(key)
+        if hit is None:
+            hit = table[key] = x, y, op(x, y)
+        return hit[2]
+
+    return f
+
+
 @dataclass
 class Report:
     seed: int

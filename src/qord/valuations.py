@@ -11,6 +11,7 @@ explicit preimage witnesses; they are never inferred by search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -30,7 +31,7 @@ from .groups import (
     value_neg,
     value_sub,
 )
-from .report import PASS, PreconditionError, result, sweep
+from .report import PASS, PreconditionError, once, result, sweep
 from .rings import (
     Ideal,
     IntegerModRing,
@@ -832,28 +833,31 @@ def check_val_axioms(v: Valuation, universe, samples: int = 500, label: str = No
     zero = v.group.zero()
 
     pairs = universe.pairs(samples, f"val_axioms:{label}")
+    mul, add = once(operator.mul), once(operator.add)
 
     def valmin_fails(x, y):
         vx, vy = v(x), v(y)
         if vx == vy:
             return False
         lo = vx if value_le(vx, vy) else vy
-        return v(x + y) != lo
+        return v(add(x, y)) != lo
 
     return [
         result(f"{label}.V1", v(v.ring.zero()) is INF, ("0",), 1),
         result(f"{label}.V2", v(v.ring.one()) == zero, ("1",), 1),
-        sweep(f"{label}.V3", pairs, lambda x, y: v(x * y) != value_add(v(x), v(y))),
+        sweep(f"{label}.V3", pairs, lambda x, y: v(mul(x, y)) != value_add(v(x), v(y))),
         sweep(
             f"{label}.V4",
             pairs,
-            lambda x, y: not value_le(v(x) if value_le(v(x), v(y)) else v(y), v(x + y)),
+            lambda x, y: not value_le(
+                v(x) if value_le(v(x), v(y)) else v(y), v(add(x, y))
+            ),
         ),
         sweep(f"{label}.valmin", pairs, valmin_fails),
         sweep(
             f"{label}.support-prime",
             pairs,
-            lambda x, y: v(x * y) is INF and v(x) is not INF and v(y) is not INF,
+            lambda x, y: v(mul(x, y)) is INF and v(x) is not INF and v(y) is not INF,
         ),
         sweep(
             f"{label}.support-agree",

@@ -204,3 +204,51 @@ def test_disagreeing_sampled_verdicts_are_inconclusive(tmp_path, capsys):
     assert equivalences[1]["witness"] == ["Iv-below-1=False", "compatible=True"]
     assert main(["run", str(f)]) == EXIT_FAIL
     assert capsys.readouterr().out.count("[the sampled verdicts disagree") == 2
+
+
+def test_unknown_choice_value_exits_2(tmp_path, capsys):
+    f = tmp_path / "s.qord"
+    for check, message in (
+        ('classify(q, expect="orderr")',
+         'one of "order", "proper", "proper-quasi-order" expected, got "orderr"'),
+        ('convex(v, q, set="xv")', 'one of "iv", "rv" expected, got "xv" (line 3, column 24)'),
+        ('convex(v, q, set="Iv")', 'one of "iv", "rv" expected, got "Iv"'),
+    ):
+        f.write_text(f"let v = padic(2) on Q\nlet q = qo(v)\ncheck {check}\n")
+        assert main(["run", str(f)]) == EXIT_USAGE, check
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_every_accepted_choice_value_can_pass(tmp_path, capsys):
+    f = tmp_path / "s.qord"
+    f.write_text(
+        "let v = padic(2) on Q\n"
+        "let q = qo(v)\n"
+        "let n = natural_order() on Q\n"
+        'check classify(n, expect="order")\n'
+        'check classify(q, expect="proper")\n'
+        'check classify(q, expect="proper-quasi-order")\n'
+        'check convex(v, q, set="iv") samples(count=50)\n'
+        'check convex(v, q, set="rv") samples(count=50)\n'
+    )
+    assert main(["run", str(f)]) == EXIT_OK
+    assert "all 5 checks passed" in capsys.readouterr().out
+
+
+def test_unbounded_above_detail_only_on_a_pass(tmp_path, capsys):
+    f = tmp_path / "s.qord"
+    f.write_text(
+        "let q = natural_order() on Q\n"
+        'check unbounded_above(q, "1/2") samples(count=20)\n'
+    )
+    assert main(["run", str(f)]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "witness: 1" in out and "exceeds" not in out
+    # the detail of a pass is kept
+    f.write_text(
+        "let L = leading_term_order() on frac(poly(Q, X))\n"
+        'check unbounded_above(L, "(1*X)/(1)") samples(count=20)\n'
+    )
+    assert main(["run", str(f)]) == EXIT_OK
+    assert "exceeds all sampled integers up to 10^6]" in capsys.readouterr().out

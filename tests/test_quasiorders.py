@@ -352,3 +352,25 @@ def test_sim_iff_equal_values():
     universe = U(QQ, seed=3, count=200)
     for x, y in universe.pairs(300, "simvals"):
         assert qv2.sim(x, y) == (v2(x) == v2(y))
+
+
+def test_qo_axioms_multiply_each_operand_pair_once():
+    # QR2 and the support-ideal sweep form x*y of the pairs, QR3 and QR5
+    # x*z and y*z of the triples; each distinct operand pair costs one mul
+    R = poly_ring(ZZ, "X", "Y")
+    universe = SampleUniverse(R, seed=42, count=150)
+    distinct = {(id(x), id(y)) for x, y in universe.pairs(200, "qo:t:2")}
+    for x, y, z in universe.triples(200, "qo:t:3"):
+        distinct |= {(id(x), id(z)), (id(y), id(z))}
+    calls = 0
+    mul = R.mul
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    R.mul = counted
+    results = check_qo_axioms(const_term_order(R), universe, samples=200, label="t")
+    assert all(r.status == PASS for r in results)
+    assert 0 < calls <= len(distinct)

@@ -1,8 +1,9 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
-from qord.report import FAIL, PASS, result, sweep
+from qord.report import FAIL, PASS, once, result, sweep
 from qord.rings import ZZ
 from qord.sampling import SampleUniverse, _stable_int
 
@@ -115,3 +116,26 @@ def test_universe_elements_share_one_object_per_payload():
     drawn = [u._draw(rng).payload for _ in range(u.count)]
     assert [x.payload for x in elems] == [2, 0, 1, -1] + drawn
     assert u.forced_size == 4
+
+
+def test_once_forms_each_operand_pair_once():
+    calls = []
+
+    def op(x, y):
+        calls.append((x, y))
+        return x + y
+
+    f = once(op)
+    a, b = ZZ.from_int(2), ZZ.from_int(3)
+    first = f(a, b)
+    assert f(a, b) is first and f(b, a) == first
+    assert calls == [(a, b), (b, a)]
+
+
+def test_once_cannot_alias_a_reused_id():
+    # transient operands: without the table keeping them alive, a later
+    # operand would take a dead one's id and get its stale sum
+    f = once(operator.add)
+    one = ZZ.one()
+    got = [f(ZZ.from_int(i), one).payload for i in range(2000)]
+    assert got == [i + 1 for i in range(2000)]

@@ -1,5 +1,7 @@
 import pytest
 
+from qord import corpus
+from qord.groups import value_le, value_lt
 from qord.quasiorders import (
     ORDER,
     classify_qo,
@@ -19,6 +21,7 @@ from qord.residues import (
     iv_prec_one,
     rank_check,
     residue_qo,
+    residue_rule,
     residue_rule_report,
     residue_universe,
     special_star_check,
@@ -558,3 +561,53 @@ def test_associated_field_of_padic_matches_extension():
     for x, y in UQ.pairs(300, "cmp"):
         assert ext.le(x, y) == direct.le(x, y)
     assert all(c.status == PASS for c in checks)
+
+
+def shipped_residue_rules(monkeypatch):
+    """(name, q, v, universe) behind every shipped residue rule: the table
+    instances, residue-qo-v2, and residue_qo(lift, v) of the four roundtrips."""
+    cases = []
+    monkeypatch.setattr(
+        corpus,
+        "table_conditions",
+        lambda v, q, U, samples, label: cases.append((label, q, v, U)),
+    )
+    corpus.table_reports()
+    monkeypatch.undo()
+    vals, qos = ({n: (x, U) for n, x, U in group} for group in corpus.shipped_objects())
+    v2q, nu = vals["padic-2-Q"][0], vals["degree-extension-K"][0]
+    cases.append(("residue-qo-v2", from_valuation(v2q), v2q, vals["padic-2-Q"][1]))
+    for name, v in (("lift-v2-trivial", v2q), ("lift-deg-plus", nu),
+                    ("lift-deg-minus", nu), ("lift-deg-v2", nu)):
+        cases.append((name, qos[name][0], v, qos[name][1]))
+    return cases
+
+
+def test_residue_rule_matches_v_first_reference(monkeypatch):
+    # the rule asks q first; the reference values x - y first, as the rule
+    # is stated: x <= y on Rv iff v(x - y) > 0 or x <= y under q
+    cases = shipped_residue_rules(monkeypatch)
+    v_decided = 0
+    for name, q, v, U in cases:
+        ring, zero = v.ring, v.group.zero()
+
+        def reference(px, py):
+            if value_lt(zero, v(ring.el(ring.sub(px, py)))):
+                return True
+            return q._compare_payload(px, py)
+
+        rule = residue_rule(q, v)
+        rv = {id(x): x for x in U.elements() if value_le(zero, v(x))}
+        iv = [c.payload for c in rv.values() if value_lt(zero, v(c))][:4]
+        pairs = [(x, y) for x, y in U.pairs(150, "rule") if id(x) in rv and id(y) in rv]
+        assert pairs, name
+        for x, y in pairs:
+            px, py = x.payload, y.payload
+            for a, b in [(px, py)] + [(ring.add(px, c), py) for c in iv] + [
+                (px, ring.add(py, c)) for c in iv
+            ]:
+                want = reference(a, b)
+                assert rule(a, b) == want, (name, str(x), str(y))
+                v_decided += want and not q._compare_payload(a, b)
+    # pairs that only the v branch puts in order are met
+    assert v_decided > 0
