@@ -27,7 +27,6 @@ from .rings import (
     VariableIdeal,
     ZeroIdeal,
     fraction_field,
-    num_sign,
 )
 from .valuations import ResidueDomainRing, Valuation
 
@@ -125,14 +124,10 @@ class SignOrder:
         self.name = name
         self.support_ideal = support_ideal
 
-    def sign(self, x: RingElement) -> int:
-        if x.ring is not self.ring:
-            raise RingMismatchError(f"{self.name} is a sign map on {self.ring.name}")
-        return self.sign_payload(x.payload)
-
 
 def from_sign_order(s: SignOrder) -> QuasiOrder:
-    """x <= y iff sign(y - x) >= 0."""
+    """x <= y iff sign(y - x) >= 0; for a custom sign map, as the built-in
+    orders below compare without forming y - x."""
     ring = s.ring
 
     def cmp(px, py):
@@ -150,8 +145,8 @@ def natural_order(ring: Ring) -> QuasiOrder:
     """The unique order of Z or Q."""
     if not isinstance(ring, (IntegerRing, RationalField)):
         raise ValueError(f"no natural order on {ring.name}")
-    return from_sign_order(
-        SignOrder(ring, num_sign, f"leq({ring.name})", ZeroIdeal(ring))
+    return QuasiOrder(
+        ring, operator.le, f"leq({ring.name})", support_ideal=ZeroIdeal(ring)
     )
 
 
@@ -159,17 +154,12 @@ def const_term_order(poly: PolynomialRing) -> QuasiOrder:
     """f >= 0 iff the constant term of f is >= 0; support is <variables>."""
     if not isinstance(poly.base, (IntegerRing, RationalField)):
         raise ValueError(f"no constant-term order over {poly.base.name}")
-
-    def sgn(p):
-        return num_sign(poly.const_coef(p))
-
-    return from_sign_order(
-        SignOrder(
-            poly,
-            sgn,
-            f"leq0({poly.name})",
-            VariableIdeal(poly, poly.variables),
-        )
+    return pullback(
+        natural_order(poly.base),
+        poly,
+        poly.const_coef,
+        f"leq0({poly.name})",
+        VariableIdeal(poly, poly.variables),
     )
 
 
@@ -177,10 +167,8 @@ def leading_term_order(field: RationalFunctionField) -> QuasiOrder:
     """Order of a univariate function field by behavior at +infinity."""
     if field.poly.nvars != 1:
         raise ValueError("leading-term order wants a univariate function field")
-    return from_sign_order(
-        SignOrder(
-            field, field.sign_at_infinity, f"leqinf({field.name})", ZeroIdeal(field)
-        )
+    return QuasiOrder(
+        field, field.le_at_infinity, f"leqinf({field.name})", support_ideal=ZeroIdeal(field)
     )
 
 
@@ -188,8 +176,8 @@ def at_zero_order(field: RationalFunctionField) -> QuasiOrder:
     """Order of a univariate function field by behavior as the variable -> 0+."""
     if field.poly.nvars != 1:
         raise ValueError("at-zero order wants a univariate function field")
-    return from_sign_order(
-        SignOrder(field, field.sign_at_zero, f"leq0+({field.name})", ZeroIdeal(field))
+    return QuasiOrder(
+        field, field.le_at_zero, f"leq0+({field.name})", support_ideal=ZeroIdeal(field)
     )
 
 

@@ -27,6 +27,7 @@ from .report import (
     PASS,
     CheckResult,
     PreconditionError,
+    once,
     result,
     sweep,
 )
@@ -198,6 +199,8 @@ def residue_rule_report(
             slots = draws(rng, rv_elems)
             yield from zip(slots, slots)
 
+    # each shifted representative x + c is formed once per call
+    shift = once(lambda x, c: ring.add(x.payload, c.payload))
     witness = None
     budget = samples * 4
     used = 0
@@ -209,8 +212,7 @@ def residue_rule_report(
         for c in iv_elems[:8]:
             budget -= 3
             used += 1
-            xs = ring.add(x.payload, c.payload)
-            ys = ring.add(y.payload, c.payload)
+            xs, ys = shift(x, c), shift(y, c)
             if (
                 rule(xs, y.payload) != base_xy
                 or rule(x.payload, ys) != base_xy

@@ -1292,6 +1292,29 @@ class RationalFunctionField(Ring, metaclass=_Interned):
             return 0
         return num_sign(next(filter(None, num))) * num_sign(next(filter(None, den)))
 
+    def _cross(self, a, b):
+        """N_a*D_b and N_b*D_a, padded to one length: a <= b somewhere exactly
+        where the first is <= the second, as D_a*D_b > 0 there."""
+        (na, da), (nb, db) = a, b
+        p, q = _uni_mul(na, db), _uni_mul(nb, da)
+        n = max(len(p), len(q))
+        return p + [0] * (n - len(p)), q + [0] * (n - len(q))
+
+    def le_at_infinity(self, a, b) -> bool:
+        """a(X) <= b(X) for all large X: compare the cross products from the
+        top coefficient down, as lc(D_a*D_b) > 0."""
+        p, q = self._cross(a, b)
+        return p[::-1] <= q[::-1]
+
+    def le_at_zero(self, a, b) -> bool:
+        """a(X) <= b(X) for all small X > 0: compare the cross products from
+        the bottom coefficient up, flipped when the lowest coefficient of
+        D_a*D_b is negative."""
+        p, q = self._cross(a, b)
+        if (next(filter(None, a[1])) > 0) != (next(filter(None, b[1])) > 0):
+            p, q = q, p
+        return p <= q
+
     def limit_at_infinity(self, a):
         """lim a(X) as X -> infinity, as a Fraction; None when it is infinite."""
         num, den = a

@@ -12,6 +12,7 @@ explicit preimage witnesses; they are never inferred by search.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -158,9 +159,13 @@ class Valuation:
         return self._preimage_memo[gamma]
 
     def residue_ring(self) -> "ResidueDomainRing":
-        if self._residue_ring is None:
-            self._residue_ring = ResidueDomainRing(self)
-        return self._residue_ring
+        # held weakly, as the ring holds this valuation: while anything holds
+        # the ring it is the one returned, and no cycle keeps either alive
+        ring = self._residue_ring and self._residue_ring()
+        if ring is None:
+            ring = ResidueDomainRing(self)
+            self._residue_ring = weakref.ref(ring)
+        return ring
 
     def __repr__(self):
         return f"Valuation({self.name} on {self.ring.name} -> {self.group.name})"
