@@ -1293,8 +1293,8 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         return num_sign(next(filter(None, num))) * num_sign(next(filter(None, den)))
 
     def _cross(self, a, b):
-        """N_a*D_b and N_b*D_a, padded to one length: a <= b somewhere exactly
-        where the first is <= the second, as D_a*D_b > 0 there."""
+        """p = N_a*D_b and q = N_b*D_a, padded to one length:
+        b - a = (q - p)/(D_a*D_b)."""
         (na, da), (nb, db) = a, b
         p, q = _uni_mul(na, db), _uni_mul(nb, da)
         n = max(len(p), len(q))
