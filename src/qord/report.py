@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import List, Optional, Tuple
+
+from .sampling import SampledTuples
 
 PASS = "pass"
 FAIL = "fail"
@@ -68,26 +71,34 @@ def sweep(name, tuples, fails, *, given=None, detail=None) -> CheckResult:
     the tuples meeting that hypothesis, and samples_used counts those, up
     to and including the witness.
 
-    A tuple of the same objects as an earlier one is evaluated once, so
-    both predicates must be pure: the repeat cannot fail, or the sweep
-    would have stopped at its first occurrence, and it counts as a
-    hypothesis hit exactly when that first occurrence did.
+    The sweep follows the list's plan (``sampling.SampledTuples``, which
+    ``SampleUniverse.tuples`` returns; a plain list gets one here, keyed
+    by the ids of its elements) and evaluates each distinct tuple once, in
+    the order of first occurrence.  So both predicates must be pure: a
+    repeat cannot fail, or the sweep would have stopped at its first
+    occurrence, and it counts as a hypothesis hit exactly when that first
+    occurrence did.  A planned list must not be mutated after it is built.
     """
-    hits = 0
-    seen = {}  # id-tuple -> (tuple, given outcome); the tuple keeps the ids live
-    for t in tuples:
-        key = tuple(map(id, t))
-        if key in seen:
-            hits += seen[key][1]
-            continue
-        hit = given is None or bool(given(*t))
-        seen[key] = t, hit
-        if hit:
-            hits += 1
-            if fails(*t):
-                n = len(tuples) if given is None else hits
-                return result(name, False, t, n, detail)
-    return result(name, True, None, hits, detail)
+    if not isinstance(tuples, SampledTuples):
+        tuples = SampledTuples(tuples, list(map(tuple, map(map, repeat(id), tuples))))
+    keys = tuples.keys
+    met = {}  # key -> whether its tuple meets given
+    witness = None
+    for key, t in tuples.distinct.items():
+        if given is not None:
+            met[key] = hit = bool(given(*t))
+            if not hit:
+                continue
+        if fails(*t):
+            witness = t
+            break
+    if given is None:
+        n = len(keys)
+    else:
+        # the hits with their repeats, up to the witness's first position
+        stop = len(keys) if witness is None else keys.index(key) + 1
+        n = sum(map(met.__getitem__, islice(keys, stop)))
+    return result(name, witness is None, witness, n, detail)
 
 
 def once(op):

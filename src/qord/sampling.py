@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .rings import (
     IntegerModRing,
@@ -45,16 +45,15 @@ def _stable_int(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
-def draws(rng: random.Random, elems: Sequence):
-    """An endless stream of draws ``elems[rng.randrange(len(elems))]``.
+def _indices(rng: random.Random, m: int):
+    """An endless stream of ``rng.randrange(m)``.
 
     The index is drawn as CPython's ``randrange(m)`` draws it for a
     ``random.Random``: ``getrandbits(m.bit_length())``, drawn again while
     it is not below m.  So the stream, and everything sampled from it, is
-    the one ``randrange`` gives.  An empty ``elems`` raises ValueError at
-    the first draw, as ``randrange(0)`` does.
+    the one ``randrange`` gives.  m = 0 raises ValueError at the first
+    draw, as ``randrange(0)`` does.
     """
-    m = len(elems)
     if not m:
         raise ValueError("no elements to draw from")
     getrandbits = rng.getrandbits
@@ -63,7 +62,34 @@ def draws(rng: random.Random, elems: Sequence):
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
-        yield elems[r]
+        yield r
+
+
+def draws(rng: random.Random, elems: Sequence):
+    """An endless stream of draws ``elems[rng.randrange(len(elems))]``.
+
+    The indices come from ``_indices``, so an empty ``elems`` raises
+    ValueError at the first draw.
+    """
+    return map(elems.__getitem__, _indices(rng, len(elems)))
+
+
+class SampledTuples(list):
+    """A list of sampled tuples that carries its sweep plan.
+
+    ``keys[i]`` stands for the objects of ``self[i]``: ``keys[i] ==
+    keys[j]`` exactly when ``self[i][k] is self[j][k]`` for every k.
+    ``distinct`` maps each key to a tuple of those objects, in the order
+    of the key's first occurrence.  The plan is made when the list is
+    built, so the list must not be mutated after that.
+    """
+
+    __slots__ = ("keys", "distinct")
+
+    def __init__(self, tuples, keys: list):
+        super().__init__(tuples)
+        self.keys = keys
+        self.distinct = dict(zip(keys, self))
 
 
 class SampleUniverse:
@@ -95,6 +121,7 @@ class SampleUniverse:
         self.bounds = bounds
         self.distinguished = tuple(distinguished)
         self._elements: List[RingElement] | None = None
+        self._first: List[int] = []
         self._forced_size = 0
 
     def on(self, ring: Ring) -> "SampleUniverse":
@@ -119,6 +146,12 @@ class SampleUniverse:
             interned: dict = {}
             self._elements = [
                 interned.setdefault(x.payload, x) for x in forced + generated
+            ]
+            # entry i holds the same object as entry _first[i], its first
+            # occurrence: tuples() keys its draws with these positions
+            where: dict = {}
+            self._first = [
+                where.setdefault(id(x), i) for i, x in enumerate(self._elements)
             ]
             self._forced_size = len(forced)
         return self._elements
@@ -174,29 +207,33 @@ class SampleUniverse:
         return RingElement(ring, ring._canon_dict(d))
 
     # ------------------------------------------------------------------
-    def tuples(self, arity: int, n: int, tag: str) -> List[Tuple[RingElement, ...]]:
+    def tuples(self, arity: int, n: int, tag: str) -> SampledTuples:
         """Deterministic n sampled tuples; forced-prefix combinations first.
 
         The forced block guarantees that every pair/triple of distinguished
         elements is swept before any random tuple, which pins the first
         counterexample a check reports.  After it, each slot of each tuple,
         in order, is ``elements()[rng.randrange(len(elements()))]`` (drawn
-        by ``draws``), as a test in tests/test_rings.py pins.  n < 1 raises
-        ValueError: a sweep over no tuples would pass vacuously.
+        by ``_indices``), as a test in tests/test_rings.py pins.  n < 1
+        raises ValueError: a sweep over no tuples would pass vacuously.
+
+        The tuples come with their sweep plan (``SampledTuples``): each
+        tuple is keyed by the first positions of its elements in
+        ``elements()``, so a repeated tuple has the key of its first
+        occurrence and ``report.sweep`` evaluates it once.
         """
         if n < 1:
             raise ValueError(f"tuple count must be positive, got {n}")
         elems = self.elements()
-        fsize = self.forced_size
-        out: List[Tuple[RingElement, ...]] = []
-        for combo in itertools.product(range(fsize), repeat=arity):
-            if len(out) >= n:
-                break
-            out.append(tuple(elems[i] for i in combo))
+        forced = itertools.islice(
+            itertools.product(range(self.forced_size), repeat=arity), n
+        )
+        slots = list(itertools.chain.from_iterable(forced))
         rng = random.Random(self.seed ^ _stable_int(f"{self.ring.name}|{tag}|{arity}"))
-        slots = draws(rng, elems)
-        out.extend(itertools.islice(zip(*[slots] * arity), n - len(out)))
-        return out
+        slots += itertools.islice(_indices(rng, len(elems)), n * arity - len(slots))
+        picked = map(elems.__getitem__, slots)
+        keyed = map(self._first.__getitem__, slots)
+        return SampledTuples(zip(*[picked] * arity), list(zip(*[keyed] * arity)))
 
     def singles(self, n: int, tag: str) -> List[RingElement]:
         return [t[0] for t in self.tuples(1, n, tag)]

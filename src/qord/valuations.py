@@ -288,8 +288,10 @@ class ResidueDomainRing(Ring):
 
     def sample(self, universe, rng):
         if self.concrete_ring is not None:
+            # _from_c gives canonical payloads (tests/test_valuations.py pins
+            # it), so the draw is not canonicalised again
             inner = universe._draw_in(self.concrete_ring, rng)
-            return self.el(self._from_c(inner.payload))
+            return RingElement(self, self._from_c(inner.payload))
         zero = self.val.group.zero()
         for _ in range(8):
             x = universe._draw_in(self.parent, rng)

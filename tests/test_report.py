@@ -105,6 +105,51 @@ def test_sweep_evaluates_each_distinct_tuple_once():
         assert r.samples_used == _brute_sweep(tuples, lambda x, y: False, g)[1]
 
 
+def _planned_pair_lists():
+    from qord.rings import poly_ring
+    from qord.valuations import padic_valuation
+
+    residue = SampleUniverse(padic_valuation(2, ZZ).residue_ring(), seed=42, count=250)
+    yield residue.pairs(300, "plan")
+    yield SampleUniverse(poly_ring(ZZ, "X"), seed=42, count=60).pairs(500, "plan")
+
+
+def test_planned_sweep_matches_the_plain_loop():
+    def given(x, y):
+        return str(x) <= str(y)
+
+    def keys(t):
+        return tuple(map(id, t))
+
+    for pairs in _planned_pair_lists():
+        assert len(set(map(keys, pairs))) < len(pairs)  # repeated tuples
+        for tuples in (pairs, list(pairs), [(y, x) for x, y in pairs]):
+            for g in (None, given):
+                firsts = list({keys(t): t for t in tuples if g is None or g(*t)}.values())
+                assert len(firsts) >= 3
+                for cut in (None, 0, len(firsts) // 2, len(firsts) - 1):
+                    target = None if cut is None else firsts[cut]
+                    seen = []
+
+                    def is_witness(x, y):
+                        return target is not None and x is target[0] and y is target[1]
+
+                    def fails(x, y):
+                        seen.append((x, y))
+                        return is_witness(x, y)
+
+                    r = sweep("s", tuples, fails, given=g)
+                    witness, n = _brute_sweep(tuples, is_witness, g)
+                    assert (r.status == PASS) == (witness is None)
+                    assert r.samples_used == n
+                    if witness is not None:
+                        assert r.witness == tuple(map(str, witness))
+                        assert seen[-1][0] is witness[0] and seen[-1][1] is witness[1]
+                    # fails runs once per distinct tuple it reaches, in order
+                    reached = firsts if cut is None else firsts[: cut + 1]
+                    assert list(map(keys, seen)) == list(map(keys, reached))
+
+
 def test_universe_elements_share_one_object_per_payload():
     u = SampleUniverse(ZZ, seed=42, count=150, distinguished=(ZZ.from_int(2),))
     elems = u.elements()

@@ -322,6 +322,33 @@ def test_draws_is_randrange():
         next(draws(random.Random(0), []))
 
 
+def _plan_universes():
+    from qord.valuations import padic_valuation
+
+    yield SampleUniverse(padic_valuation(2, ZZ).residue_ring(), seed=42, count=250)
+    yield SampleUniverse(ZX, seed=42, count=250)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_sample_tuples_plan_keys_the_objects(arity):
+    for U in _plan_universes():
+        elems = U.elements()
+        assert len({id(x) for x in elems}) < len(elems)  # repeated entries
+        got = U.tuples(arity, 400, "plan")
+        assert got == _randrange_tuples(U, arity, 400, "plan")
+        ids = [tuple(map(id, t)) for t in got]
+        # keys[i] == keys[j] exactly when got[i] and got[j] hold the same objects
+        assert len(got.keys) == len(got)
+        assert len(set(got.keys)) == len(set(ids)) == len(set(zip(got.keys, ids)))
+        assert len(set(ids)) < len(ids)
+        first = {}
+        for k, t in zip(got.keys, got):
+            first.setdefault(k, t)
+        assert list(got.distinct) == list(first)
+        for k, t in got.distinct.items():
+            assert all(a is b for a, b in zip(t, first[k]))
+
+
 def test_distinguished_elements_lead():
     X = ZX.var("X")
     U = SampleUniverse(ZX, seed=1, count=5, distinguished=(X + 1, X))

@@ -502,6 +502,26 @@ def test_residue_payloads_are_canonical_fixed_points():
     assert rings >= 5
 
 
+def test_residue_forms_give_canonical_payloads():
+    # ResidueDomainRing.sample hands out _from_c of a concrete draw without
+    # canonicalizing it again: that is sound only while canon fixes _from_c
+    from qord.corpus import shipped_objects
+
+    forms = []
+    for name, v, _ in shipped_objects()[0]:
+        residue = v.residue_ring()
+        conc = residue.concrete_ring
+        if conc is None:
+            continue
+        forms.append(conc.name)
+        for c in SampleUniverse(conc, seed=3, count=200).elements():
+            p = residue._from_c(c.payload)
+            assert repr(residue.canon(p)) == repr(p), (name, c)
+        drawn = SampleUniverse(residue, seed=3, count=200).elements()
+        assert all(repr(residue.canon(x.payload)) == repr(x.payload) for x in drawn)
+    assert sorted(forms) == ["Q", "Z/2Z", "Z/2Z", "Z/2Z", "Z/3Z"]
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: padic_valuation(3, ZZ), lambda: padic_valuation(3, QQ), deg_ext],
