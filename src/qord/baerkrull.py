@@ -15,6 +15,7 @@ set (orders with any signs, proper quasi-orders with constant +1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,6 +35,7 @@ from .rings import RingElement, RingMismatchError
 from .sampling import SampleUniverse
 from .valuations import (
     Valuation,
+    field_embedding,
     field_passage,
     in_rv,
 )
@@ -147,10 +149,17 @@ def clearing_multiplier(basis: BasisData, dec: GammaDecomposition) -> RingElemen
 
 
 def default_basis(v: Valuation) -> BasisData:
-    """Basis from the fixed preimages of the unit vectors."""
-    if v._default_basis is None:
-        v._default_basis = BasisData(v, tuple(v.preimage(b) for b in v.group.basis))
-    return v._default_basis
+    """Basis from the fixed preimages of the unit vectors.
+
+    The basis holds v, and v holds it only weakly: while anything holds the
+    basis it is the one returned, and once nothing does it is freed by
+    reference counting and rebuilt from v's memoized preimages on demand.
+    """
+    basis = v._default_basis and v._default_basis()
+    if basis is None:
+        basis = BasisData(v, tuple(v.preimage(b) for b in v.group.basis))
+        v._default_basis = weakref.ref(basis)
+    return basis
 
 
 def lift(data: LiftData) -> QuasiOrder:
@@ -385,7 +394,8 @@ def bk3_lift(
     Returns (restricted, field-level, checks).
     """
     ring = v.ring
-    nu, to_field = field_passage(v, uniformizer)
+    nu = field_passage(v, uniformizer)
+    to_field = field_embedding(v, nu)
 
     if nu.manis and uniformizer is None:
         basis = default_basis(nu)
@@ -423,7 +433,8 @@ def mu_restrict(
     """Restrict a quasi-order on the residue field of the extension back
     to the residue domain of v along x + Iv -> (x/1) + I_nu."""
     ring = v.ring
-    nu, to_field = field_passage(v, uniformizer)
+    nu = field_passage(v, uniformizer)
+    to_field = field_embedding(v, nu)
     q = transport_qo(qo_field_residue, nu.residue_ring())
     rv = v.residue_ring()
     return pullback(

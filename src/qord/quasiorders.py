@@ -332,7 +332,8 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
     label = label or q.name
     zero = q.ring.zero()
 
-    singles = universe.singles(samples, f"dl:{label}:1")
+    ones = universe.tuples(1, samples, f"dl:{label}:1")
+    singles = [x for x, in ones]
     pairs = universe.pairs(samples, f"dl:{label}:2")
     triples = universe.triples(samples, f"dl:{label}:3")
     mul, add = once(operator.mul), once(operator.add)
@@ -352,7 +353,7 @@ def check_derived_lemmas(q: QuasiOrder, universe, samples: int = 500,
         ),
         sweep(
             f"{label}.sym-criterion",
-            [(x,) for x in singles],
+            ones,
             lambda x: q.sim(x, -x) != (q.le(zero, x) and q.le(zero, -x)),
         ),
         sweep(

@@ -32,9 +32,10 @@ from .report import (
     sweep,
 )
 from .rings import RingElement, RingMismatchError, ZeroIdeal, quotient_ring
-from .sampling import SampleUniverse, draws
+from .sampling import SampledTuples, SampleUniverse, draws
 from .valuations import (
     Valuation,
+    field_embedding,
     field_passage,
     frac_extend_val,
     in_iv,
@@ -75,8 +76,12 @@ def is_convex(
     zero = q.ring.zero()
     # z-major: each candidate upper bound is tried against all middles, so
     # the first reported witness has the smallest possible bound; pairs are
-    # drawn as (z, y) and swept as (y, z), the order the witness is reported in
-    pairs = [(y, z) for z, y in universe.pairs(samples, label)]
+    # drawn as (z, y) and swept as (y, z), the order the witness is reported
+    # in, with the drawn plan's keys swapped the same way
+    drawn = universe.pairs(samples, label)
+    pairs = SampledTuples(
+        [(y, z) for z, y in drawn], [(ky, kz) for kz, ky in drawn.keys]
+    )
     return sweep(
         label,
         pairs,
@@ -516,7 +521,8 @@ def special_star_check(
             if val is not INF and val != v.group.zero() and abs(val[0]) == 1:
                 uniformizer = t
                 break
-    nu, to_field = field_passage(v, uniformizer)
+    nu = field_passage(v, uniformizer)
+    to_field = field_embedding(v, nu)
     K = nu.ring
     zero_v = v.group.zero()
 

@@ -79,7 +79,16 @@ class Composite:
     upper: "Valuation"
 
 
-Provenance = Union[Padic, Gauss, Composite]
+@dataclass(frozen=True)
+class Extension:
+    """Provenance of a field passage: the base valuation v and the embedding
+    to_field, x -> x/1 from v.ring into Quot(v.ring/supp(v))."""
+
+    base: "Valuation"
+    to_field: Callable
+
+
+Provenance = Union[Padic, Gauss, Composite, Extension]
 
 #: (concrete ring, to_concrete, from_concrete) on payloads: a canonical form
 #: of the residue class domain, used for canonical representatives.
@@ -120,9 +129,11 @@ class Valuation:
         self._memo: dict = {}
         self._preimage_memo: dict = {}
         self.support = support if support is not None else SupportIdeal(self)
+        # what is derived from this valuation holds it, so it is held weakly:
+        # filled by residue_ring, field_passage and baerkrull.default_basis
         self._residue_ring = None
-        self._passages: dict = {}  # filled by field_passage
-        self._default_basis = None  # filled by baerkrull.default_basis
+        self._passages = weakref.WeakValueDictionary()
+        self._default_basis = None
 
     # ------------------------------------------------------------------
     def _eval_memo(self, payload):
@@ -514,10 +525,12 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
     preimage witness comes from v itself when v is Manis, otherwise from
     the supplied uniformizer (an element of value +-1 in a rank-1 group).
     """
-    return field_passage(v, uniformizer)[0]
+    return field_passage(v, uniformizer)
 
 
-def on_quotient(v: Valuation, qring: Ring, project, section) -> Valuation:
+def on_quotient(
+    v: Valuation, qring: Ring, project, section, provenance: Optional[Provenance] = None
+) -> Valuation:
     """v moved to qring = v.ring/supp(v) along the section, y -> v(section(y)),
     with the residue form of v, if any, carried along the same two maps."""
     if qring is v.ring:
@@ -540,30 +553,44 @@ def on_quotient(v: Valuation, qring: Ring, project, section) -> Valuation:
         local=qring.is_field,
         preimage_fn=(lambda g: project(v.preimage(g))) if v.manis else None,
         residue_form=form,
+        provenance=provenance,
     )
 
 
-def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None):
-    """The passage R -> R/supp(v) -> Quot(R/supp(v)) of v.
+def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None) -> Valuation:
+    """nu = frac_extend_val(v, uniformizer), along R -> R/supp(v) -> Quot(R/supp(v)).
 
-    Returns (nu, to_field): nu is frac_extend_val(v, uniformizer) and
-    to_field maps x in v.ring to x/1 in nu.ring.  There is one passage per
-    (v, uniformizer), so one nu and one residue ring of nu.
+    nu is v itself when v.ring is a field and supp(v) = 0; otherwise nu
+    carries ``Extension(v, to_field)``, with to_field the map x -> x/1 from
+    v.ring into nu.ring (``field_embedding`` reads it).  nu holds v, and
+    v holds nu only weakly: while anything holds nu (its residue ring
+    included), it is the one nu returned for (v, uniformizer), and once
+    nothing does, both are freed by reference counting.
     """
     key = None if uniformizer is None else (uniformizer.ring, uniformizer.payload)
-    passage = v._passages.get(key)
-    if passage is None:
-        passage = v._passages[key] = _build_passage(v, uniformizer)
-    return passage
+    nu = v._passages.get(key)
+    if nu is None:
+        nu = v._passages[key] = _build_passage(v, uniformizer)
+    return nu
 
 
-def _build_passage(v: Valuation, uniformizer: Optional[RingElement]):
+def field_embedding(v: Valuation, nu: Valuation) -> Callable:
+    """The map x -> x/1 from v.ring into nu.ring, for nu = field_passage(v, ...)."""
+    if nu is v:
+        return lambda x: x
+    prov = nu.provenance
+    if not (isinstance(prov, Extension) and prov.base is v):
+        raise ValueError(f"{nu.name} is not a field passage of {v.name}")
+    return prov.to_field
+
+
+def _build_passage(v: Valuation, uniformizer: Optional[RingElement]) -> Valuation:
     base = v.ring
     qring, project, section = quotient_ring(base, v.support)
-    vq = on_quotient(v, qring, project, section)
     K, embed = fraction_field(qring)
     if K is qring:
-        return vq, project
+        return on_quotient(v, qring, project, section, Extension(v, project))
+    vq = on_quotient(v, qring, project, section)
 
     def ev(payload):
         num, den = K.poly_pair(payload)
@@ -600,7 +627,7 @@ def _build_passage(v: Valuation, uniformizer: Optional[RingElement]):
             f"cannot extend {v.name}: no Manis witness and no uniformizer supplied"
         )
 
-    nu = Valuation(
+    return Valuation(
         K,
         v.group,
         ev,
@@ -610,8 +637,8 @@ def _build_passage(v: Valuation, uniformizer: Optional[RingElement]):
         local=True,
         preimage_fn=preimage_fn,
         residue_form=_fraction_residue_form(v, K),
+        provenance=Extension(v, lambda x: embed(project(x))),
     )
-    return nu, lambda x: embed(project(x))
 
 
 def _fraction_residue_form(v: Valuation, K: Ring) -> Optional[ResidueForm]:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 
 import pytest
@@ -241,3 +242,21 @@ def test_shipped_objects_shape():
         assert v.ring is U.ring, name
     for name, q, U in quasiorders:
         assert q.ring is U.ring, name
+
+
+def test_corpus_runs_leave_no_qord_object_to_the_cycle_collector():
+    # every valuation, passage, basis and lift of a run is freed by
+    # reference counting; DEBUG_SAVEALL keeps whatever the collector finds
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name in ("roundtrip-deg-plus", "roundtrip-q-v2", "rank-qx"):
+            run_instance(get_instance(name))
+        gc.collect()
+        found = sorted({type(obj).__qualname__ for obj in gc.garbage
+                        if type(obj).__module__.startswith("qord")})
+        assert found == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()

@@ -262,6 +262,45 @@ def test_element_parsing_round_trip():
             assert ring.parse(str(x)) == x
 
 
+def test_every_shipped_element_reparses():
+    # parse(format(x)) == x on every universe of the shipped catalogue, the
+    # residue domains of its valuations, Z/5Z and Quot(Z[X])
+    from qord.corpus import shipped_objects
+    from qord.residues import residue_universe
+
+    valuations, quasiorders = shipped_objects()
+    universes = [u for _, _, u in valuations + quasiorders]
+    universes += [residue_universe(v, u, count=40) for _, v, u in valuations]
+    universes += [SampleUniverse(IntegerModRing(5), seed=42, count=40),
+                  SampleUniverse(RationalFunctionField(ZX), seed=42, count=150)]
+    kinds = set()
+    for universe in universes:
+        ring = universe.ring
+        kinds.add(ring.kind)
+        for x in universe.elements():
+            assert ring.parse(str(x)) == x, (ring.name, str(x))
+    assert kinds == {"integers", "rationals", "polynomial", "quotient",
+                     "fraction-field", "residue-domain"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6))
+def test_integer_mod_ring_matches_ints_mod_p(p, a, b):
+    R = IntegerModRing(p)
+    x, y = R.from_int(a), R.from_int(b)
+    assert (x + y).payload == (a + b) % p
+    assert (x * y).payload == (a * b) % p
+    assert (-x).payload == -a % p
+    assert x == R.from_int(a + 7 * p) and (x == y) == ((a - b) % p == 0)
+    if a % p:
+        # the inverse by search over the residues, not by pow(a, -1, p)
+        assert R.inv(x).payload == next(c for c in range(p) if a * c % p == 1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            R.inv(x)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ElementSyntaxError):
         ZZ.parse("two")

@@ -1,4 +1,7 @@
+import gc
 import re
+import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -213,7 +216,8 @@ def test_frac_extend_needs_witness():
 )
 def test_field_passage_embeds_into_the_extension(make, uniformizer):
     v = make()
-    nu, to_field = field_passage(v, uniformizer)
+    nu = field_passage(v, uniformizer)
+    to_field = nu.provenance.to_field
     for x in SampleUniverse(v.ring, seed=5, count=60).elements():
         assert to_field(x).ring is nu.ring
         if v(x) is not INF:
@@ -557,6 +561,48 @@ def test_one_passage_per_valuation_and_uniformizer():
     # structure
     assert v2.residue_ring() is v2.residue_ring()
     assert v2.residue_ring().concrete_ring is IntegerModRing(2)
+
+
+@contextmanager
+def no_cycle_collector():
+    """Run the block with the cycle collector off: whatever it frees, it
+    frees by reference counting alone."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_dropped_passage_and_its_basis_are_freed_by_reference_counting():
+    from qord.baerkrull import EtaVector, LiftData, default_basis, lift
+    from qord.quasiorders import from_valuation
+
+    with no_cycle_collector():
+        v = padic_valuation(2, ZZ)
+        nu = frac_extend_val(v)
+        basis = default_basis(nu)
+        residue = nu.residue_ring()
+        lifted = lift(LiftData(basis, EtaVector((1,)),
+                               from_valuation(trivial_valuation(residue))))
+        # fill the memos of v, nu, the basis and the lift
+        elems = SampleUniverse(QQ, seed=5, count=30).elements()
+        assert any(lifted.le(x, y) for x in elems for y in elems)
+        alive = [weakref.ref(obj) for obj in (v, nu, basis)]
+        del v, nu, basis, residue, lifted
+        assert [ref() for ref in alive] == [None, None, None]
+
+
+def test_a_held_residue_ring_keeps_its_passage():
+    with no_cycle_collector():
+        v = padic_valuation(2, ZZ)
+        residue = frac_extend_val(v).residue_ring()
+        assert frac_extend_val(v) is residue.val
+        # and v alone keeps no passage alive
+        dropped = weakref.ref(frac_extend_val(v, ZZ.from_int(2)))
+        assert dropped() is None
 
 
 def test_residue_rings_of_one_name_do_not_mix():
