@@ -47,7 +47,6 @@ from .quasiorders import (
     leading_term_order,
     natural_order,
     qcmp,
-    support_member,
     transport_qo,
 )
 from .report import CheckResult, PreconditionError, Report, render_json, render_text
@@ -73,7 +72,6 @@ from .rings import (
     RingElement,
     VariableIdeal,
     ZeroIdeal,
-    const_term,
     fraction_field,
     poly_ring,
     quotient_reduce,
@@ -83,7 +81,6 @@ from .sampling import Bounds, SampleUniverse
 from .valuations import (
     Valuation,
     check_val_axioms,
-    classify_position,
     coarsening_check,
     composite_valuation,
     degree_valuation,

@@ -29,14 +29,14 @@ from .groups import (
     value_neg,
 )
 from .quasiorders import ORDER, PROPER, QuasiOrder, classify_qo, pullback, transport_qo
-from .report import PASS, CheckResult, PreconditionError, result, sweep
+from .report import INCONCLUSIVE, PASS, CheckResult, PreconditionError, result, sweep
 from .residues import compatible, is_compatible, residue_qo, residue_universe
 from .rings import RingElement, RingMismatchError
 from .sampling import SampleUniverse
 from .valuations import (
     Valuation,
     field_embedding,
-    field_passage,
+    frac_extend_val,
     in_rv,
 )
 
@@ -394,7 +394,7 @@ def bk3_lift(
     Returns (restricted, field-level, checks).
     """
     ring = v.ring
-    nu = field_passage(v, uniformizer)
+    nu = frac_extend_val(v, uniformizer)
     to_field = field_embedding(v, nu)
 
     if nu.manis and uniformizer is None:
@@ -416,12 +416,14 @@ def bk3_lift(
 
     verdict_r = compatible(v, restricted, universe, samples)
     verdict_k = compatible(nu, lifted, universe.on(nu.ring), samples)
+    # verdicts sampled on two universes: a disagreement is inconclusive
     agree = result(
         f"{label}.compat-levels-agree",
         verdict_r == verdict_k,
         None,
         samples,
         detail=f"R:{verdict_r} K:{verdict_k}",
+        otherwise=INCONCLUSIVE,
     )
     return restricted, lifted, [agree]
 
@@ -433,7 +435,7 @@ def mu_restrict(
     """Restrict a quasi-order on the residue field of the extension back
     to the residue domain of v along x + Iv -> (x/1) + I_nu."""
     ring = v.ring
-    nu = field_passage(v, uniformizer)
+    nu = frac_extend_val(v, uniformizer)
     to_field = field_embedding(v, nu)
     q = transport_qo(qo_field_residue, nu.residue_ring())
     rv = v.residue_ring()

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .dsl import (
     Check, DslError, SessionContext, bind_check, execute_statement, parse_session, run_session
 )
-from .report import FAIL, PASS, CheckResult, PreconditionError, Report
+from .report import FAIL, PASS, PreconditionError, Report, result
 from .residues import CompatReport, implication_table, table_blank_cells, table_conditions
 
 GOLDEN_VERSION = 1
@@ -437,14 +437,9 @@ def run_corpus(
         rep = run_instance(inst, seed=seed, samples=samples)
         combined.checks.extend(rep.checks)
         mismatches = diff_golden(rep, inst)
+        detail = "interpretation" if inst.interpretation else None
         combined.checks.append(
-            CheckResult(
-                name=f"{name}::golden-match",
-                status=PASS if not mismatches else FAIL,
-                witness=tuple(mismatches) or None,
-                samples_used=len(rep.checks),
-                detail="interpretation" if inst.interpretation else None,
-            )
+            result(f"{name}::golden-match", not mismatches, mismatches, len(rep.checks), detail)
         )
         combined.halted = combined.halted or rep.halted
     return combined

@@ -1,4 +1,10 @@
-"""Check results and deterministic report rendering."""
+"""Check results and deterministic report rendering.
+
+Every report entry is built here: by ``result``, whose ``otherwise`` names
+the kind of claim, by ``witnessed`` for an existential claim, or by
+``sweep``, which ends in ``result``.  So the verdict policy, and any field
+an entry gains, is decided in this one module.
+"""
 
 from __future__ import annotations
 
@@ -51,12 +57,32 @@ class CheckResult:
         return self.status in (PASS, INCONCLUSIVE)
 
 
-def result(name, ok, witness, n, detail=None) -> CheckResult:
-    """A pass or a fail; the witness is kept only on a fail."""
+def result(name, ok, witness, n, detail=None, *, otherwise=FAIL) -> CheckResult:
+    """A claim that held (PASS) or did not (``otherwise``); the witness is
+    kept only when it did not.
+
+    ``otherwise`` names the kind of claim:
+    FAIL, a claim refuted by its witness;
+    INCONCLUSIVE, sampled verdicts that disagree or a bounded search that
+    ran out, since a sampled pass proves nothing;
+    HARD, a guaranteed invariant that broke.
+    """
     return CheckResult(
         name=name,
-        status=PASS if ok else FAIL,
+        status=PASS if ok else otherwise,
         witness=None if ok else witness,
+        samples_used=n,
+        detail=detail,
+    )
+
+
+def witnessed(name, instances, n, detail=None) -> CheckResult:
+    """An existential claim: PASS carrying the instances found as its
+    witness, or FAIL when there are none."""
+    return CheckResult(
+        name=name,
+        status=PASS if instances else FAIL,
+        witness=tuple(instances) or None,
         samples_used=n,
         detail=detail,
     )

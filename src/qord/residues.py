@@ -9,7 +9,7 @@ and the passage to the associated quasi-ordered field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groups import INF, value_le, value_lt, value_neg
@@ -21,7 +21,6 @@ from .quasiorders import (
     pullback,
 )
 from .report import (
-    FAIL,
     HARD,
     INCONCLUSIVE,
     PASS,
@@ -30,13 +29,13 @@ from .report import (
     once,
     result,
     sweep,
+    witnessed,
 )
 from .rings import RingElement, RingMismatchError, ZeroIdeal, quotient_ring
 from .sampling import SampledTuples, SampleUniverse, draws
 from .valuations import (
     Valuation,
     field_embedding,
-    field_passage,
     frac_extend_val,
     in_iv,
     in_rv,
@@ -281,48 +280,29 @@ def table_conditions(
     samples: int = 500,
     label: str = None,
 ) -> CompatReport:
-    """Evaluate the five table conditions with recorded witnesses."""
+    """Evaluate the five table conditions with recorded witnesses.
+
+    Condition i holds when its deciding entry passed, and the entry's
+    witness, if any, is recorded as "ci".  Conditions (1)-(4) are decided
+    by one entry each; (5) by the first residue-rule entry that did not
+    pass, or else by the last one.
+    """
     label = label or f"table({v.name},{q.name})"
-    checks: List[CheckResult] = []
-    witnesses: Dict[str, Tuple[str, ...]] = {}
-
-    r1 = is_compatible(v, q, universe, samples, label=f"{label}.compatible")
-    checks.append(r1)
-    if r1.witness:
-        witnesses["c1"] = r1.witness
-
-    r2 = is_convex(lambda x: in_rv(v, x), q, universe, samples, label=f"{label}.Rv-convex")
-    checks.append(r2)
-    if r2.witness:
-        witnesses["c2"] = r2.witness
-
-    r3 = is_convex(lambda x: in_iv(v, x), q, universe, samples, label=f"{label}.Iv-convex")
-    checks.append(r3)
-    if r3.witness:
-        witnesses["c3"] = r3.witness
-
-    name = f"{label}.Iv-below-1"
-    r4 = _iv_below_one(v, q, universe, samples, name, name)
-    checks.append(r4)
-    if r4.witness:
-        witnesses["c4"] = r4.witness
-
+    iv_below_one = f"{label}.Iv-below-1"
+    checks = [
+        is_compatible(v, q, universe, samples, label=f"{label}.compatible"),
+        is_convex(lambda x: in_rv(v, x), q, universe, samples, label=f"{label}.Rv-convex"),
+        is_convex(lambda x: in_iv(v, x), q, universe, samples, label=f"{label}.Iv-convex"),
+        _iv_below_one(v, q, universe, samples, iv_below_one, iv_below_one),
+    ]
     residue_checks = residue_rule_report(q, v, universe, samples, label=f"{label}.residue")
-    checks.extend(residue_checks)
-    c5 = all(r.status == PASS for r in residue_checks)
-    if not c5:
-        first_bad = next(r for r in residue_checks if r.status != PASS)
-        if first_bad.witness:
-            witnesses["c5"] = first_bad.witness
-
+    deciding = checks + [
+        next((r for r in residue_checks if r.status != PASS), residue_checks[-1])
+    ]
     return CompatReport(
-        c1=r1.status == PASS,
-        c2=r2.status == PASS,
-        c3=r3.status == PASS,
-        c4=r4.status == PASS,
-        c5=c5,
-        witnesses=witnesses,
-        checks=checks,
+        *(r.status == PASS for r in deciding),
+        witnesses={f"c{i}": r.witness for i, r in enumerate(deciding, 1) if r.witness},
+        checks=checks + residue_checks,
         samples=samples,
     )
 
@@ -352,6 +332,7 @@ def implication_table(
     """
     checks: List[CheckResult] = []
     witnesses: Dict[Tuple[int, int], List[str]] = {}
+    n = len(instance_reports)
     for i in range(1, 6):
         for j in range(1, 6):
             if i == j:
@@ -362,30 +343,14 @@ def implication_table(
                 if rep.flag(i) and not rep.flag(j)
             ]
             if (i, j) in TABLE_CHECKMARKS:
+                detail = "checkmark violated" if offenders else "checkmark holds"
                 checks.append(
-                    CheckResult(
-                        name=f"table.{i}=>{j}",
-                        status=PASS if not offenders else HARD,
-                        witness=tuple(offenders) or None,
-                        samples_used=len(instance_reports),
-                        detail="checkmark holds" if not offenders else "checkmark violated",
-                    )
+                    result(f"table.{i}=>{j}", not offenders, offenders, n, detail, otherwise=HARD)
                 )
             else:
                 witnesses[(i, j)] = offenders
-                checks.append(
-                    CheckResult(
-                        name=f"table.{i}-x->{j}",
-                        status=PASS if offenders else FAIL,
-                        witness=tuple(offenders) or None,
-                        samples_used=len(instance_reports),
-                        detail=(
-                            "blank cell witnessed"
-                            if offenders
-                            else "no corpus witness for blank cell"
-                        ),
-                    )
-                )
+                detail = "blank cell witnessed" if offenders else "no corpus witness for blank cell"
+                checks.append(witnessed(f"table.{i}-x->{j}", offenders, n, detail))
     return checks, witnesses
 
 
@@ -415,16 +380,10 @@ def theorem_compat_report(
     if v.nontrivial:
         agree = agree and (t4 == t1)
     scope = "nontrivial" if v.nontrivial else "trivial valuation: Rv convexity exempt"
+    verdicts = (f"compat={t1}", f"Iv-convex={t2}", f"residue={t3}", f"Rv-convex={t4}")
+    detail = scope if agree else f"{DISAGREE}; {scope}"
     out.append(
-        CheckResult(
-            name=f"{label}.equivalence",
-            status=PASS if agree else INCONCLUSIVE,
-            witness=None if agree else (
-                f"compat={t1}", f"Iv-convex={t2}", f"residue={t3}", f"Rv-convex={t4}",
-            ),
-            samples_used=rep.samples,
-            detail=scope if agree else f"{DISAGREE}; {scope}",
-        )
+        result(f"{label}.equivalence", agree, verdicts, rep.samples, detail, otherwise=INCONCLUSIVE)
     )
     if t1:
         out.append(
@@ -472,12 +431,10 @@ def iv_prec_one(
     compat = is_compatible(v, q, universe, samples, label=f"{label}.compatible")
     t_below, t_compat = below.status == PASS, compat.status == PASS
     agree = t_below == t_compat
-    equivalence = CheckResult(
-        name=f"{label}.equivalence",
-        status=PASS if agree else INCONCLUSIVE,
-        witness=None if agree else (f"Iv-below-1={t_below}", f"compatible={t_compat}"),
-        samples_used=samples,
-        detail=None if agree else DISAGREE,
+    verdicts = (f"Iv-below-1={t_below}", f"compatible={t_compat}")
+    detail = None if agree else DISAGREE
+    equivalence = result(
+        f"{label}.equivalence", agree, verdicts, samples, detail, otherwise=INCONCLUSIVE
     )
     return [below, compat, equivalence]
 
@@ -521,7 +478,7 @@ def special_star_check(
             if val is not INF and val != v.group.zero() and abs(val[0]) == 1:
                 uniformizer = t
                 break
-    nu = field_passage(v, uniformizer)
+    nu = frac_extend_val(v, uniformizer)
     to_field = field_embedding(v, nu)
     K = nu.ring
     zero_v = v.group.zero()
@@ -564,24 +521,11 @@ def special_star_check(
                 witness = (str(xi), str(bad_pair[0]), str(bad_pair[1]))
                 break
             inconclusive = (str(xi),)
-    status = PASS
     if witness is not None:
-        status = FAIL
-    elif inconclusive is not None:
-        status = INCONCLUSIVE
-    return [
-        CheckResult(
-            name=label,
-            status=status,
-            witness=witness or inconclusive,
-            samples_used=checked,
-            detail=None if status == PASS else (
-                "no representation found within the sampled multipliers"
-                if status == INCONCLUSIVE
-                else "residue mismatch"
-            ),
-        )
-    ]
+        return [result(label, False, witness, checked, "residue mismatch")]
+    ok = inconclusive is None
+    detail = None if ok else "no representation found within the sampled multipliers"
+    return [result(label, ok, inconclusive, checked, detail, otherwise=INCONCLUSIVE)]
 
 
 def _num_den_in(v: Valuation, K) -> Callable:
@@ -660,15 +604,7 @@ def rank_check(
         res = is_compatible(v, q, universe, samples, label=f"{label}.compat({v.name})")
         ok = res.status == PASS
         # candidate filtering is information, not a failure of the rank check
-        out.append(
-            CheckResult(
-                name=res.name,
-                status=PASS,
-                witness=res.witness,
-                samples_used=res.samples_used,
-                detail="compatible" if ok else "incompatible",
-            )
-        )
+        out.append(replace(res, status=PASS, detail="compatible" if ok else "incompatible"))
         if ok:
             survivors.append(v)
 
@@ -688,15 +624,8 @@ def rank_check(
             ):
                 chain_ok = False
                 witness = (a.name, b.name)
-    out.append(
-        CheckResult(
-            name=f"{label}.chain",
-            status=PASS if chain_ok else HARD,
-            witness=witness,
-            samples_used=samples,
-            detail=None if chain_ok else "survivors are not totally ordered by coarsening",
-        )
-    )
+    detail = None if chain_ok else "survivors are not totally ordered by coarsening"
+    out.append(result(f"{label}.chain", chain_ok, witness, samples, detail, otherwise=HARD))
 
     def coarseness(v):
         return sum(
@@ -775,13 +704,8 @@ def associated_qofield(
             verdict_k = compatible(nu, ext, universe.on(nu.ring), samples)
             agree = agree and verdict_k == verdict_r
             detail += f" K:{verdict_k}"
-        out.append(
-            CheckResult(
-                name=f"{label}.compat-levels-agree",
-                status=PASS if agree else HARD,
-                samples_used=samples,
-                detail=detail,
-            )
-        )
+        # verdicts sampled on three universes: a disagreement is inconclusive
+        name = f"{label}.compat-levels-agree"
+        out.append(result(name, agree, None, samples, detail, otherwise=INCONCLUSIVE))
 
     return ext.ring, ext, out

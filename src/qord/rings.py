@@ -1356,14 +1356,6 @@ def fraction_field(domain: Ring):
 # misc shared helpers
 
 
-def const_term(f: RingElement) -> RingElement:
-    """Coefficient of the all-zero monomial, as a base-ring element."""
-    ring = f.ring
-    if not isinstance(ring, PolynomialRing):
-        raise RingMismatchError(f"{ring.name} is not a polynomial ring")
-    return RingElement(ring.base, ring.const_coef(f.payload))
-
-
 def poly_ring(base: Ring, *variables: str) -> PolynomialRing:
     return PolynomialRing(base, variables)
 

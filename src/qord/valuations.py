@@ -26,7 +26,6 @@ from .groups import (
     format_value,
     lex_product,
     value_add,
-    value_cmp,
     value_le,
     value_lt,
     value_neg,
@@ -49,12 +48,6 @@ from .rings import (
     fraction_field,
     quotient_ring,
 )
-
-IN_SUPPORT = "in-support"
-IN_IV = "in-Iv"
-IN_UV = "in-Uv"
-OUTSIDE_RV = "outside-Rv"
-
 
 @dataclass(frozen=True)
 class Padic:
@@ -130,7 +123,7 @@ class Valuation:
         self._preimage_memo: dict = {}
         self.support = support if support is not None else SupportIdeal(self)
         # what is derived from this valuation holds it, so it is held weakly:
-        # filled by residue_ring, field_passage and baerkrull.default_basis
+        # filled by residue_ring, frac_extend_val and baerkrull.default_basis
         self._residue_ring = None
         self._passages = weakref.WeakValueDictionary()
         self._default_basis = None
@@ -180,19 +173,6 @@ class Valuation:
 
     def __repr__(self):
         return f"Valuation({self.name} on {self.ring.name} -> {self.group.name})"
-
-
-def classify_position(v: Valuation, x: RingElement) -> str:
-    """Partition of the ring by the sign of v: support, Iv, Uv, outside Rv."""
-    val = v(x)
-    if val is INF:
-        return IN_SUPPORT
-    c = value_cmp(val, v.group.zero())
-    if c > 0:
-        return IN_IV
-    if c == 0:
-        return IN_UV
-    return OUTSIDE_RV
 
 
 def in_rv(v: Valuation, x: RingElement) -> bool:
@@ -518,16 +498,6 @@ def degree_valuation(poly: PolynomialRing) -> Valuation:
     return gauss_on(trivial_valuation(poly.base), poly, (-1,))
 
 
-def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> Valuation:
-    """Extend v to the fraction field of v.ring/supp(v) by v(x)-v(y).
-
-    The result is always Manis onto the group generated by the image; a
-    preimage witness comes from v itself when v is Manis, otherwise from
-    the supplied uniformizer (an element of value +-1 in a rank-1 group).
-    """
-    return field_passage(v, uniformizer)
-
-
 def on_quotient(
     v: Valuation, qring: Ring, project, section, provenance: Optional[Provenance] = None
 ) -> Valuation:
@@ -557,9 +527,13 @@ def on_quotient(
     )
 
 
-def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None) -> Valuation:
-    """nu = frac_extend_val(v, uniformizer), along R -> R/supp(v) -> Quot(R/supp(v)).
+def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> Valuation:
+    """Extend v to nu on the fraction field of v.ring/supp(v) by v(x)-v(y),
+    along R -> R/supp(v) -> Quot(R/supp(v)).
 
+    nu is always Manis onto the group generated by the image; a preimage
+    witness comes from v itself when v is Manis, otherwise from the
+    supplied uniformizer (an element of value +-1 in a rank-1 group).
     nu is v itself when v.ring is a field and supp(v) = 0; otherwise nu
     carries ``Extension(v, to_field)``, with to_field the map x -> x/1 from
     v.ring into nu.ring (``field_embedding`` reads it).  nu holds v, and
@@ -575,7 +549,7 @@ def field_passage(v: Valuation, uniformizer: Optional[RingElement] = None) -> Va
 
 
 def field_embedding(v: Valuation, nu: Valuation) -> Callable:
-    """The map x -> x/1 from v.ring into nu.ring, for nu = field_passage(v, ...)."""
+    """The map x -> x/1 from v.ring into nu.ring, for nu = frac_extend_val(v, ...)."""
     if nu is v:
         return lambda x: x
     prov = nu.provenance

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qord import baerkrull
 from qord.baerkrull import (
     BasisData,
     EtaVector,
@@ -28,7 +29,7 @@ from qord.quasiorders import (
     natural_order,
     transport_qo,
 )
-from qord.report import PASS, PreconditionError
+from qord.report import EXIT_OK, INCONCLUSIVE, PASS, PreconditionError, Report
 from qord.rings import QQ, ZZ, poly_ring
 from qord.sampling import SampleUniverse
 from qord.valuations import (
@@ -403,6 +404,20 @@ def test_bk3_on_integers_matches_padic_qo():
     direct = from_valuation(v2z)
     for x, y in UZ.pairs(500, "cmp"):
         assert restricted.le(x, y) == direct.le(x, y)
+
+
+def test_bk3_levels_that_disagree_are_inconclusive(monkeypatch):
+    # verdicts sampled on Z and on Q: a disagreement is not a failure
+    v2z = padic_valuation(2, ZZ)
+    verdicts = iter([True, False])  # on Z, then on Q
+    monkeypatch.setattr(baerkrull, "compatible", lambda *args: next(verdicts))
+    _, _, [agree] = bk3_lift(
+        v2z, (1,), trivial_residue_qo(frac_extend_val(v2z)),
+        SampleUniverse(ZZ, seed=42, count=100), samples=100,
+    )
+    assert agree.name == "bk3.compat-levels-agree"
+    assert agree.status == INCONCLUSIVE and agree.detail == "R:True K:False"
+    assert Report(seed=42, checks=[agree]).exit_code() == EXIT_OK
 
 
 def test_bk3_on_zx_degree_gives_an_order():

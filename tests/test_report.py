@@ -1,9 +1,14 @@
+import ast
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from qord.report import FAIL, PASS, once, result, sweep
+import pytest
+
+import qord
+from qord.report import FAIL, HARD, INCONCLUSIVE, PASS, once, result, sweep, witnessed
 from qord.rings import ZZ
 from qord.sampling import SampleUniverse, _stable_int
 
@@ -50,6 +55,36 @@ def test_result_drops_the_witness_on_a_pass():
     assert result("r", True, ("x",), 1).witness is None
     r = result("r", False, ("x",), 1, detail="why")
     assert r.status == FAIL and r.witness == ("x",) and r.detail == "why"
+
+
+@pytest.mark.parametrize("otherwise", [FAIL, INCONCLUSIVE, HARD])
+def test_result_names_the_outcome_of_a_claim_that_did_not_hold(otherwise):
+    held = result("r", True, ("x",), 3, "d", otherwise=otherwise)
+    assert (held.status, held.witness, held.samples_used, held.detail) == (PASS, None, 3, "d")
+    broke = result("r", False, ("x", 2), 3, "d", otherwise=otherwise)
+    assert (broke.status, broke.witness, broke.samples_used) == (otherwise, ("x", "2"), 3)
+
+
+def test_witnessed_passes_with_the_instances_found_and_fails_on_none():
+    r = witnessed("e", ["a", "b"], 5, "found")
+    assert (r.status, r.witness, r.samples_used, r.detail) == (PASS, ("a", "b"), 5, "found")
+    r = witnessed("e", [], 5)
+    assert (r.status, r.witness) == (FAIL, None)
+
+
+def test_only_report_builds_a_check_result():
+    # every entry goes through the helpers of qord.report, so a field that
+    # every entry needs is added in that one module
+    builders = []
+    for path in sorted(Path(qord.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if "CheckResult" in (getattr(f, "id", None), getattr(f, "attr", None)):
+                    builders.append(f"{path.name}:{node.lineno}")
+    assert builders == []
 
 
 def _brute_sweep(tuples, fails, given=None):

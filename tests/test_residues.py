@@ -1,6 +1,6 @@
 import pytest
 
-from qord import corpus
+from qord import corpus, residues
 from qord.groups import value_le, value_lt
 from qord.quasiorders import (
     ORDER,
@@ -11,7 +11,7 @@ from qord.quasiorders import (
     at_zero_order,
     natural_order,
 )
-from qord.report import FAIL, HARD, PASS, PreconditionError
+from qord.report import EXIT_OK, FAIL, HARD, INCONCLUSIVE, PASS, PreconditionError, Report
 from qord.residues import (
     CompatReport,
     associated_qofield,
@@ -561,6 +561,21 @@ def test_associated_field_of_padic_matches_extension():
     for x, y in UQ.pairs(300, "cmp"):
         assert ext.le(x, y) == direct.le(x, y)
     assert all(c.status == PASS for c in checks)
+
+
+def test_compat_levels_that_disagree_are_inconclusive(monkeypatch):
+    # the levels' verdicts are sampled on different universes, so levels
+    # that disagree are inconclusive: neither a failure nor exit 4
+    v2z = padic_valuation(2, ZZ)
+    verdicts = iter([True, False])  # on R, then on R/supp
+    monkeypatch.setattr(residues, "compatible", lambda *args: next(verdicts))
+    _, _, checks = associated_qofield(
+        from_valuation(v2z), SampleUniverse(ZZ, seed=42, count=100), samples=100, v=v2z
+    )
+    agree = checks[-1]
+    assert agree.name == "qofield.compat-levels-agree"
+    assert agree.status == INCONCLUSIVE and agree.detail == "R:True R/E0:False"
+    assert Report(seed=42, checks=checks).exit_code() == EXIT_OK
 
 
 def shipped_residue_rules(monkeypatch):

@@ -21,20 +21,17 @@ from qord.rings import (
 )
 from qord.sampling import SampleUniverse
 from qord.valuations import (
-    IN_IV,
-    IN_SUPPORT,
-    IN_UV,
-    OUTSIDE_RV,
     Valuation,
     check_val_axioms,
-    classify_position,
     coarsening_check,
     composite_valuation,
     degree_valuation,
     equivalent_check,
-    field_passage,
     frac_extend_val,
     gauss_on,
+    in_iv,
+    in_rv,
+    in_uv,
     is_coarsening,
     padic_valuation,
     quotient_val,
@@ -97,10 +94,12 @@ def test_padic_axiom_values():
 
 
 def test_classify_position():
-    assert classify_position(v2, QQ.el(Fraction(1, 2))) == OUTSIDE_RV
-    assert classify_position(v2, QQ.zero()) == IN_SUPPORT
-    assert classify_position(v2, QQ.from_int(3)) == IN_UV
-    assert classify_position(v2, QQ.from_int(4)) == IN_IV
+    half, zero, three, four = QQ.el(Fraction(1, 2)), QQ.zero(), QQ.from_int(3), QQ.from_int(4)
+    assert not in_rv(v2, half)
+    assert v2(zero) is INF and in_iv(v2, zero) and not in_uv(v2, zero)
+    assert in_uv(v2, three) and not in_iv(v2, three)
+    assert in_iv(v2, four) and not in_uv(v2, four)
+    assert all(in_rv(v2, x) for x in (zero, three, four))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_frac_extend_needs_witness():
 )
 def test_field_passage_embeds_into_the_extension(make, uniformizer):
     v = make()
-    nu = field_passage(v, uniformizer)
+    nu = frac_extend_val(v, uniformizer)
     to_field = nu.provenance.to_field
     for x in SampleUniverse(v.ring, seed=5, count=60).elements():
         assert to_field(x).ring is nu.ring
@@ -556,7 +555,7 @@ def test_one_passage_per_valuation_and_uniformizer():
     nu = frac_extend_val(v, uniformizer=QX.var("X"))
     assert frac_extend_val(v, uniformizer=QX.parse("X")) is nu
     assert nu.residue_ring() is frac_extend_val(v, QX.var("X")).residue_ring()
-    assert field_passage(v2z) is field_passage(v2z)
+    assert frac_extend_val(v2z) is frac_extend_val(v2z)
     # rings tied to a valuation are one per valuation, other rings one per
     # structure
     assert v2.residue_ring() is v2.residue_ring()
