@@ -34,6 +34,7 @@ from .report import (
 from .rings import RingElement, RingMismatchError, ZeroIdeal, quotient_ring
 from .sampling import SampledTuples, SampleUniverse, draws
 from .valuations import (
+    Padic,
     Valuation,
     field_embedding,
     frac_extend_val,
@@ -190,7 +191,8 @@ def residue_rule_report(
     elems = universe.elements()
     fsize = universe.forced_size
     rv_forced = [x for x in elems[:fsize] if value_le(zero, v(x))]
-    rv_elems = [x for x in elems if value_le(zero, v(x))]
+    rv_at = [i for i, x in enumerate(elems) if value_le(zero, v(x))]
+    rv_elems = [elems[i] for i in rv_at]
     iv_elems = [c for c in elems if value_lt(zero, v(c))]
 
     # forced-prefix pairs first so pinned witnesses are met deterministically
@@ -233,7 +235,10 @@ def residue_rule_report(
     out.append(
         sweep(
             f"{label}.support-zero",
-            [(x,) for x in rv_elems],
+            # keyed as universe.tuples keys its draws, by first positions
+            SampledTuples(
+                [(x,) for x in rv_elems], [(universe._first[i],) for i in rv_at]
+            ),
             lambda x: rq.sim(residue.el(x.payload), residue.zero()),
             given=lambda x: in_uv(v, x),
         )
@@ -695,16 +700,22 @@ def associated_qofield(
             if not same_supp:
                 raise PreconditionError("valuation support differs from the q.o. support")
         v_mid = on_quotient(v, qring, project, section)
-        nu = frac_extend_val(v_mid) if v_mid.manis else None
-        verdict_r = compatible(v, q, universe, samples)
-        verdict_mid = compatible(v_mid, q_mid, universe.on(qring), samples)
-        agree = verdict_r == verdict_mid
-        detail = f"R:{verdict_r} R/E0:{verdict_mid}"
-        if nu is not None:
-            verdict_k = compatible(nu, ext, universe.on(nu.ring), samples)
-            agree = agree and verdict_k == verdict_r
-            detail += f" K:{verdict_k}"
-        # verdicts sampled on three universes: a disagreement is inconclusive
+        # each distinct level once: R/supp is R when the support is zero, and
+        # the field is R/supp when that is a field; the field level needs a
+        # Manis v or a p-adic uniformizer (see frac_extend_val)
+        levels = [("R", v, q, universe)]
+        if qring is not ring:
+            levels.append(("R/E0", v_mid, q_mid, universe.on(qring)))
+        if ext.ring is not qring and (v_mid.manis or isinstance(v_mid.provenance, Padic)):
+            nu = frac_extend_val(v_mid)
+            levels.append(("K", nu, ext, universe.on(nu.ring)))
+        verdicts = [compatible(w, p, U, samples) for _, w, p, U in levels]
+        detail = " ".join(f"{lv[0]}:{ok}" for lv, ok in zip(levels, verdicts))
+        if len(levels) == 1:
+            detail += " (one level only, nothing compared)"
+        # verdicts sampled on different universes: a disagreement is
+        # inconclusive, and so is a single level, which compares nothing
+        agree = len(levels) > 1 and len(set(verdicts)) == 1
         name = f"{label}.compat-levels-agree"
         out.append(result(name, agree, None, samples, detail, otherwise=INCONCLUSIVE))
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from .rings import (
     IntegerModRing,
@@ -24,6 +26,9 @@ from .rings import (
     RationalFunctionField,
     Ring,
     RingElement,
+    _mono_key,
+    _q_reduced,
+    _trimmed,
 )
 
 
@@ -74,6 +79,132 @@ def draws(rng: random.Random, elems: Sequence):
     return map(elems.__getitem__, _indices(rng, len(elems)))
 
 
+def randint(getrandbits, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` for ``getrandbits = rng.getrandbits``.
+
+    Drawn as CPython's ``randint`` draws it for a ``random.Random``: with
+    n = b - a + 1, ``getrandbits(n.bit_length())``, drawn again while it
+    is not below n, plus a.  So it gives the stream ``randint`` gives and
+    leaves the generator in the same state (tests/test_sampling.py pins
+    both), without ``randint``'s and ``randrange``'s checks and calls.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return a + r
+
+
+def payload_drawer(ring: Ring, bounds: Bounds, rng: random.Random) -> Callable[[], object]:
+    """A function drawing one canonical payload of ring from rng per call.
+
+    The ring's kind is looked at once, here, and each call builds the
+    payload directly: an int for Z and Z/p, a Fraction for Q, a dense or
+    sparse polynomial payload, ``from_poly_pair`` of two polynomial draws
+    for a fraction field (a zero denominator becomes 1), and the reduced
+    base draw for a ``QuotientRing``.  A ring of another kind draws
+    through its own ``sampler(draw_on)``, where ``draw_on(ring)`` is this
+    function for another ring on the same stream; residue domains draw so
+    from their concrete ring or their parent.  Every integer comes from
+    ``randint``, in the order of the written-out draw: a polynomial draws
+    its number of terms, then for each term its exponents and its
+    coefficient; a rational draws its numerator, then its denominator.
+    """
+    bits = rng.getrandbits
+    h = bounds.coeff_height
+    if isinstance(ring, IntegerRing):
+        return lambda: randint(bits, -h, h)
+    if isinstance(ring, RationalField):
+        dh = bounds.den_height
+        return lambda: Fraction(randint(bits, -h, h), randint(bits, 1, dh))
+    if isinstance(ring, IntegerModRing):
+        top = ring.modulus - 1
+        return lambda: randint(bits, 0, top)
+    if isinstance(ring, PolynomialRing):
+        return _poly_drawer(ring, bounds, rng)
+    if isinstance(ring, RationalFunctionField):
+        poly = _poly_drawer(ring.poly, bounds, rng)
+        zero, one = ring.poly.zero_payload(), ring.poly.one_payload()
+
+        def draw():
+            num = poly()
+            den = poly()
+            return ring.from_poly_pair(num, one if den == zero else den)
+
+        return draw
+    if isinstance(ring, QuotientRing):
+        base = payload_drawer(ring.base, bounds, rng)
+        return lambda: ring.canon(base())
+    sampler = getattr(ring, "sampler", None)
+    if sampler is not None:
+        return sampler(lambda other: payload_drawer(other, bounds, rng))
+    raise ValueError(f"no sampler for ring {ring.name}")
+
+
+def _poly_drawer(ring: PolynomialRing, bounds: Bounds, rng: random.Random):
+    """``payload_drawer`` for a polynomial ring.  Terms with equal exponents
+    add up, so a draw may have fewer terms than it drew."""
+    bits = rng.getrandbits
+    h, top, nterms = bounds.coeff_height, bounds.max_degree, bounds.max_terms
+    if ring.dense and isinstance(ring.base, IntegerRing):
+
+        def draw():
+            n = [0] * (top + 1)
+            for _ in range(randint(bits, 0, nterms)):
+                e = randint(bits, 0, top)
+                n[e] += randint(bits, -h, h)
+            return tuple(_trimmed(n))
+
+        return draw
+    if ring.dense:  # over Q
+        dh = bounds.den_height
+
+        def draw():
+            # (exponent, numerator, denominator) of each term, in draw order
+            terms = [
+                (randint(bits, 0, top), randint(bits, -h, h), randint(bits, 1, dh))
+                for _ in range(randint(bits, 0, nterms))
+            ]
+            if not terms:
+                return ring.zero_payload()
+            den = math.lcm(*[d for _, _, d in terms])
+            n = [0] * (top + 1)
+            for e, a, d in terms:
+                n[e] += a * (den // d)
+            return _q_reduced(_trimmed(n), den)
+
+        return draw
+    base = ring.base
+    coef = payload_drawer(base, bounds, rng)
+    nvars = range(ring.nvars)
+    if isinstance(base, (IntegerRing, RationalField)):
+        # + is the base's add and every payload is canonical: drop the
+        # zeros and sort, as ``_canon_dict`` would
+        add = operator.add
+
+        def finish(d):
+            terms = sorted(d.items(), key=_term_key, reverse=True)
+            return tuple([t for t in terms if t[1]])
+
+    else:
+        add, finish = base.add, ring._canon_dict
+
+    def draw():
+        d: dict = {}
+        for _ in range(randint(bits, 0, nterms)):
+            exps = tuple([randint(bits, 0, top) for _ in nvars])
+            c = coef()
+            d[exps] = add(d[exps], c) if exps in d else c
+        return finish(d)
+
+    return draw
+
+
+def _term_key(term):
+    return _mono_key(term[0])
+
+
 class SampledTuples(list):
     """A list of sampled tuples that carries its sweep plan.
 
@@ -97,7 +228,10 @@ class SampleUniverse:
 
     The multiset is ``distinguished + [0, 1, -1] + count random draws``;
     generation depends only on (ring, seed, count, bounds, distinguished).
-    Entries with equal payloads are one and the same object.
+    The draws are payloads, from ``payload_drawer`` on a generator seeded
+    by the seed and the ring's name, and each distinct payload is wrapped
+    in one element: entries with equal payloads are one and the same
+    object.
     """
 
     def __init__(
@@ -140,13 +274,18 @@ class SampleUniverse:
                     seen.add(key)
                     forced.append(x)
             rng = random.Random(self.seed ^ _stable_int(self.ring.name))
-            generated = [self._draw(rng) for _ in range(self.count)]
+            draw = payload_drawer(self.ring, self.bounds, rng)
+            generated = [draw() for _ in range(self.count)]
             # one object per distinct payload, so that a sweep can spot a
             # repeated tuple by the identity of its elements
             interned: dict = {}
-            self._elements = [
-                interned.setdefault(x.payload, x) for x in forced + generated
-            ]
+            elems = [interned.setdefault(x.payload, x) for x in forced]
+            for p in generated:
+                x = interned.get(p)
+                if x is None:
+                    x = interned[p] = RingElement(self.ring, p)
+                elems.append(x)
+            self._elements = elems
             # entry i holds the same object as entry _first[i], its first
             # occurrence: tuples() keys its draws with these positions
             where: dict = {}
@@ -161,50 +300,6 @@ class SampleUniverse:
         """Length of the forced prefix of ``elements()``."""
         self.elements()
         return self._forced_size
-
-    # ------------------------------------------------------------------
-    def _draw(self, rng: random.Random) -> RingElement:
-        return self._draw_in(self.ring, rng)
-
-    def _draw_in(self, ring: Ring, rng: random.Random) -> RingElement:
-        b = self.bounds
-        if isinstance(ring, IntegerRing):
-            return ring.from_int(rng.randint(-b.coeff_height, b.coeff_height))
-        if isinstance(ring, RationalField):
-            num = rng.randint(-b.coeff_height, b.coeff_height)
-            den = rng.randint(1, b.den_height)
-            return ring.el(Fraction(num, den))
-        if isinstance(ring, IntegerModRing):
-            return ring.el(rng.randrange(ring.modulus))
-        if isinstance(ring, PolynomialRing):
-            return self._draw_poly(ring, rng)
-        if isinstance(ring, RationalFunctionField):
-            num = self._draw_poly(ring.poly, rng)
-            den = self._draw_poly(ring.poly, rng)
-            if den.is_zero():
-                den = ring.poly.one()
-            return ring.frac(num, den)
-        if isinstance(ring, QuotientRing):
-            rep = self._draw_in(ring.base, rng)
-            return ring.el(rep.payload)
-        # residue domains and other wrappers know how to sample themselves
-        sampler = getattr(ring, "sample", None)
-        if sampler is not None:
-            return sampler(self, rng)
-        raise ValueError(f"no sampler for ring {ring.name}")
-
-    def _draw_poly(self, ring: PolynomialRing, rng: random.Random) -> RingElement:
-        b = self.bounds
-        nterms = rng.randint(0, b.max_terms)
-        d: dict = {}
-        for _ in range(nterms):
-            exps = tuple(rng.randint(0, b.max_degree) for _ in ring.variables)
-            coef = self._draw_in(ring.base, rng)
-            if exps in d:
-                d[exps] = ring.base.add(d[exps], coef.payload)
-            else:
-                d[exps] = coef.payload
-        return RingElement(ring, ring._canon_dict(d))
 
     # ------------------------------------------------------------------
     def tuples(self, arity: int, n: int, tag: str) -> SampledTuples:

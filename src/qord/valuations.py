@@ -197,6 +197,10 @@ class ResidueDomainRing(Ring):
     Equality is v(a-b) > 0.  When the parent valuation has a recognized
     residue structure (a prime field or the rationals), elements carry a
     canonical representative obtained through that concrete ring.
+    Without one, an element is any representative, as a payload of the
+    parent ring: the parent's payloads are canonical on construction, so
+    ``add``, ``neg`` and ``mul`` return the parent's result as it is, and
+    ``sampler`` draws from the parent.
     """
 
     kind = "residue-domain"
@@ -225,13 +229,16 @@ class ResidueDomainRing(Ring):
         return self.canon(self.parent.int_payload(n))
 
     def add(self, a, b):
-        return self.canon(self.parent.add(a, b))
+        s = self.parent.add(a, b)
+        return s if self._to_c is None else self.canon(s)
 
     def neg(self, a):
-        return self.canon(self.parent.neg(a))
+        n = self.parent.neg(a)
+        return n if self._to_c is None else self.canon(n)
 
     def mul(self, a, b):
-        return self.canon(self.parent.mul(a, b))
+        p = self.parent.mul(a, b)
+        return p if self._to_c is None else self.canon(p)
 
     def eq(self, a, b):
         # a, b: any representatives in R_v; the lift passes cleared products
@@ -256,8 +263,9 @@ class ResidueDomainRing(Ring):
         return self.el(self._from_c(c.inv(c.el(self._to_c(x.payload))).payload))
 
     def format(self, a):
-        # with a canonical form every payload handed out is already canonical
-        return self.parent.format(a if self.canonical_eq else self.canon(a))
+        # every payload handed out is canonical already: through the
+        # concrete form, or as a payload of the parent
+        return self.parent.format(a)
 
     def parse_payload(self, text):
         p = self.parent.parse_payload(text)
@@ -277,22 +285,31 @@ class ResidueDomainRing(Ring):
     def representative(self, xbar: RingElement) -> RingElement:
         return RingElement(self.parent, xbar.payload)
 
-    def sample(self, universe, rng):
+    def sampler(self, draw_on):
+        """A function drawing one payload per call, for
+        ``sampling.payload_drawer``: through the concrete ring when there
+        is one, otherwise from the parent, drawing again (up to 8 draws)
+        while the draw is outside R_v, or moving it into R_v by a preimage
+        when v is Manis.  ``draw_on(ring)`` draws on another ring."""
         if self.concrete_ring is not None:
             # _from_c gives canonical payloads (tests/test_valuations.py pins
             # it), so the draw is not canonicalised again
-            inner = universe._draw_in(self.concrete_ring, rng)
-            return RingElement(self, self._from_c(inner.payload))
-        zero = self.val.group.zero()
-        for _ in range(8):
-            x = universe._draw_in(self.parent, rng)
-            val = self.val._eval_memo(x.payload)
-            if value_le(zero, val):
-                return self.el(x.payload)
-            if self.val.manis and val is not INF:
-                fix = self.val.preimage(value_neg(val))
-                return self.el(self.parent.mul(x.payload, fix.payload))
-        return self.one()
+            inner, from_c = draw_on(self.concrete_ring), self._from_c
+            return lambda: from_c(inner())
+        draw, val, parent = draw_on(self.parent), self.val, self.parent
+        zero, one = val.group.zero(), self.one_payload()
+
+        def sample():
+            for _ in range(8):
+                x = draw()
+                g = val._eval_memo(x)
+                if value_le(zero, g):
+                    return x
+                if val.manis and g is not INF:
+                    return parent.mul(x, val.preimage(value_neg(g)).payload)
+            return one
+
+        return sample
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Z[X] and Q[X] on the dense integer kernel against sympy: arithmetic,
 canonical form, printing and parsing, and the Gauss and degree valuations
-read on the dense payloads (with the sparse Z[X,Y] next to them)."""
+read on the dense payloads (with the sparse Z[X,Y] next to them); the
+sparse Z[X,Y] and Q[X,Y] kernel and the p-adic valuations as well."""
 
 import math
 from fractions import Fraction
@@ -23,13 +24,12 @@ sympy = pytest.importorskip("sympy")
 ZX = poly_ring(ZZ, "X")
 QX = poly_ring(QQ, "X")
 ZXY = poly_ring(ZZ, "X", "Y")
+QXY = poly_ring(QQ, "X", "Y")
 SX, SY = sympy.symbols("X Y")
 
 int_coefs = st.lists(st.integers(-40, 40), max_size=6)
-rational_coefs = st.lists(
-    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 10])),
-    max_size=6,
-)
+rational = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+rational_coefs = st.lists(rational, max_size=6)
 
 
 @st.composite
@@ -206,3 +206,68 @@ def test_gauss_on_zxy_against_sympy(coefs, p, gammas):
         for exps, c in poly.terms()
     )
     assert v(x) == (want,)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel: Z[X,Y] and Q[X,Y]
+
+
+SPARSE_COEFS = {ZXY: st.integers(-40, 40), QXY: rational}
+
+
+def _sparse_poly(ring, terms):
+    return sympy.Poly(
+        sum(
+            (sympy.Rational(c.numerator, c.denominator) * SX**ex * SY**ey
+             for (ex, ey), c in terms),
+            sympy.Integer(0),
+        ),
+        SX, SY, domain="ZZ" if ring is ZXY else "QQ",
+    )
+
+
+@st.composite
+def sparse_elements(draw, ring):
+    """(element, sympy Poly) from one term dict, zero coefficients included."""
+    coefs = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), SPARSE_COEFS[ring], max_size=5
+    ))
+    return ring.el(ring._canon_dict(dict(coefs))), _sparse_poly(ring, coefs.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZXY, QXY]), st.data())
+def test_sparse_kernel_against_sympy_poly(ring, data):
+    x, px = data.draw(sparse_elements(ring))
+    y, py = data.draw(sparse_elements(ring))
+    for got, want in ((x, px), (x + y, px + py), (x * y, px * py), (-x, -px)):
+        assert _sparse_poly(ring, ring.terms(got.payload)) == want
+        # canonical: no zero coefficient, largest monomial first
+        assert ring._canon_dict(dict(got.payload)) == got.payload
+        assert all(c for _, c in got.payload)
+    assert (x == y) == (px == py)
+
+
+# ---------------------------------------------------------------------------
+# the p-adic valuations for odd primes, on Q and on Z
+
+
+PADIC = {(p, ring): padic_valuation(p, ring) for p in (3, 5) for ring in (QQ, ZZ)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5]),
+    st.integers(0, 6),
+    st.integers(-10**4, 10**4),
+    st.integers(1, 10**4),
+)
+def test_padic_valuation_against_sympy(p, k, m, d):
+    # p^k * m / d: the factor p^k lifts the value above what m draws alone
+    a = p**k * m
+    x, z = QQ.el(Fraction(a, d)), ZZ.from_int(a)
+    if not a:
+        assert PADIC[p, QQ](x) is INF and PADIC[p, ZZ](z) is INF
+        return
+    assert PADIC[p, QQ](x) == (sympy.multiplicity(p, sympy.Rational(a, d)),)
+    assert PADIC[p, ZZ](z) == (sympy.multiplicity(p, a),)

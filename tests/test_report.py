@@ -10,7 +10,7 @@ import pytest
 import qord
 from qord.report import FAIL, HARD, INCONCLUSIVE, PASS, once, result, sweep, witnessed
 from qord.rings import ZZ
-from qord.sampling import SampleUniverse, _stable_int
+from qord.sampling import SampleUniverse, _stable_int, payload_drawer
 
 
 def test_sweep_witness_is_first_failure_and_stops_there():
@@ -193,7 +193,8 @@ def test_universe_elements_share_one_object_per_payload():
         assert by_payload.setdefault(x.payload, x) is x
     # the draws and their order are those of the generator
     rng = random.Random(u.seed ^ _stable_int(ZZ.name))
-    drawn = [u._draw(rng).payload for _ in range(u.count)]
+    draw = payload_drawer(ZZ, u.bounds, rng)
+    drawn = [draw() for _ in range(u.count)]
     assert [x.payload for x in elems] == [2, 0, 1, -1] + drawn
     assert u.forced_size == 4
 

@@ -567,15 +567,40 @@ def test_compat_levels_that_disagree_are_inconclusive(monkeypatch):
     # the levels' verdicts are sampled on different universes, so levels
     # that disagree are inconclusive: neither a failure nor exit 4
     v2z = padic_valuation(2, ZZ)
-    verdicts = iter([True, False])  # on R, then on R/supp
+    verdicts = iter([True, False])  # on R = R/supp, then on the field Q
     monkeypatch.setattr(residues, "compatible", lambda *args: next(verdicts))
     _, _, checks = associated_qofield(
         from_valuation(v2z), SampleUniverse(ZZ, seed=42, count=100), samples=100, v=v2z
     )
     agree = checks[-1]
     assert agree.name == "qofield.compat-levels-agree"
-    assert agree.status == INCONCLUSIVE and agree.detail == "R:True R/E0:False"
+    assert agree.status == INCONCLUSIVE and agree.detail == "R:True K:False"
     assert Report(seed=42, checks=checks).exit_code() == EXIT_OK
+
+
+def test_compat_levels_are_swept_once_each(monkeypatch):
+    # a zero support makes R/supp the ring itself, so v_2 on Z has two
+    # levels, Z and Q (reached through the p-adic uniformizer 2), each
+    # swept once; v_2 on Q has one, which compares nothing and cannot pass
+    swept = []
+    compatible = residues.compatible
+    monkeypatch.setattr(
+        residues, "compatible", lambda v, *a: swept.append(v.ring) or compatible(v, *a)
+    )
+    v2z, v2q = padic_valuation(2, ZZ), padic_valuation(2, QQ)
+    _, _, checks = associated_qofield(
+        from_valuation(v2z), SampleUniverse(ZZ, seed=42, count=100), samples=100, v=v2z
+    )
+    assert swept == [ZZ, QQ]
+    assert checks[-1].status == PASS and checks[-1].detail == "R:True K:True"
+    swept.clear()
+    _, _, checks = associated_qofield(
+        from_valuation(v2q), SampleUniverse(QQ, seed=42, count=100), samples=100, v=v2q
+    )
+    assert swept == [QQ]
+    agree = checks[-1]
+    assert agree.status == INCONCLUSIVE
+    assert agree.detail == "R:True (one level only, nothing compared)"
 
 
 def shipped_residue_rules(monkeypatch):

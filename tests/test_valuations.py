@@ -477,19 +477,24 @@ def test_residue_inverse_needs_a_local_valuation():
         R.inv(R.one())
 
 
-def test_residue_payloads_are_canonical_fixed_points():
-    # ResidueDomainRing.format prints a payload without re-canonicalizing it
-    # whenever canonical_eq holds; that is sound only while every payload
-    # the ring hands out is a fixed point of canon
-    from qord.corpus import shipped_objects
+def test_residue_payloads_are_canonical_fixed_points(monkeypatch):
+    # ResidueDomainRing.format prints a payload without re-canonicalizing
+    # it, and without a concrete form add, neg and mul return the parent's
+    # result as it is; that is sound only while every payload the ring hands
+    # out is a fixed point of canon (the parent's canon, without a form)
+    from qord import corpus
     from qord.residues import residue_universe
 
-    rings = 0
-    for name, v, u in shipped_objects()[0]:
+    cases = [(v, u) for _, v, u in corpus.shipped_objects()[0]]
+    monkeypatch.setattr(
+        corpus, "table_conditions", lambda v, q, u, samples, label: cases.append((v, u))
+    )
+    corpus.table_reports()
+    monkeypatch.undo()
+    with_form = 0
+    for v, u in cases:
         residue = v.residue_ring()
-        if not residue.canonical_eq:
-            continue
-        rings += 1
+        with_form += residue.canonical_eq
         elems = residue_universe(v, u, count=40).elements()
         payloads = [residue.zero_payload(), residue.one_payload()]
         payloads += [residue.int_payload(n) for n in range(-3, 4)]
@@ -501,12 +506,13 @@ def test_residue_payloads_are_canonical_fixed_points():
                              residue.mul(x.payload, y.payload)]
         payloads += [residue.parse(residue.format(p)).payload for p in payloads]
         for p in payloads:
-            assert repr(residue.canon(p)) == repr(p), (name, p)
-    assert rings >= 5
+            assert repr(residue.canon(p)) == repr(p), (v.name, p)
+    # the shipped valuations and the table instances, 9 of them with a form
+    assert (len(cases), with_form) == (22, 9)
 
 
 def test_residue_forms_give_canonical_payloads():
-    # ResidueDomainRing.sample hands out _from_c of a concrete draw without
+    # ResidueDomainRing.sampler hands out _from_c of a concrete draw without
     # canonicalizing it again: that is sound only while canon fixes _from_c
     from qord.corpus import shipped_objects
 
