@@ -35,18 +35,15 @@ from .quasiorders import (
     ORDER,
     PROPER,
     QuasiOrder,
-    SignOrder,
     at_zero_order,
     check_derived_lemmas,
     check_qo_axioms,
     classify_qo,
     const_term_order,
     frac_extend_qo,
-    from_sign_order,
     from_valuation,
     leading_term_order,
     natural_order,
-    qcmp,
     transport_qo,
 )
 from .report import CheckResult, PreconditionError, Report, render_json, render_text
@@ -74,7 +71,6 @@ from .rings import (
     ZeroIdeal,
     fraction_field,
     poly_ring,
-    quotient_reduce,
     quotient_ring,
 )
 from .sampling import Bounds, SampleUniverse

@@ -86,9 +86,6 @@ class EtaVector:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("eta entries must be -1 or +1")
 
-    def __call__(self, i: int) -> int:
-        return self.signs[i]
-
     def product_over(self, index_set) -> int:
         out = 1
         for i in index_set:

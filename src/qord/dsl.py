@@ -63,8 +63,10 @@ from .rings import (
     ZZ,
     ElementSyntaxError,
     Ideal,
+    IntegerRing,
     PolynomialRing,
     PrincipalIdeal,
+    RationalField,
     RationalFunctionField,
     Ring,
     RingElement,
@@ -602,7 +604,7 @@ def _c_natural_order(ctx, node: Call, on):
                 node.col,
             )
         return transport_qo(natural_order(ring.concrete_ring), ring)
-    if not (ring is ZZ or ring is QQ or ring.kind in ("integers", "rationals")):
+    if not isinstance(ring, (IntegerRing, RationalField)):
         raise DslError(f"{node.name} does not live on {ring.name}", node.line, node.col)
     return natural_order(ring)
 

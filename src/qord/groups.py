@@ -56,14 +56,6 @@ class ValueGroup:
         object.__setattr__(self, "basis_signs", tuple(signs))
 
     @property
-    def kind(self) -> str:
-        if self.rank == 0:
-            return "trivial"
-        if self.rank == 1:
-            return "integers"
-        return f"lex-product-of-integers({self.rank})"
-
-    @property
     def name(self) -> str:
         if self.rank == 0:
             return "0"
@@ -80,15 +72,6 @@ class ValueGroup:
 
     def zero(self) -> Value:
         return (0,) * self.rank
-
-    def value(self, *coords: int) -> Value:
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
-        if len(coords) != self.rank:
-            raise GroupMismatchError(
-                f"{self.name} values have {self.rank} coordinates, got {coords}"
-            )
-        return tuple(int(c) for c in coords)
 
     def contains(self, v) -> bool:
         return v is INF or (isinstance(v, tuple) and len(v) == self.rank)

@@ -33,10 +33,6 @@ from .valuations import ResidueDomainRing, Valuation
 ORDER = "order"
 PROPER = "proper-quasi-order"
 
-STRICTLY_LESS = "strictly-less"
-EQUIVALENT = "equivalent"
-STRICTLY_GREATER = "strictly-greater"
-
 
 class QuasiOrder:
     """A quasi-order descriptor exposing a pure comparator for x <= y."""
@@ -79,19 +75,6 @@ class QuasiOrder:
         return f"QuasiOrder({self.name} on {self.ring.name})"
 
 
-def qcmp(q: QuasiOrder, x: RingElement, y: RingElement) -> str:
-    xy, yx = q.le(x, y), q.le(y, x)
-    if xy and yx:
-        return EQUIVALENT
-    if xy:
-        return STRICTLY_LESS
-    if yx:
-        return STRICTLY_GREATER
-    raise PreconditionError(
-        f"{q.name} is not total on ({x}, {y})", witness=(str(x), str(y))
-    )
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -107,33 +90,6 @@ def from_valuation(w: Valuation) -> QuasiOrder:
         cmp,
         f"qo({w.name})",
         support_ideal=w.support,
-    )
-
-
-class SignOrder:
-    """A ring order given by a pure sign map into {-1, 0, +1}."""
-
-    def __init__(self, ring: Ring, sign_payload: Callable, name: str,
-                 support_ideal: Optional[Ideal] = None):
-        self.ring = ring
-        self.sign_payload = sign_payload
-        self.name = name
-        self.support_ideal = support_ideal
-
-
-def from_sign_order(s: SignOrder) -> QuasiOrder:
-    """x <= y iff sign(y - x) >= 0; for a custom sign map, as the built-in
-    orders below compare without forming y - x."""
-    ring = s.ring
-
-    def cmp(px, py):
-        return s.sign_payload(ring.sub(py, px)) >= 0
-
-    return QuasiOrder(
-        ring,
-        cmp,
-        s.name,
-        support_ideal=s.support_ideal,
     )
 
 
@@ -244,10 +200,15 @@ def classify_qo(q: QuasiOrder) -> str:
     """
     zero = q.ring.zero()
     minus_one = -q.ring.one()
-    c = qcmp(q, zero, minus_one)
-    if c == STRICTLY_LESS:
+    below, above = q.le(zero, minus_one), q.le(minus_one, zero)
+    if not (below or above):
+        raise PreconditionError(
+            f"{q.name} is not total on ({zero}, {minus_one})",
+            witness=(str(zero), str(minus_one)),
+        )
+    if not above:
         return PROPER
-    if c == STRICTLY_GREATER:
+    if not below:
         return ORDER
     raise PreconditionError(
         f"{q.name} has -1 ~ 0; its support would contain 1", witness=("-1",)

@@ -270,9 +270,6 @@ class CompatReport:
     def flag(self, i: int) -> bool:
         return (self.c1, self.c2, self.c3, self.c4, self.c5)[i - 1]
 
-    def as_dict(self):
-        return {f"c{i}": self.flag(i) for i in range(1, 6)}
-
     def format_flags(self) -> str:
         """The flags as "c1=T c2=F c3=F c4=T c5=T", for printing."""
         return " ".join(f"c{i}={'T' if self.flag(i) else 'F'}" for i in range(1, 6))
@@ -663,8 +660,9 @@ def associated_qofield(
 ):
     """Quotient by the support, extend to the fraction field.
 
-    When a valuation with the same support is supplied, compatibility
-    verdicts are compared at all three levels.
+    When a valuation is supplied, its support must agree with q's on the
+    samples (PreconditionError otherwise), and compatibility verdicts are
+    compared at each distinct level.
     """
     ring = q.ring
     support = q.support_ideal
@@ -692,13 +690,12 @@ def associated_qofield(
     ext = frac_extend_qo(q_mid)
 
     if v is not None:
-        if not v.support.is_zero:
-            same_supp = all(
-                v.support.contains(x.payload) == support.contains(x.payload)
-                for x in universe.singles(min(samples, 100), f"{label}.samesupp")
-            )
-            if not same_supp:
-                raise PreconditionError("valuation support differs from the q.o. support")
+        same_supp = all(
+            v.support.contains(x.payload) == support.contains(x.payload)
+            for x in universe.singles(min(samples, 100), f"{label}.samesupp")
+        )
+        if not same_supp:
+            raise PreconditionError("valuation support differs from the q.o. support")
         v_mid = on_quotient(v, qring, project, section)
         # each distinct level once: R/supp is R when the support is zero, and
         # the field is R/supp when that is a field; the field level needs a

@@ -110,15 +110,8 @@ class RingElement:
             return False
         return self.ring.eq(self.payload, other.payload)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash((self.ring, self.ring.hash_payload(self.payload)))
-
-    def is_zero(self) -> bool:
-        return self.ring.eq(self.payload, self.ring.zero_payload())
 
     def __str__(self):
         return self.ring.format(self.payload)
@@ -131,7 +124,6 @@ class Ring:
     """Base class: payload-level arithmetic plus element conveniences.  A ring
     is its object: ``is`` is the only ring-identity test (see ``_Interned``)."""
 
-    kind = "abstract"
     name = "?"
     is_field = False
     #: True when equal elements always carry identical payloads.
@@ -201,6 +193,12 @@ class Ring:
     def parse_payload(self, text: str):
         raise NotImplementedError
 
+    def sampler(self, draw_on):
+        """A function drawing one payload per call, for a ring that
+        ``sampling.payload_drawer`` does not draw itself; ``draw_on(ring)``
+        draws on another ring from the same stream."""
+        raise ValueError(f"no sampler for ring {self.name}")
+
     # element conveniences ----------------------------------------------
     def el(self, payload) -> RingElement:
         return RingElement(self, self.canon(payload))
@@ -260,7 +258,6 @@ class _Interned(type):
 
 
 class IntegerRing(Ring):
-    kind = "integers"
     name = "Z"
 
     def zero_payload(self):
@@ -290,7 +287,6 @@ _Q_ZERO = Fraction(0)
 
 
 class RationalField(Ring):
-    kind = "rationals"
     name = "Q"
     is_field = True
 
@@ -371,8 +367,6 @@ _QX_ZERO = ((), 1)
 
 
 class PolynomialRing(Ring, metaclass=_Interned):
-    kind = "polynomial"
-
     def __init__(self, base: Ring, variables: Iterable[str]):
         if not variables:
             raise ValueError("polynomial ring needs at least one variable")
@@ -507,15 +501,6 @@ class PolynomialRing(Ring, metaclass=_Interned):
             if exps == zero_exps:
                 return c
         return self.base.zero_payload()
-
-    def degree(self, a) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(exps) for exps, _ in self.terms(a)), default=-1)
-
-    def leading_coef(self, a):
-        """Coefficient of the largest monomial in graded-lex order."""
-        t = self.terms(a)
-        return t[0][1] if t else self.base.zero_payload()
 
     def var(self, name: str) -> RingElement:
         i = self.variables.index(name)
@@ -935,8 +920,6 @@ def _is_prime(n: int) -> bool:
 
 
 class IntegerModRing(Ring, metaclass=_Interned):
-    kind = "quotient"
-
     def __init__(self, modulus: int):
         if not _is_prime(modulus):
             raise ValueError(f"{modulus} is not prime")
@@ -977,8 +960,6 @@ class QuotientRing(Ring, metaclass=_Interned):
     Falls back to representative-plus-membership equality when the ideal
     has no canonical reduction; such rings are flagged non-canonical.
     """
-
-    kind = "quotient"
 
     def __init__(self, base: Ring, ideal: Ideal):
         self.base = base
@@ -1074,16 +1055,6 @@ def quotient_ring(base: Ring, ideal: Ideal):
     )
 
 
-def quotient_reduce(x: RingElement, ideal: Ideal) -> RingElement:
-    """Canonical coset representative of x modulo the ideal."""
-    if ideal.ring is not x.ring:
-        raise RingMismatchError("ideal and element live in different rings")
-    r = ideal.reduce(x.payload)
-    if r is None:
-        return RingElement(x.ring, x.ring.canon(x.payload))
-    return RingElement(x.ring, r)
-
-
 # ---------------------------------------------------------------------------
 # fraction fields
 
@@ -1109,7 +1080,6 @@ class RationalFunctionField(Ring, metaclass=_Interned):
     the content is a rational number), and equality cross-multiplies.
     """
 
-    kind = "fraction-field"
     is_field = True
 
     def __init__(self, poly: PolynomialRing):
@@ -1262,10 +1232,6 @@ class RationalFunctionField(Ring, metaclass=_Interned):
             raise RingMismatchError("numerator/denominator must come from the base ring")
         return RingElement(self, self.from_poly_pair(num.payload, den.payload))
 
-    def num_den(self, x: RingElement):
-        num, den = self.poly_pair(x.payload)
-        return RingElement(self.poly, num), RingElement(self.poly, den)
-
     def embed(self, x: RingElement) -> RingElement:
         if x.ring is not self.poly:
             raise RingMismatchError("can only embed base-ring elements")
@@ -1278,19 +1244,6 @@ class RationalFunctionField(Ring, metaclass=_Interned):
     def rational_payload(self, q: Fraction):
         """The payload of the constant q."""
         return ((q.numerator,), (q.denominator,)) if q else _K_ZERO
-
-    def sign_at_infinity(self, a) -> int:
-        """Sign of a(X) for all large X: the sign of lc(N), as lc(D) > 0."""
-        num, _ = a
-        return num_sign(num[-1]) if num else 0
-
-    def sign_at_zero(self, a) -> int:
-        """Sign of a(X) for all small X > 0: the product of the signs of the
-        lowest-degree coefficients of N and D."""
-        num, den = a
-        if not num:
-            return 0
-        return num_sign(next(filter(None, num))) * num_sign(next(filter(None, den)))
 
     def _cross(self, a, b):
         """p = N_a*D_b and q = N_b*D_a, padded to one length:
@@ -1358,8 +1311,3 @@ def fraction_field(domain: Ring):
 
 def poly_ring(base: Ring, *variables: str) -> PolynomialRing:
     return PolynomialRing(base, variables)
-
-
-def num_sign(x) -> int:
-    """-1, 0 or 1 by the sign of a number."""
-    return (x > 0) - (x < 0)

@@ -136,10 +136,7 @@ def payload_drawer(ring: Ring, bounds: Bounds, rng: random.Random) -> Callable[[
     if isinstance(ring, QuotientRing):
         base = payload_drawer(ring.base, bounds, rng)
         return lambda: ring.canon(base())
-    sampler = getattr(ring, "sampler", None)
-    if sampler is not None:
-        return sampler(lambda other: payload_drawer(other, bounds, rng))
-    raise ValueError(f"no sampler for ring {ring.name}")
+    return ring.sampler(lambda other: payload_drawer(other, bounds, rng))
 
 
 def _poly_drawer(ring: PolynomialRing, bounds: Bounds, rng: random.Random):

@@ -203,8 +203,6 @@ class ResidueDomainRing(Ring):
     ``sampler`` draws from the parent.
     """
 
-    kind = "residue-domain"
-
     def __init__(self, val: Valuation):
         self.val = val
         self.parent = val.ring

@@ -4,24 +4,18 @@ from fractions import Fraction
 import pytest
 
 from qord.quasiorders import (
-    EQUIVALENT,
     ORDER,
     PROPER,
-    STRICTLY_GREATER,
-    STRICTLY_LESS,
     QuasiOrder,
-    SignOrder,
     at_zero_order,
     check_derived_lemmas,
     check_qo_axioms,
     classify_qo,
     const_term_order,
     frac_extend_qo,
-    from_sign_order,
     from_valuation,
     leading_term_order,
     natural_order,
-    qcmp,
     transport_qo,
 )
 from qord.report import FAIL, PASS, PreconditionError, result
@@ -88,14 +82,14 @@ def test_le_memo_agrees_on_one_interned_ring():
 
 def test_qcmp_valuation_example():
     # v2(4) = 2, v2(2) = 1: larger value sits lower, so 4 is below 2
-    assert qcmp(qv2, QQ.from_int(4), QQ.from_int(2)) == STRICTLY_LESS
-    assert qcmp(qv2, QQ.from_int(7), QQ.from_int(7)) == EQUIVALENT
+    assert qv2.strict(QQ.from_int(4), QQ.from_int(2))
+    assert qv2.sim(QQ.from_int(7), QQ.from_int(7))
 
 
 def test_qcmp_const_term_order():
     X = ZX.var("X")
-    assert qcmp(f0_zx, X, ZX.zero()) == EQUIVALENT
-    assert qcmp(f0_zx, X + 1, ZX.zero()) == STRICTLY_GREATER
+    assert f0_zx.sim(X, ZX.zero())
+    assert f0_zx.strict(ZX.zero(), X + 1)
 
 
 def test_from_valuation_basics():
@@ -110,7 +104,7 @@ def test_from_valuation_basics():
     qw = from_valuation(w)
     X = QX.var("X")
     p = QX.from_int(2)
-    assert qcmp(qw, p, X * X) == STRICTLY_LESS
+    assert qw.strict(p, X * X)
     assert qw.le(QX.zero(), p) and qw.le(p, X * X)
     assert not qw.le(X * X, p)
 
@@ -141,6 +135,17 @@ def test_classification():
     broken = QuasiOrder(QQ, lambda a, b: True, "indiscrete")
     with pytest.raises(PreconditionError):
         classify_qo(broken)
+
+
+def test_classification_errors_name_their_witness():
+    indiscrete = QuasiOrder(QQ, lambda a, b: True, "indiscrete")
+    with pytest.raises(PreconditionError, match=r"^indiscrete has -1 ~ 0; its support") as e:
+        classify_qo(indiscrete)
+    assert e.value.witness == ("-1",)
+    empty = QuasiOrder(QQ, lambda a, b: False, "empty")
+    with pytest.raises(PreconditionError, match=r"^empty is not total on \(0, -1\)$") as e:
+        classify_qo(empty)
+    assert e.value.witness == ("0", "-1")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +183,9 @@ def test_no_vacuous_pass_from_a_nonpositive_sample_count(samples):
 
 
 def test_planted_sign_fault_detected():
-    bad_sign = SignOrder(ZZ, lambda n: -_sgn(n), "flipped", ZeroIdeal(ZZ))
-    q = from_sign_order(bad_sign)
+    q = QuasiOrder(
+        ZZ, lambda x, y: -_sgn(y - x) >= 0, "flipped", support_ideal=ZeroIdeal(ZZ)
+    )
     results = check_qo_axioms(q, U(ZZ), samples=100)
     qr1 = [r for r in results if r.name.endswith(".QR1")][0]
     assert qr1.status == "fail"

@@ -83,6 +83,12 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+def _lead(q):
+    """(degree, leading coefficient) of a Q[X] payload; (-1, 0) for zero."""
+    t = QX.terms(q)
+    return (t[0][0][0], t[0][1]) if t else (-1, 0)
+
+
 # the formulas the readers had while the payload was the Q[X] pair
 
 
@@ -90,7 +96,7 @@ def pair_sign_at_infinity(pair):
     num, den = pair
     if num == ZERO:
         return 0
-    return _sign(QX.leading_coef(num)) * _sign(QX.leading_coef(den))
+    return _sign(_lead(num)[1]) * _sign(_lead(den)[1])
 
 
 def pair_sign_at_zero(pair):
@@ -124,12 +130,12 @@ def pair_ext_value(v, pair):
 
 def pair_lc_fraction(pair):
     num, den = pair
-    dn, dd = QX.degree(num), QX.degree(den)
+    (dn, cn), (dd, cd) = _lead(num), _lead(den)
     if dn < dd:
         return Fraction(0)
     if dn > dd:
         raise ValueError("element is outside the valuation ring")
-    return Fraction(QX.leading_coef(num)) / Fraction(QX.leading_coef(den))
+    return Fraction(cn) / Fraction(cd)
 
 
 def pair_from_c(q):
@@ -149,10 +155,7 @@ AT_ZERO = at_zero_order(K)
 def _check_readers(x, pair):
     p = x.payload
     assert K.poly_pair(p) == pair
-    assert K.num_den(x) == (QX.el(pair[0]), QX.el(pair[1]))
     assert str(x) == f"({QX.format(pair[0])})/({QX.format(pair[1])})"
-    assert K.sign_at_infinity(p) == pair_sign_at_infinity(pair)
-    assert K.sign_at_zero(p) == pair_sign_at_zero(pair)
     assert LEAD.le(K.zero(), x) == (pair_sign_at_infinity(pair) >= 0)
     assert AT_ZERO.le(K.zero(), x) == (pair_sign_at_zero(pair) >= 0)
     assert NU_DEG(x) == pair_ext_value(DEG, pair)
@@ -204,11 +207,10 @@ def test_readers_match_the_pair_formulas(xa, ya):
 @pytest.mark.parametrize("text", NEGATIVE_LEAD)
 def test_readers_on_negative_leading_coefficients(text):
     x = K.parse(text)
-    num, den = K.num_den(x)
-    pair = ref_pair(num.payload, den.payload)
+    pair = ref_pair(*K.poly_pair(x.payload))
     _check_readers(x, pair)
     _check_inverse(x, pair)
-    assert K.sign_at_infinity(K.inv(x).payload) == -1
+    assert pair_sign_at_infinity(K.poly_pair(K.inv(x).payload)) == -1
 
 
 def test_inverse_of_minus_x_is_printed_as_before():

@@ -216,10 +216,14 @@ def test_residue_rule_fails_for_exp2_support():
 # table conditions per instance
 
 
+def _flag_dict(rep):
+    return {f"c{i}": rep.flag(i) for i in range(1, 6)}
+
+
 def test_table_conditions_nomanis1():
     v, q, U = inst_nomanis1()
     rep = table_conditions(v, q, U, samples=400)
-    assert rep.as_dict() == {
+    assert _flag_dict(rep) == {
         "c1": False,
         "c2": False,
         "c3": False,
@@ -235,7 +239,7 @@ def test_table_conditions_exp1():
     v, w, q, U = inst_exp1()
     rep = table_conditions(v, q, U, samples=400)
     # the printed claim I_v < 1 is refuted by X: v(X) = 1 but w(X) = 0
-    assert rep.as_dict() == {
+    assert _flag_dict(rep) == {
         "c1": False,
         "c2": False,
         "c3": False,
@@ -250,7 +254,7 @@ def test_table_conditions_exp1_swapped_roles():
     v, w, q_of_w, U = inst_exp1()
     q_of_v = from_valuation(v)
     rep = table_conditions(w, q_of_v, U, samples=400)
-    assert rep.as_dict() == {
+    assert _flag_dict(rep) == {
         "c1": False,
         "c2": False,
         "c3": False,
@@ -262,7 +266,7 @@ def test_table_conditions_exp1_swapped_roles():
 def test_table_conditions_exp2():
     v, q, U = inst_exp2()
     rep = table_conditions(v, q, U, samples=400)
-    assert rep.as_dict() == {
+    assert _flag_dict(rep) == {
         "c1": False,
         "c2": False,
         "c3": False,
@@ -275,7 +279,7 @@ def test_table_conditions_exp2():
 def test_table_conditions_remark_order():
     v, q, U = inst_remark_order()
     rep = table_conditions(v, q, U, samples=400)
-    assert rep.as_dict() == {
+    assert _flag_dict(rep) == {
         "c1": False,
         "c2": True,
         "c3": False,
@@ -288,7 +292,7 @@ def test_table_conditions_compat_instance():
     v2 = padic_valuation(2, QQ)
     U = SampleUniverse(QQ, seed=42, count=250)
     rep = table_conditions(v2, from_valuation(v2), U, samples=300)
-    assert all(rep.as_dict().values())
+    assert all(_flag_dict(rep).values())
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +565,15 @@ def test_associated_field_of_padic_matches_extension():
     for x, y in UQ.pairs(300, "cmp"):
         assert ext.le(x, y) == direct.le(x, y)
     assert all(c.status == PASS for c in checks)
+
+
+def test_associated_field_refuses_a_valuation_of_another_support():
+    # -deg on Z[X] has support {0}, the constant-term order has <X>: a
+    # zero support on v is checked against q's like any other
+    q = const_term_order(ZX)
+    U = SampleUniverse(ZX, seed=42, count=200)
+    with pytest.raises(PreconditionError, match="valuation support differs"):
+        associated_qofield(q, U, samples=300, v=degree_valuation(ZX))
 
 
 def test_compat_levels_that_disagree_are_inconclusive(monkeypatch):

@@ -28,7 +28,6 @@ from qord.rings import (
     _uni_prem,
     fraction_field,
     poly_ring,
-    quotient_reduce,
     quotient_ring,
 )
 from qord.sampling import Bounds, SampleUniverse, _stable_int, draws
@@ -67,13 +66,13 @@ def test_const_term_examples():
 
 def test_quotient_reduce_examples():
     five = PrincipalIdeal(ZZ, 5)
-    assert quotient_reduce(ZZ.from_int(12), five) == ZZ.from_int(2)
+    assert five.reduce(ZZ.from_int(12).payload) == ZZ.from_int(2).payload
     X, Y = ZXY.var("X"), ZXY.var("Y")
     xy = VariableIdeal(ZXY, ("X", "Y"))
     f = X * X + 3 * X + 5
-    assert quotient_reduce(f, xy) == ZXY.from_int(5)
-    assert quotient_reduce(ZXY.zero(), xy) == ZXY.zero()
-    assert quotient_reduce(ZZ.zero(), five) == ZZ.zero()
+    assert xy.reduce(f.payload) == ZXY.from_int(5).payload
+    assert xy.reduce(ZXY.zero_payload()) == ZXY.zero_payload()
+    assert five.reduce(ZZ.zero_payload()) == ZZ.zero_payload()
 
 
 def test_quotient_reduce_membership_consistency():
@@ -82,7 +81,7 @@ def test_quotient_reduce_membership_consistency():
     elems = U.elements()
     for x in elems[:30]:
         for y in elems[:30]:
-            same = quotient_reduce(x, five) == quotient_reduce(y, five)
+            same = five.reduce(x.payload) == five.reduce(y.payload)
             assert same == five.contains((x - y).payload)
 
 
@@ -123,8 +122,8 @@ def test_unreducible_ideal_falls_back_to_membership_equality():
     b = project(3 * X + 1)  # differs by 2X - 2, all even
     assert a == b
     assert a != project(X)
-    r = quotient_reduce(X + 3, ideal)  # representative-only reduction
-    assert r == X + 3
+    assert ideal.reduce((X + 3).payload) is None  # representative-only reduction
+    assert a.payload == (X + 3).payload
     _assert_section_inverts(ZX, ideal, ring, project, section)
 
 
@@ -273,11 +272,11 @@ def test_every_shipped_element_reparses():
     kinds = set()
     for universe in universes:
         ring = universe.ring
-        kinds.add(ring.kind)
+        kinds.add(type(ring).__name__)
         for x in universe.elements():
             assert ring.parse(str(x)) == x, (ring.name, str(x))
-    assert kinds == {"integers", "rationals", "polynomial", "quotient",
-                     "fraction-field", "residue-domain"}
+    assert kinds == {"IntegerRing", "RationalField", "PolynomialRing", "IntegerModRing",
+                     "RationalFunctionField", "ResidueDomainRing"}
 
 
 @settings(max_examples=120, deadline=None)
@@ -319,8 +318,8 @@ def test_sample_universe_bounds():
         ZX, seed=3, count=50, bounds=Bounds(coeff_height=3, max_degree=2)
     )
     for f in U.elements():
-        assert ZX.degree(f.payload) <= 2
-        for _, c in ZX.terms(f.payload):
+        for (e,), c in ZX.terms(f.payload):
+            assert e <= 2
             assert abs(c) <= 3 * 3  # coefficients may merge across draws
 
 
@@ -434,7 +433,7 @@ def test_normalization_idempotent(a):
 @given(zxy_elements(), zxy_elements())
 def test_fraction_normalize_idempotent(num, den):
     K = RationalFunctionField(ZXY)
-    if den.is_zero():
+    if den == ZXY.zero():
         den = ZXY.one()
     x = K.el((num.payload, den.payload))
     assert K.canon(x.payload) == x.payload
@@ -651,7 +650,7 @@ def test_fraction_normalize_over_q_cancels_common_factors(num, den, g):
     p = K.from_poly_pair(num, den)
     n, d = K.poly_pair(p)
     assert QX.mul(n, den) == QX.mul(num, d)
-    assert QX.leading_coef(d) == 1
+    assert QX.terms(d)[0][1] == 1
     assert _ref_gcd(QX.terms(n), QX.terms(d)) == QX.terms(QX.one_payload())
     assert K.from_poly_pair(QX.mul(num, g), QX.mul(den, g)) == p
 

@@ -199,6 +199,18 @@ def test_frac_extend_degree():
     assert a == b and nu(a) == nu(b)
 
 
+def test_frac_extend_preimage_through_a_manis_passage():
+    # the Gauss twist (1, -1) of the trivial valuation on Z[X,Y] is Manis,
+    # so its extension to Quot(Z[X,Y]) embeds the ring's own preimages
+    nu = frac_extend_val(gauss_on(trivial_valuation(ZZ), ZXY, (1, -1)))
+    K = nu.ring
+    X, Y = ZXY.var("X"), ZXY.var("Y")
+    for k in range(-3, 4):
+        want = X**k if k >= 0 else Y ** (-k)
+        x = nu.preimage((k,))
+        assert x == K.frac(want, ZXY.one()) and nu(x) == (k,)
+
+
 def test_frac_extend_needs_witness():
     with pytest.raises(ValueError):
         frac_extend_val(degree_valuation(QX))
@@ -305,6 +317,18 @@ def test_quotient_val_over_trivial_base_is_w():
     R = triv.residue_ring()
     for x in U.elements():
         assert wv(R.element(x)) == v2(x)
+
+
+def test_quotient_val_preimage_through_the_residue_element():
+    # v_2 over the trivial valuation on Q: the generic branch lifts the
+    # preimage 2^k of w into the residue ring through its element()
+    triv = trivial_valuation(QQ)
+    wv = quotient_val(v2, triv, SampleUniverse(QQ, seed=9, count=80))
+    R = triv.residue_ring()
+    for k in range(-3, 4):
+        x = wv.preimage((k,))
+        assert x.ring is R and x == R.element(QQ.el(Fraction(2) ** k))
+        assert wv(x) == (k,)
 
 
 def test_quotient_val_precondition_failure():
