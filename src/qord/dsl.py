@@ -791,10 +791,9 @@ def run_session(
     ast: SessionAst,
     seed: int = 42,
     samples: int = 500,
-    bounds: Optional[Bounds] = None,
     label_prefix: str = "",
 ) -> Report:
-    ctx = SessionContext(seed=seed, samples=samples, bounds=bounds or Bounds())
+    ctx = SessionContext(seed=seed, samples=samples)
     report = Report(seed=seed)
     for stmt in ast.statements:
         if isinstance(stmt, Check):
@@ -826,7 +825,7 @@ def execute_statement(ctx: SessionContext, stmt, label_prefix: str) -> Optional[
             ctx.env[stmt.name] = value
         except (PreconditionError, ValueError, ZeroDivisionError, RingMismatchError,
                 GroupMismatchError) as e:
-            witness = getattr(e, "witness", None)
+            witness = e.witness if isinstance(e, PreconditionError) else None
             return result(f"{label_prefix}let {stmt.name}", False, witness, 0, detail=str(e))
     elif isinstance(stmt, Pin):
         ring = _eval(ctx, stmt.on)

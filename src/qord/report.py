@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice
 from typing import List, Optional, Tuple
 
 from .sampling import SampledTuples
@@ -88,7 +88,7 @@ def witnessed(name, instances, n, detail=None) -> CheckResult:
     )
 
 
-def sweep(name, tuples, fails, *, given=None, detail=None) -> CheckResult:
+def sweep(name, tuples, fails, *, given=None) -> CheckResult:
     """Sweep a universal claim over a list of tuples, stopping at the first
     tuple t with fails(*t); that tuple is the witness and no later tuple is
     evaluated.
@@ -98,15 +98,18 @@ def sweep(name, tuples, fails, *, given=None, detail=None) -> CheckResult:
     to and including the witness.
 
     The sweep follows the list's plan (``sampling.SampledTuples``, which
-    ``SampleUniverse.tuples`` returns; a plain list gets one here, keyed
-    by the ids of its elements) and evaluates each distinct tuple once, in
-    the order of first occurrence.  So both predicates must be pure: a
-    repeat cannot fail, or the sweep would have stopped at its first
-    occurrence, and it counts as a hypothesis hit exactly when that first
-    occurrence did.  A planned list must not be mutated after it is built.
+    ``SampleUniverse.tuples`` returns and a plain list gets here): it
+    keys each tuple by the ids of its elements and evaluates each
+    distinct tuple once, in the order of first occurrence.  So both
+    predicates must be pure: a repeat cannot fail, or the sweep would have
+    stopped at its first occurrence, and it counts as a hypothesis hit
+    exactly when that first occurrence did.  A planned list must not be
+    mutated after it is built.
     """
     if not isinstance(tuples, SampledTuples):
-        tuples = SampledTuples(tuples, list(map(tuple, map(map, repeat(id), tuples))))
+        tuples = SampledTuples(
+            list(chain.from_iterable(tuples)), len(tuples[0]) if tuples else 0
+        )
     keys = tuples.keys
     met = {}  # key -> whether its tuple meets given
     witness = None
@@ -124,7 +127,7 @@ def sweep(name, tuples, fails, *, given=None, detail=None) -> CheckResult:
         # the hits with their repeats, up to the witness's first position
         stop = len(keys) if witness is None else keys.index(key) + 1
         n = sum(map(met.__getitem__, islice(keys, stop)))
-    return result(name, witness is None, witness, n, detail)
+    return result(name, witness is None, witness, n)
 
 
 def once(op):

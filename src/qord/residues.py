@@ -32,7 +32,7 @@ from .report import (
     witnessed,
 )
 from .rings import RingElement, RingMismatchError, ZeroIdeal, quotient_ring
-from .sampling import SampledTuples, SampleUniverse, draws
+from .sampling import SampleUniverse, draws
 from .valuations import (
     Padic,
     Valuation,
@@ -43,7 +43,6 @@ from .valuations import (
     in_uv,
     is_coarsening,
     on_quotient,
-    are_equivalent,
 )
 
 #: Detail of an equivalence entry whose sampled sub-verdicts disagree.
@@ -76,15 +75,11 @@ def is_convex(
     zero = q.ring.zero()
     # z-major: each candidate upper bound is tried against all middles, so
     # the first reported witness has the smallest possible bound; pairs are
-    # drawn as (z, y) and swept as (y, z), the order the witness is reported
-    # in, with the drawn plan's keys swapped the same way
+    # drawn as (z, y) and swept as (y, z), the order the witness is reported in
     drawn = universe.pairs(samples, label)
-    pairs = SampledTuples(
-        [(y, z) for z, y in drawn], [(ky, kz) for kz, ky in drawn.keys]
-    )
     return sweep(
         label,
-        pairs,
+        [(y, z) for z, y in drawn],
         lambda y, z: member(z) and q.le(zero, y) and q.le(y, z) and not member(y),
     )
 
@@ -191,8 +186,7 @@ def residue_rule_report(
     elems = universe.elements()
     fsize = universe.forced_size
     rv_forced = [x for x in elems[:fsize] if value_le(zero, v(x))]
-    rv_at = [i for i, x in enumerate(elems) if value_le(zero, v(x))]
-    rv_elems = [elems[i] for i in rv_at]
+    rv_elems = [x for x in elems if value_le(zero, v(x))]
     iv_elems = [c for c in elems if value_lt(zero, v(c))]
 
     # forced-prefix pairs first so pinned witnesses are met deterministically
@@ -235,10 +229,7 @@ def residue_rule_report(
     out.append(
         sweep(
             f"{label}.support-zero",
-            # keyed as universe.tuples keys its draws, by first positions
-            SampledTuples(
-                [(x,) for x in rv_elems], [(universe._first[i],) for i in rv_at]
-            ),
+            [(x,) for x in rv_elems],
             lambda x: rq.sim(residue.el(x.payload), residue.zero()),
             given=lambda x: in_uv(v, x),
         )
@@ -610,31 +601,34 @@ def rank_check(
         if ok:
             survivors.append(v)
 
-    deduped: List[Valuation] = []
-    for v in survivors:
-        if not any(are_equivalent(v, w, universe, samples) for w in deduped):
-            deduped.append(v)
+    # whether survivors[i] is a coarsening of survivors[j], swept once per
+    # ordered pair; on a field, equivalent valuations have one valuation
+    # ring, so the equivalent candidates are the mutual coarsenings
+    coarser = {
+        (i, j): is_coarsening(v, w, universe, samples)
+        for i, v in enumerate(survivors)
+        for j, w in enumerate(survivors)
+        if i != j
+    }
+    kept: List[int] = []
+    for i in range(len(survivors)):
+        if not any(coarser[i, j] and coarser[j, i] for j in kept):
+            kept.append(i)
 
-    chain_ok = True
     witness = None
-    for i in range(len(deduped)):
-        for j in range(i + 1, len(deduped)):
-            a, b = deduped[i], deduped[j]
-            if not (
-                is_coarsening(a, b, universe, samples)
-                or is_coarsening(b, a, universe, samples)
-            ):
-                chain_ok = False
-                witness = (a.name, b.name)
-    detail = None if chain_ok else "survivors are not totally ordered by coarsening"
-    out.append(result(f"{label}.chain", chain_ok, witness, samples, detail, otherwise=HARD))
+    for k, i in enumerate(kept):
+        for j in kept[k + 1:]:
+            if not (coarser[i, j] or coarser[j, i]):
+                witness = (survivors[i].name, survivors[j].name)
+    detail = None if witness is None else "survivors are not totally ordered by coarsening"
+    out.append(
+        result(f"{label}.chain", witness is None, witness, samples, detail, otherwise=HARD)
+    )
 
-    def coarseness(v):
-        return sum(
-            1 for w in deduped if w is not v and is_coarsening(v, w, universe, samples)
-        )
+    def coarseness(i):
+        return sum(coarser[i, j] for j in kept if j != i)
 
-    chain = sorted(deduped, key=lambda v: -coarseness(v))
+    chain = [survivors[i] for i in sorted(kept, key=lambda i: -coarseness(i))]
     out.append(
         result(
             f"{label}.length",

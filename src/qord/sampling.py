@@ -205,19 +205,21 @@ def _term_key(term):
 class SampledTuples(list):
     """A list of sampled tuples that carries its sweep plan.
 
-    ``keys[i]`` stands for the objects of ``self[i]``: ``keys[i] ==
-    keys[j]`` exactly when ``self[i][k] is self[j][k]`` for every k.
-    ``distinct`` maps each key to a tuple of those objects, in the order
-    of the key's first occurrence.  The plan is made when the list is
-    built, so the list must not be mutated after that.
+    Built from the flat list of the tuples' elements and their arity.
+    Each tuple is keyed by the ids of its elements: ``keys[i] == keys[j]``
+    exactly when ``self[i][k] is self[j][k]`` for every k, and the list
+    holds its elements, so no id is reused while it lives.  ``distinct``
+    maps each key to a tuple of those objects, in the order of the key's
+    first occurrence.  The plan is made when the list is built, so the
+    list must not be mutated after that.
     """
 
     __slots__ = ("keys", "distinct")
 
-    def __init__(self, tuples, keys: list):
-        super().__init__(tuples)
-        self.keys = keys
-        self.distinct = dict(zip(keys, self))
+    def __init__(self, flat: list, arity: int):
+        super().__init__(zip(*[iter(flat)] * arity))
+        self.keys = list(zip(*[map(id, flat)] * arity))
+        self.distinct = dict(zip(self.keys, self))
 
 
 class SampleUniverse:
@@ -252,7 +254,6 @@ class SampleUniverse:
         self.bounds = bounds
         self.distinguished = tuple(distinguished)
         self._elements: List[RingElement] | None = None
-        self._first: List[int] = []
         self._forced_size = 0
 
     def on(self, ring: Ring) -> "SampleUniverse":
@@ -283,12 +284,6 @@ class SampleUniverse:
                     x = interned[p] = RingElement(self.ring, p)
                 elems.append(x)
             self._elements = elems
-            # entry i holds the same object as entry _first[i], its first
-            # occurrence: tuples() keys its draws with these positions
-            where: dict = {}
-            self._first = [
-                where.setdefault(id(x), i) for i, x in enumerate(self._elements)
-            ]
             self._forced_size = len(forced)
         return self._elements
 
@@ -310,22 +305,19 @@ class SampleUniverse:
         raises ValueError: a sweep over no tuples would pass vacuously.
 
         The tuples come with their sweep plan (``SampledTuples``): each
-        tuple is keyed by the first positions of its elements in
-        ``elements()``, so a repeated tuple has the key of its first
-        occurrence and ``report.sweep`` evaluates it once.
+        tuple is keyed by the ids of its elements, which ``elements()``
+        holds once per payload, so ``report.sweep`` evaluates a repeated
+        tuple once.
         """
         if n < 1:
             raise ValueError(f"tuple count must be positive, got {n}")
         elems = self.elements()
-        forced = itertools.islice(
-            itertools.product(range(self.forced_size), repeat=arity), n
-        )
-        slots = list(itertools.chain.from_iterable(forced))
+        forced = itertools.product(elems[: self.forced_size], repeat=arity)
+        flat = list(itertools.chain.from_iterable(itertools.islice(forced, n)))
         rng = random.Random(self.seed ^ _stable_int(f"{self.ring.name}|{tag}|{arity}"))
-        slots += itertools.islice(_indices(rng, len(elems)), n * arity - len(slots))
-        picked = map(elems.__getitem__, slots)
-        keyed = map(self._first.__getitem__, slots)
-        return SampledTuples(zip(*[picked] * arity), list(zip(*[keyed] * arity)))
+        slots = itertools.islice(_indices(rng, len(elems)), n * arity - len(flat))
+        flat += map(elems.__getitem__, slots)
+        return SampledTuples(flat, arity)
 
     def singles(self, n: int, tag: str) -> List[RingElement]:
         return [t[0] for t in self.tuples(1, n, tag)]

@@ -786,10 +786,6 @@ def quotient_val(
             witness=compat.witness,
         )
     residue = v.residue_ring()
-    supports_equal = all(
-        (v(x) is INF) == (w(x) is INF)
-        for x in universe.singles(samples, f"supports({w.name},{v.name})")
-    )
     zero_v = v.group.zero()
 
     if isinstance(w.provenance, Composite) and w.provenance.base is v:
@@ -822,7 +818,10 @@ def quotient_val(
                 return INF
             return w._eval_memo(payload)
 
-        manis = w.manis and supports_equal
+        manis = w.manis and all(
+            (v(x) is INF) == (w(x) is INF)
+            for x in universe.singles(samples, f"supports({w.name},{v.name})")
+        )
         pre = None
         if manis:
 
@@ -993,11 +992,3 @@ def equivalent_check(v: Valuation, w: Valuation, universe, samples: int = 500,
         result(f"{label}.equivalent", both, fwd.witness or bwd.witness, len(pairs)),
     ]
 
-
-def are_equivalent(v: Valuation, w: Valuation, universe, samples: int = 500) -> bool:
-    tag = f"are_equivalent({v.name},{w.name})"
-    return sweep(
-        tag,
-        universe.pairs(samples, tag),
-        lambda x, y: value_le(v(x), v(y)) != value_le(w(x), w(y)),
-    ).status == PASS

@@ -98,11 +98,12 @@ ENTRY_POINTS = {
 }
 
 
-def _references(tree, name):
-    return sum(
-        (isinstance(n, ast.Name) and n.id == name)
-        or (isinstance(n, ast.Attribute) and n.attr == name)
+def _references(tree) -> Counter:
+    """How often each name is read in tree, as a Name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
     )
 
 
@@ -113,14 +114,15 @@ def test_every_top_level_name_is_used_in_the_package():
         path.name: ast.parse(path.read_text(), str(path))
         for path in sorted(Path(qord.__file__).parent.glob("*.py"))
     }
-    users = [tree for name, tree in trees.items() if name != "__init__.py"]
+    used = sum((_references(tree) for name, tree in trees.items()
+                if name != "__init__.py"), Counter())
     unused = [
         f"{name}:{node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in ENTRY_POINTS
-        and sum(_references(t, node.name) for t in users) == _references(node, node.name)
+        and used[node.name] == _references(node)[node.name]
     ]
     assert unused == []
 

@@ -44,6 +44,7 @@ from qord.valuations import (
     gauss_on,
     in_iv,
     in_rv,
+    is_coarsening,
     padic_valuation,
     quotient_val,
     trivial_valuation,
@@ -459,12 +460,31 @@ def test_rank_archimedean_order_is_zero():
 
 
 def test_rank_padic_is_one():
-    v2 = padic_valuation(2, QQ)
+    # a second 2-adic valuation is another object, equivalent to v2: the
+    # two are mutual coarsenings and count once
+    v2, twin = padic_valuation(2, QQ), padic_valuation(2, QQ)
+    assert twin is not v2
     v3 = padic_valuation(3, QQ)
     q = from_valuation(v2)
     U = SampleUniverse(QQ, seed=42, count=250)
-    n, chain, checks = rank_check(q, [v2, v3], U, samples=400)
-    assert n == 1 and chain[0] is v2
+    for candidates in ([v2, v3], [v2, twin, v3]):
+        n, chain, checks = rank_check(q, candidates, U, samples=400)
+        assert n == 1 and chain[0] is v2
+
+
+def test_rank_sweeps_each_ordered_pair_once(monkeypatch):
+    # rank(L, nu, w): two survivors, so two coarsening sweeps, and the
+    # dedupe, the chain and the order are all read from them
+    calls = []
+
+    def counted(v, w, *args):
+        calls.append((v.name, w.name))
+        return is_coarsening(v, w, *args)
+
+    monkeypatch.setattr(residues, "is_coarsening", counted)
+    report = corpus.run_instance(corpus.get_instance("rank-qx"))
+    assert report["rank-qx::rank(L,nu,w,expect=2).length"].detail == "rank 2: nu < w"
+    assert sorted(calls) == [("nu", "w"), ("w", "nu")]
 
 
 def test_rank_composite_is_two():

@@ -260,15 +260,19 @@ def test_element_parsing_round_trip():
 
 def test_every_shipped_element_reparses():
     # parse(format(x)) == x on every universe of the shipped catalogue, the
-    # residue domains of its valuations, Z/5Z and Quot(Z[X])
+    # residue domains of its valuations, Z/5Z, Quot(Z[X]) and Z[X] modulo
+    # the support of a Gauss valuation, a QuotientRing kept as a quotient
     from qord.corpus import shipped_objects
     from qord.residues import residue_universe
+    from qord.valuations import gauss_on, trivial_valuation
 
     valuations, quasiorders = shipped_objects()
     universes = [u for _, _, u in valuations + quasiorders]
     universes += [residue_universe(v, u, count=40) for _, v, u in valuations]
+    mod2 = gauss_on(trivial_valuation(ZZ, PrincipalIdeal(ZZ, 2)), ZX, (1,))
     universes += [SampleUniverse(IntegerModRing(5), seed=42, count=40),
-                  SampleUniverse(RationalFunctionField(ZX), seed=42, count=150)]
+                  SampleUniverse(RationalFunctionField(ZX), seed=42, count=150),
+                  SampleUniverse(quotient_ring(ZX, mod2.support)[0], seed=42, count=60)]
     kinds = set()
     for universe in universes:
         ring = universe.ring
@@ -276,7 +280,7 @@ def test_every_shipped_element_reparses():
         for x in universe.elements():
             assert ring.parse(str(x)) == x, (ring.name, str(x))
     assert kinds == {"IntegerRing", "RationalField", "PolynomialRing", "IntegerModRing",
-                     "RationalFunctionField", "ResidueDomainRing"}
+                     "RationalFunctionField", "ResidueDomainRing", "QuotientRing"}
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """Regenerate the corpus golden fragments from a live run.
 
-Only the anchored facts are pinned: condition flags, named witnesses and
-the handful of exact values each instance is about.  Run from the repo
-root after an intentional behavior change, then audit the diff before
-committing.
+Each fragment in src/qord/corpus_data names the report entries its
+instance pins, and this tool re-pins exactly those: an entry with a
+"detail" key pins status and detail, any other entry pins status and
+witness.  Only the anchored facts are pinned: condition flags, named
+witnesses and the handful of exact values each instance is about.
+
+To pin a new entry, add its name (without the "<instance>::" prefix) to
+the fragment's "checks" as ``{}``, or as ``{"detail": ""}`` to pin its
+detail, and run this tool.  A new instance needs a fragment with an
+empty "checks" to be pinned at all.  Run from the repo root after an
+intentional behavior change, then audit the diff before committing.
 """
 
 from __future__ import annotations
@@ -15,141 +22,31 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qord.corpus import CORPUS, GOLDEN_VERSION, run_instance
-
-# entry-name suffix -> fields to pin
-PIN_FIELDS = ("status", "witness")
-
-#: which report entries each instance pins, and whether detail matters
-GOLDEN_SPEC = {
-    "nomanis-1": [
-        'val_value(v,"1*X + 1","-1")',
-        'val_value(v,"1","0")',
-        "compat(v,q)",
-        'convex(v,q,set="iv")',
-        'convex(v,q,set="rv")',
-        ("table_conditions(v,q).flags", ("status", "detail")),
-    ],
-    "nomanis-2": [
-        "compat(v,q)",
-        'convex(v,q,set="rv")',
-        'convex(v,q,set="iv")',
-        ("table_conditions(v,q).flags", ("status", "detail")),
-    ],
-    "exp1": [
-        'val_value(w,"1*X^2","0")',
-        'val_value(w,"2","1")',
-        'val_value(v,"2","1")',
-        'val_value(v,"1*X^2","2")',
-        "compat(v,qw)",
-        "table_conditions(v,qw).Iv-below-1",
-        ("table_conditions(v,qw).flags", ("status", "detail")),
-        "compat_equivalence(v,qw).equivalence",
-    ],
-    "exp1-swapped": [
-        ("table_conditions(w,qv).flags", ("status", "detail")),
-        "table_conditions(w,qv).Iv-below-1",
-        "compat_equivalence(w,qv).equivalence",
-    ],
-    "exp2": [
-        'val_value(v,"1*Y","-1")',
-        'val_value(v,"1*X^2*Y","1")',
-        'convex(v,q,set="iv")',
-        "table_conditions(v,q).Iv-below-1",
-        ("table_conditions(v,q).flags", ("status", "detail")),
-        "compat_equivalence(v,q).equivalence",
-    ],
-    "remark-391-order": [
-        'convex(v,q,set="rv")',
-        'convex(v,q,set="iv")',
-        "compat(v,q)",
-        ("table_conditions(v,q).flags", ("status", "detail")),
-        "compat_equivalence(v,q).equivalence",
-    ],
-    "remark-391-pqo": [
-        'convex(v,q,set="rv")',
-        ("table_conditions(v,q).flags", ("status", "detail")),
-        "compat_equivalence(v,q).equivalence",
-    ],
-    "interp-table": [
-        "compat(v,q)",
-        ("table_conditions(v,q).flags", ("status", "detail")),
-    ],
-    "compat-v2": [
-        "compat(v,q)",
-        ("table_conditions(v,q).flags", ("status", "detail")),
-        "compat_equivalence(v,q).equivalence",
-        ('classify(q,expect="proper")', ("status", "detail")),
-    ],
-    "special-star-1": ["special_star(v)"],
-    "special-star-2": ["special_star(v)"],
-    "roundtrip-q-v2": [
-        "roundtrip(v,eta=[1],residue=rq).eta",
-        "roundtrip(v,eta=[1],residue=rq).residue-agree",
-        "qo_agree(L,qv)",
-        "reconstruct(qv,v).agree",
-    ],
-    "roundtrip-deg-plus": [
-        "roundtrip(nu,eta=[1],residue=rq).eta",
-        "roundtrip(nu,eta=[1],residue=rq).residue-agree",
-        "qo_agree(L,qinf)",
-        "reconstruct(qinf,nu).agree",
-        ('classify(L,expect="order")', ("status", "detail")),
-    ],
-    "roundtrip-deg-minus": [
-        "roundtrip(nu,eta=[-1],residue=rq).eta",
-        "roundtrip(nu,eta=[-1],residue=rq).residue-agree",
-        "reconstruct(L,nu).agree",
-        ('classify(L,expect="order")', ("status", "detail")),
-    ],
-    "roundtrip-deg-v2": [
-        "roundtrip(nu,eta=[1],residue=rq).eta",
-        "roundtrip(nu,eta=[1],residue=rq).residue-agree",
-        "qo_agree(L,qw)",
-        "reconstruct(qw,nu).agree",
-        ('classify(L,expect="proper")', ("status", "detail")),
-    ],
-    "quotient-consistency": [
-        "val_agree(wv,u2)",
-        "coarsening(nu,w).is-coarsening",
-    ],
-    "rank-q-order": [("rank(q,v2,v3,v5,expect=0).length", ("status", "detail"))],
-    "rank-q-v2": [("rank(q,v2,v3,expect=1).length", ("status", "detail"))],
-    "rank-qx": [
-        ("rank(L,nu,w,expect=2).length", ("status", "detail")),
-        "rank(L,nu,w,expect=2).chain",
-    ],
-    "archimedean-demo": [
-        ('classify(L,expect="order")', ("status", "detail")),
-        'unbounded_above(L,"(1*X)/(1)")',
-    ],
-}
+from qord.corpus import CORPUS, GOLDEN_VERSION, golden_fragment, run_instance
 
 
 def main():
     out_dir = pathlib.Path(__file__).resolve().parents[1] / "src" / "qord" / "corpus_data"
-    out_dir.mkdir(parents=True, exist_ok=True)
     for inst in CORPUS:
-        spec = GOLDEN_SPEC.get(inst.name)
-        if spec is None:
-            print(f"SKIP {inst.name}: no golden spec")
+        fragment = golden_fragment(inst)
+        if fragment is None:
+            print(f"SKIP {inst.name}: no golden fragment")
             continue
         report = run_instance(inst)
         golden = {"version": GOLDEN_VERSION, "checks": {}}
         if inst.interpretation:
             golden["interpretation"] = True
-        for item in spec:
-            name, fields = item if isinstance(item, tuple) else (item, PIN_FIELDS)
-            entry = report.find(f"{inst.name}::{name}")
+        for name, old in fragment["checks"].items():
+            entry = report.find(inst.label_prefix + name)
             if entry is None:
-                print(f"MISSING {inst.name}::{name}")
+                print(f"MISSING {inst.label_prefix}{name}: old pin kept")
+                golden["checks"][name] = old
                 continue
-            pinned = {"status": entry.status}
-            if "witness" in fields and entry.witness is not None:
-                pinned["witness"] = list(entry.witness)
-            if "detail" in fields and entry.detail is not None:
+            pinned = golden["checks"][name] = {"status": entry.status}
+            if "detail" in old:
                 pinned["detail"] = entry.detail
-            golden["checks"][name] = pinned
+            elif entry.witness is not None:
+                pinned["witness"] = list(entry.witness)
         path = out_dir / f"{inst.name}.json"
         path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
         print(f"pinned {path.name}: {len(golden['checks'])} entries")
