@@ -76,7 +76,7 @@ from .rings import (
     fraction_field,
     poly_ring,
 )
-from .sampling import Bounds, SampleUniverse
+from .sampling import SampleUniverse
 from .valuations import (
     ResidueDomainRing,
     Valuation,
@@ -395,7 +395,6 @@ def node_text(node) -> str:
 class SessionContext:
     seed: int = 42
     samples: int = 500
-    bounds: Bounds = field(default_factory=Bounds)
     env: Dict[str, object] = field(default_factory=dict)
     pins: Dict[Ring, List[RingElement]] = field(default_factory=dict)
     universes: Dict[tuple, SampleUniverse] = field(default_factory=dict)
@@ -422,9 +421,7 @@ class SessionContext:
         pins = tuple(self.pins.get(ring, ()))
         key = (ring, seed, count, tuple(map(id, pins)))
         if key not in self.universes:
-            self.universes[key] = SampleUniverse(
-                ring, seed=seed, count=count, bounds=self.bounds, distinguished=pins
-            )
+            self.universes[key] = SampleUniverse(ring, seed, count, distinguished=pins)
         return self.universes[key]
 
 

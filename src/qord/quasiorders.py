@@ -52,13 +52,17 @@ class QuasiOrder:
         self._memo: dict = {}
 
     def le(self, x: RingElement, y: RingElement) -> bool:
-        # keyed on payload ids of self.ring's table; see Ring.pid
-        try:
-            key = (self.ring.pid(x), self.ring.pid(y))
-        except RingMismatchError:
-            raise RingMismatchError(
-                f"{self.name} compares elements of {self.ring.name}"
-            ) from None
+        # keyed on payload ids of self.ring's table (see Ring.pid), read from
+        # the elements' cache; pid hands one out to an element not seen before
+        ring = self.ring
+        if x.ring is not ring or y.ring is not ring:
+            raise RingMismatchError(f"{self.name} compares elements of {ring.name}")
+        i, j = x._id, y._id
+        if i is None:
+            i = ring.pid(x)
+        if j is None:
+            j = ring.pid(y)
+        key = i, j
         cached = self._memo.get(key)
         if cached is None:
             cached = bool(self._compare_payload(x.payload, y.payload))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from .sampling import SampledTuples
@@ -103,30 +103,27 @@ def sweep(name, tuples, fails, *, given=None) -> CheckResult:
     distinct tuple once, in the order of first occurrence.  So both
     predicates must be pure: a repeat cannot fail, or the sweep would have
     stopped at its first occurrence, and it counts as a hypothesis hit
-    exactly when that first occurrence did.  A planned list must not be
-    mutated after it is built.
+    exactly when that first occurrence did.  Without given, the plan is
+    drawn only as far as the witness, or until every distinct tuple of its
+    universe has been seen; with given, it is drawn whole, so that the hits
+    are counted with their repeats.
     """
     if not isinstance(tuples, SampledTuples):
-        tuples = SampledTuples(
-            list(chain.from_iterable(tuples)), len(tuples[0]) if tuples else 0
-        )
+        tuples = SampledTuples.of(tuples)
+    if given is None:
+        witness = tuples.first(fails)
+        return result(name, witness is None, witness, len(tuples))
     keys = tuples.keys
     met = {}  # key -> whether its tuple meets given
     witness = None
     for key, t in tuples.distinct.items():
-        if given is not None:
-            met[key] = hit = bool(given(*t))
-            if not hit:
-                continue
-        if fails(*t):
+        met[key] = hit = bool(given(*t))
+        if hit and fails(*t):
             witness = t
             break
-    if given is None:
-        n = len(keys)
-    else:
-        # the hits with their repeats, up to the witness's first position
-        stop = len(keys) if witness is None else keys.index(key) + 1
-        n = sum(map(met.__getitem__, islice(keys, stop)))
+    # the hits with their repeats, up to the witness's first position
+    stop = len(keys) if witness is None else keys.index(key) + 1
+    n = sum(map(met.__getitem__, islice(keys, stop)))
     return result(name, witness is None, witness, n)
 
 

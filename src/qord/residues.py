@@ -75,13 +75,15 @@ def is_convex(
     zero = q.ring.zero()
     # z-major: each candidate upper bound is tried against all middles, so
     # the first reported witness has the smallest possible bound; pairs are
-    # drawn as (z, y) and swept as (y, z), the order the witness is reported in
-    drawn = universe.pairs(samples, label)
-    return sweep(
+    # drawn and swept as (z, y) and the witness is reported as (y, z)
+    r = sweep(
         label,
-        [(y, z) for z, y in drawn],
-        lambda y, z: member(z) and q.le(zero, y) and q.le(y, z) and not member(y),
+        universe.pairs(samples, label),
+        lambda z, y: member(z) and q.le(zero, y) and q.le(y, z) and not member(y),
     )
+    if r.witness:
+        r.witness = r.witness[::-1]
+    return r
 
 
 def is_compatible(

@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 from .rings import (
     IntegerModRing,
@@ -202,24 +202,110 @@ def _term_key(term):
     return _mono_key(term[0])
 
 
-class SampledTuples(list):
-    """A list of sampled tuples that carries its sweep plan.
+#: tuples a plan draws first; each later chunk draws as many as the plan
+#: holds, so the drawn length doubles until the plan is whole
+FIRST_CHUNK = 32
 
-    Built from the flat list of the tuples' elements and their arity.
-    Each tuple is keyed by the ids of its elements: ``keys[i] == keys[j]``
-    exactly when ``self[i][k] is self[j][k]`` for every k, and the list
-    holds its elements, so no id is reused while it lives.  ``distinct``
-    maps each key to a tuple of those objects, in the order of the key's
-    first occurrence.  The plan is made when the list is built, so the
-    list must not be mutated after that.
+
+class SampledTuples:
+    """n sampled tuples of one arity, drawn on demand, with their sweep plan.
+
+    The tuples are read ``arity`` elements at a time from a flat list of
+    the first elements (``head``), then from a stream of the rest
+    (``tail``), in chunks: FIRST_CHUNK tuples, then as many as are drawn,
+    up to n.  Each chunk's tuples are keyed by the ids of their elements
+    in one pass: two tuples share a key exactly when they hold the same
+    objects, and the plan holds the drawn ones, so no id is reused while
+    it lives.
+
+    ``first`` walks the distinct tuples in order of first occurrence and
+    draws a chunk only when it has read every distinct tuple drawn so far.
+    It stops drawing at its answer, and once ``cap`` distinct tuples have
+    been drawn (d**arity for a universe of d distinct elements), since no
+    later draw can be new.  ``len`` is n without drawing; iterating,
+    indexing, comparing, ``keys`` and ``distinct`` draw every tuple.
     """
 
-    __slots__ = ("keys", "distinct")
+    __slots__ = ("_head", "_tail", "_arity", "_n", "_cap", "_tuples", "_keys", "_distinct")
 
-    def __init__(self, flat: list, arity: int):
-        super().__init__(zip(*[iter(flat)] * arity))
-        self.keys = list(zip(*[map(id, flat)] * arity))
-        self.distinct = dict(zip(self.keys, self))
+    def __init__(self, head: list, tail: Iterator, arity: int, n: int, cap=None):
+        self._head = head
+        self._tail = tail
+        self._arity = arity
+        self._n = n
+        self._cap = cap
+        self._tuples: list = []
+        self._keys: list = []
+        self._distinct: dict = {}
+
+    @classmethod
+    def of(cls, tuples: Sequence[tuple]) -> "SampledTuples":
+        """The plan of a plain list of tuples of one arity."""
+        flat = list(itertools.chain.from_iterable(tuples))
+        return cls(flat, iter(()), len(tuples[0]) if tuples else 0, len(tuples))
+
+    def _draw(self) -> bool:
+        """Draw, key and dedupe the next chunk; False when all n are drawn."""
+        drawn = len(self._keys)
+        if drawn >= self._n:
+            return False
+        arity = self._arity
+        start = drawn * arity
+        stop = min(drawn + max(drawn, FIRST_CHUNK), self._n) * arity
+        flat = self._head[start:stop]
+        flat += itertools.islice(self._tail, stop - start - len(flat))
+        if len(flat) < stop - start:
+            raise ValueError("the plan's elements ran out before its n tuples")
+        chunk = list(zip(*[iter(flat)] * arity))
+        keys = list(zip(*[map(id, flat)] * arity))
+        self._tuples += chunk
+        self._keys += keys
+        self._distinct.update(zip(keys, chunk))
+        if stop == self._n * arity:  # whole: let the sources go
+            self._head, self._tail = [], iter(())
+        return True
+
+    def _whole(self) -> list:
+        while self._draw():
+            pass
+        return self._tuples
+
+    def first(self, pred: Callable[..., object]):
+        """The first distinct tuple t, in order of first occurrence, with
+        pred(*t), or None; pred is called once per distinct tuple up to it."""
+        values = self._distinct.values()
+        seen = 0
+        while True:
+            for t in itertools.islice(values, seen, None):
+                if pred(*t):
+                    return t
+            seen = len(values)
+            if seen == self._cap or not self._draw():
+                return None
+
+    @property
+    def keys(self) -> list:
+        """The key of each tuple, in order."""
+        self._whole()
+        return self._keys
+
+    @property
+    def distinct(self) -> dict:
+        """Each key to a tuple of its objects, in order of first occurrence."""
+        self._whole()
+        return self._distinct
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(self._whole())
+
+    def __getitem__(self, i):
+        return self._whole()[i]
+
+    def __eq__(self, other):
+        return self._whole() == other
 
 
 class SampleUniverse:
@@ -255,6 +341,7 @@ class SampleUniverse:
         self.distinguished = tuple(distinguished)
         self._elements: List[RingElement] | None = None
         self._forced_size = 0
+        self._size = 0  # distinct objects in elements()
 
     def on(self, ring: Ring) -> "SampleUniverse":
         """A universe on another ring with this seed, count and bounds."""
@@ -285,6 +372,7 @@ class SampleUniverse:
                 elems.append(x)
             self._elements = elems
             self._forced_size = len(forced)
+            self._size = len(interned)
         return self._elements
 
     @property
@@ -304,20 +392,20 @@ class SampleUniverse:
         by ``_indices``), as a test in tests/test_rings.py pins.  n < 1
         raises ValueError: a sweep over no tuples would pass vacuously.
 
-        The tuples come with their sweep plan (``SampledTuples``): each
-        tuple is keyed by the ids of its elements, which ``elements()``
-        holds once per payload, so ``report.sweep`` evaluates a repeated
-        tuple once.
+        Nothing is drawn here: the tuples come as a ``SampledTuples`` plan
+        that draws them as a sweep reads them.  Each tuple is keyed by the
+        ids of its elements, which ``elements()`` holds once per payload,
+        so ``report.sweep`` evaluates a repeated tuple once and stops
+        drawing once it has seen every tuple of the distinct elements.
         """
         if n < 1:
             raise ValueError(f"tuple count must be positive, got {n}")
         elems = self.elements()
         forced = itertools.product(elems[: self.forced_size], repeat=arity)
-        flat = list(itertools.chain.from_iterable(itertools.islice(forced, n)))
+        head = list(itertools.chain.from_iterable(itertools.islice(forced, n)))
         rng = random.Random(self.seed ^ _stable_int(f"{self.ring.name}|{tag}|{arity}"))
-        slots = itertools.islice(_indices(rng, len(elems)), n * arity - len(flat))
-        flat += map(elems.__getitem__, slots)
-        return SampledTuples(flat, arity)
+        tail = map(elems.__getitem__, _indices(rng, len(elems)))
+        return SampledTuples(head, tail, arity, n, self._size ** arity)
 
     def singles(self, n: int, tag: str) -> List[RingElement]:
         return [t[0] for t in self.tuples(1, n, tag)]

@@ -271,11 +271,7 @@ def test_shared_universes_keep_corpus_bytes(monkeypatch):
 
     def fresh(ctx, ring, seed, count):
         return SampleUniverse(
-            ring,
-            seed=seed,
-            count=count,
-            bounds=ctx.bounds,
-            distinguished=tuple(ctx.pins.get(ring, ())),
+            ring, seed=seed, count=count, distinguished=tuple(ctx.pins.get(ring, ()))
         )
 
     monkeypatch.setattr(SessionContext, "universe", fresh)

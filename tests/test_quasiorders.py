@@ -80,6 +80,20 @@ def test_le_memo_agrees_on_one_interned_ring():
                 q.le(x, y)
 
 
+def test_le_refuses_an_element_of_another_ring_with_a_cached_id():
+    # x's payload id is cached by its own ring's table first, so q.le must
+    # test the rings before it reads an element's cached id
+    x = ZX.var("X")
+    assert f0_zx.le(x, x) and x._id is not None
+    for q in (const_term_order(QX), natural_order(QQ)):
+        message = rf"^{re.escape(q.name)} compares elements of {re.escape(q.ring.name)}$"
+        y = q.ring.one()
+        q.le(y, y)
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(RingMismatchError, match=message):
+                q.le(a, b)
+
+
 def test_qcmp_valuation_example():
     # v2(4) = 2, v2(2) = 1: larger value sits lower, so 4 is below 2
     assert qv2.strict(QQ.from_int(4), QQ.from_int(2))

@@ -10,7 +10,7 @@ import pytest
 import qord
 from qord.report import FAIL, HARD, INCONCLUSIVE, PASS, once, result, sweep, witnessed
 from qord.rings import ZZ
-from qord.sampling import SampleUniverse, _stable_int, payload_drawer
+from qord.sampling import FIRST_CHUNK, SampleUniverse, _stable_int, payload_drawer
 
 
 def test_sweep_witness_is_first_failure_and_stops_there():
@@ -181,12 +181,19 @@ def test_sweep_evaluates_each_distinct_tuple_once():
 
 
 def _planned_pair_lists():
+    """Functions that each plan one sampled pair list afresh, undrawn."""
     from qord.rings import poly_ring
     from qord.valuations import padic_valuation
 
     residue = SampleUniverse(padic_valuation(2, ZZ).residue_ring(), seed=42, count=250)
-    yield residue.pairs(300, "plan")
-    yield SampleUniverse(poly_ring(ZZ, "X"), seed=42, count=60).pairs(500, "plan")
+    yield lambda: residue.pairs(300, "plan")
+    zx = SampleUniverse(poly_ring(ZZ, "X"), seed=42, count=60)
+    yield lambda: zx.pairs(500, "plan")
+
+
+def _drawn(plan) -> int:
+    """How many of the plan's tuples have been drawn."""
+    return len(plan._keys)
 
 
 def test_planned_sweep_matches_the_plain_loop():
@@ -196,13 +203,20 @@ def test_planned_sweep_matches_the_plain_loop():
     def keys(t):
         return tuple(map(id, t))
 
-    for pairs in _planned_pair_lists():
+    for plan in _planned_pair_lists():
+        pairs = list(plan())
         assert len(set(map(keys, pairs))) < len(pairs)  # repeated tuples
-        for tuples in (pairs, list(pairs), [(y, x) for x, y in pairs]):
+        for tuples in (plan, pairs, [(y, x) for x, y in pairs]):
+            listed = pairs if tuples is plan else tuples
             for g in (None, given):
-                firsts = list({keys(t): t for t in tuples if g is None or g(*t)}.values())
+                firsts = list({keys(t): t for t in listed if g is None or g(*t)}.values())
                 assert len(firsts) >= 3
-                for cut in (None, 0, len(firsts) // 2, len(firsts) - 1):
+                position = {}  # key -> position of its first occurrence
+                for i, t in enumerate(listed):
+                    position.setdefault(keys(t), i)
+                # the first distinct tuple that only a later chunk draws
+                later = [i for i, t in enumerate(firsts) if position[keys(t)] >= FIRST_CHUNK]
+                for cut in (None, 0, *later[:1], len(firsts) // 2, len(firsts) - 1):
                     target = None if cut is None else firsts[cut]
                     seen = []
 
@@ -213,8 +227,9 @@ def test_planned_sweep_matches_the_plain_loop():
                         seen.append((x, y))
                         return is_witness(x, y)
 
-                    r = sweep("s", tuples, fails, given=g)
-                    witness, n = _brute_sweep(tuples, is_witness, g)
+                    swept = plan() if tuples is plan else tuples
+                    r = sweep("s", swept, fails, given=g)
+                    witness, n = _brute_sweep(listed, is_witness, g)
                     assert (r.status == PASS) == (witness is None)
                     assert r.samples_used == n
                     if witness is not None:
@@ -223,6 +238,46 @@ def test_planned_sweep_matches_the_plain_loop():
                     # fails runs once per distinct tuple it reaches, in order
                     reached = firsts if cut is None else firsts[: cut + 1]
                     assert list(map(keys, seen)) == list(map(keys, reached))
+                    if swept is not tuples and g is None and witness is not None:
+                        # drawn up to the chunk that holds the witness
+                        p = position[keys(witness)]
+                        assert p < _drawn(swept) <= max(FIRST_CHUNK, 2 * (p + 1))
+
+
+def test_forced_prefix_refutation_draws_only_its_first_chunk():
+    universe = SampleUniverse(ZZ, seed=42, count=150, distinguished=(ZZ.from_int(2),))
+    two, zero = universe.elements()[0], universe.elements()[1]
+    plan = universe.pairs(500, "refute")
+    seen = []
+
+    def fails(x, y):
+        seen.append((x, y))
+        return x is two and y is zero
+
+    r = sweep("s", plan, fails)
+    assert r.status == FAIL and r.witness == ("2", "0") and r.samples_used == 500
+    assert len(seen) == 2  # (2, 2), then (2, 0)
+    assert _drawn(plan) <= FIRST_CHUNK
+    assert r == sweep("s", list(universe.pairs(500, "refute")), fails)
+
+
+def test_saturated_sweep_stops_drawing_once_every_tuple_is_seen():
+    from qord.valuations import padic_valuation
+
+    # Rv(v_2 on Z) is F_2: its 250 draws are 2 distinct elements, so a pair
+    # list of any length holds at most 4 distinct pairs
+    universe = SampleUniverse(padic_valuation(2, ZZ).residue_ring(), seed=42, count=250)
+    assert len(set(map(id, universe.elements()))) == 2
+    for n in (FIRST_CHUNK + 1, 500):
+        plan = universe.pairs(n, "saturate")
+        seen = []
+        r = sweep("s", plan, lambda x, y: seen.append((x, y)))
+        assert r.status == PASS and r.samples_used == n
+        assert len(seen) == len(set(seen)) == 4
+        assert _drawn(plan) == FIRST_CHUNK
+        # a later read draws the rest, from where the sweep stopped
+        assert plan == list(universe.pairs(n, "saturate"))
+        assert _drawn(plan) == len(plan) == n
 
 
 def test_universe_elements_share_one_object_per_payload():

@@ -1,6 +1,6 @@
 import pytest
 
-from qord import corpus, residues
+from qord import corpus, residues, sampling
 from qord.groups import value_le, value_lt
 from qord.quasiorders import (
     ORDER,
@@ -132,6 +132,22 @@ def test_remark_order_convexities():
     assert iv.status == FAIL
     # 0 <= 1 <= 2 with 2 in the support but 1 outside
     assert iv.witness == ("1", "2")
+
+
+def test_is_convex_sweeps_its_drawn_pairs_in_one_plan(monkeypatch):
+    v, q, U = inst_remark_order()
+    plans = []
+    init = sampling.SampledTuples.__init__
+
+    def counted(plan, *args, **kwargs):
+        plans.append(plan)
+        init(plan, *args, **kwargs)
+
+    monkeypatch.setattr(sampling.SampledTuples, "__init__", counted)
+    for member in (lambda x: in_rv(v, x), lambda x: in_iv(v, x)):
+        plans.clear()
+        is_convex(member, q, U, samples=300, label="one-plan")
+        assert len(plans) == 1
 
 
 def test_whole_ring_convex():
