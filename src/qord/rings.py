@@ -739,13 +739,29 @@ def _uni_gcd(a, b):
         a, b = b, _primitive(r)
 
 
+def _ord(p):
+    """ord_X of nonzero p in Z[X]: the index of its first nonzero coefficient."""
+    i = 0
+    while not p[i]:
+        i += 1
+    return i
+
+
 def _common_factor(a, b):
     """The primitive gcd of nonzero a and b in Z[X] when it has positive
-    degree, else None; a constant operand needs no gcd."""
+    degree, else None.  A constant operand needs no gcd, and neither does a
+    monomial c*X^k: its primitive gcd with p is X^min(k, ord_X(p)), returned
+    as the monic X^j that ``_uni_exquo`` divides out by a shift."""
     if len(a) == 1 or len(b) == 1:
         return None
-    g = _uni_gcd(a, b)
-    return g if len(g) > 1 else None
+    if a.count(0) == len(a) - 1:
+        k = min(len(a) - 1, _ord(b))
+    elif b.count(0) == len(b) - 1:
+        k = min(len(b) - 1, _ord(a))
+    else:
+        g = _uni_gcd(a, b)
+        return g if len(g) > 1 else None
+    return [0] * k + [1] if k else None
 
 
 def _unit_normal(num, den):
@@ -761,9 +777,12 @@ def _unit_normal(num, den):
 
 
 def _uni_exquo(a, b):
-    """The quotient a/b in Z[X], for b that divides a."""
-    r = list(a)
+    """The quotient a/b in Z[X], for b that divides a; the quotient by the
+    monic X^n is the shift a[n:]."""
     n = len(b) - 1
+    if b[-1] == 1 and b.count(0) == n:
+        return a[n:]
+    r = list(a)
     lb = b[-1]
     q = [0] * (len(a) - n)
     for k in range(len(q) - 1, -1, -1):
@@ -1059,8 +1078,9 @@ def quotient_ring(base: Ring, ideal: Ideal):
 # fraction fields
 
 
-#: zero of a univariate fraction field in integer form
+#: zero and one of a univariate fraction field in integer form
 _K_ZERO = ((), (1,))
+_K_ONE = ((1,), (1,))
 
 
 class RationalFunctionField(Ring, metaclass=_Interned):
@@ -1139,8 +1159,8 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         """Canonical payload of num/den for dense num, den in Z[X], den nonzero."""
         if not num:
             return _K_ZERO
-        g = _uni_gcd(num, den)
-        if len(g) > 1:
+        g = _common_factor(num, den)
+        if g:
             num, den = _uni_exquo(num, g), _uni_exquo(den, g)
         return _unit_normal(num, den)
 
@@ -1187,7 +1207,14 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         return (self.poly.neg(a[0]), a[1])
 
     def mul(self, a, b):
+        """a*b.  In one variable a product with 1 is the other operand, and
+        a monomial part, such as the lift's clearing multipliers X^k and
+        1/X^k, cancels by a shift with no PRS."""
         if self._full_canonical:
+            if a == _K_ONE:
+                return b
+            if b == _K_ONE:
+                return a
             (na, da), (nb, db) = a, b
             if not na or not nb:
                 return _K_ZERO

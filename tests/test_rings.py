@@ -20,6 +20,7 @@ from qord.rings import (
     VariableIdeal,
     ZeroIdeal,
     _RINGS,
+    _common_factor,
     _trimmed,
     _uni_add,
     _uni_exquo,
@@ -731,6 +732,12 @@ def _sympy_int_pair(sympy, expr, X):
     return tuple(_trimmed([c // g for c in n])), tuple(c // g for c in d)
 
 
+def _sympy_frac(sympy, pair, X):
+    """The rational function N/D of an integer pair (N, D)."""
+    n, d = (sum((c * X**i for i, c in enumerate(p)), sympy.Integer(0)) for p in pair)
+    return n / d
+
+
 int_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(_trimmed).filter(bool)
 factors = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(_trimmed).filter(
     lambda p: len(p) > 1
@@ -761,13 +768,9 @@ def test_henrici_kernel_on_shared_factors_matches_sympy_cancel(data):
     u = frac(_uni_mul(p, r1), _uni_mul(q, [k]))
     w = frac(_uni_mul(q, r2), _uni_mul(p, d1))
 
-    def to_sympy(pair):
-        n, d = (sum((c * X**i for i, c in enumerate(p)), sympy.Integer(0)) for p in pair)
-        return n / d
-
     cases = [(x, y), (x, z), (y, z), (x, K.neg(x)), (u, w), (w, u), (x, w)]
     for l, r in cases:
-        sl, sr = to_sympy(l), to_sympy(r)
+        sl, sr = _sympy_frac(sympy, l, X), _sympy_frac(sympy, r, X)
         for got, expr in ((K.add(l, r), sl + sr), (K.sub(l, r), sl - sr), (K.mul(l, r), sl * sr)):
             _assert_int_form(got)
             assert got == _sympy_int_pair(sympy, expr, X), (l, r, got)
@@ -795,6 +798,111 @@ def test_henrici_kernel_examples(poly):
         got = op(el(x), el(y))
         _assert_int_form(got)
         assert got == want, (op.__name__, x, y, got)
+
+
+# The Baer-Krull lift through the degree valuation clears a value with X^k,
+# 1/X^k or 1, and the kernel cancels a monomial operand by a shift, with no
+# PRS.  Polynomials drawn at random are seldom monomials, so these tests
+# draw c*X^k with partners whose ord_X lies below, at and above k.
+
+
+@st.composite
+def monomials(draw):
+    """c*X^k as dense integers, c in {1, -1, 2, 3, -6} and k <= 4."""
+    return [0] * draw(st.integers(0, 4)) + [draw(st.sampled_from([1, -1, 2, 3, -6]))]
+
+
+@st.composite
+def partners(draw, k):
+    """A polynomial X^j * q with q(0) != 0 and j among k-2 .. k+2 (j >= 0):
+    its ord_X is j."""
+    j = max(0, k + draw(st.integers(-2, 2)))
+    q = [draw(st.sampled_from([1, -1, 2, -3, 5]))] + draw(st.lists(st.integers(-5, 5), max_size=3))
+    return [0] * j + _trimmed(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_common_factor_of_a_monomial_matches_the_prs_gcd(data):
+    m = data.draw(monomials())
+    p = data.draw(partners(len(m) - 1))
+    ref = list(_uni_gcd(m, p))
+    want = [ref, [-c for c in ref]] if len(ref) > 1 else [None]
+    for a, b in ((m, p), (p, m), (tuple(m), tuple(p))):
+        g = _common_factor(a, b)
+        assert (g if g is None else list(g)) in want, (a, b, g)
+        for f in (a, b) if g else ():
+            assert _uni_mul(_uni_exquo(f, g), g) == list(f)
+    # the quotient by the monic X^k is a shift
+    xk = [0] * (len(m) - 1) + [1]
+    assert list(_uni_exquo(_uni_mul(p, xk), xk)) == p
+    assert list(_uni_exquo(tuple(_uni_mul(p, m)), m)) == p
+
+
+@pytest.mark.parametrize("poly", [QX, ZX], ids=["QX", "ZX"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fraction_kernel_on_monomials_matches_sympy_cancel(poly, data):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    K = RationalFunctionField(poly)
+    m = data.draw(monomials())
+    k = len(m) - 1
+    y = K.canon((tuple(data.draw(partners(k))), tuple(data.draw(partners(k)))))
+    one = K.one().payload
+    sy = _sympy_frac(sympy, y, X)
+    for x in (K.canon((tuple(m), (1,))), K.canon(((1,), tuple(m))), one):
+        sx = _sympy_frac(sympy, x, X)
+        cases = [
+            (K.add(x, y), K.add(y, x), sx + sy),
+            (K.sub(x, y), None, sx - sy),
+            (K.sub(y, x), None, sy - sx),
+            (K.mul(x, y), K.mul(y, x), sx * sy),
+        ]
+        for got, swapped, expr in cases:
+            _assert_int_form(got)
+            assert got == _sympy_int_pair(sympy, expr, X), (x, y, got)
+            assert swapped in (None, got)
+
+
+def test_clearing_multipliers_run_no_prs_step(monkeypatch):
+    # every multiplier the lift of roundtrip-deg-plus clears with is X^k,
+    # 1/X^k or 1; a product with one of them runs no PRS step
+    from qord import rings
+    from qord.baerkrull import default_basis, gamma_data
+    from qord.corpus import get_instance
+    from qord.dsl import Check, SessionContext, bind_check, execute_statement, parse_session
+
+    inst = get_instance("roundtrip-deg-plus")
+    ctx = SessionContext()
+    for stmt in parse_session(inst.session).statements:
+        if isinstance(stmt, Check):
+            break
+        assert execute_statement(ctx, stmt, inst.label_prefix) is None
+    universe = bind_check(ctx, stmt, inst.label_prefix).universe(ctx)
+    nu = ctx.env["nu"]
+    K, basis = nu.ring, default_basis(nu)
+    elems = universe.elements()
+    multipliers = {gamma_data(nu, x, x, basis)[1].payload for x in elems if x != 0}
+    kinds = set()
+    for n, d in multipliers:
+        kinds.add((len(n) > 1) - (len(d) > 1))
+        assert {n, d} <= {(1,), (0,) * (len(n) + len(d) - 2) + (1,)}, (n, d)
+    assert kinds == {-1, 0, 1}
+
+    steps = []
+    prem = rings._uni_prem
+    monkeypatch.setattr(rings, "_uni_prem", lambda a, b: steps.append((a, b)) or prem(a, b))
+    payloads = [x.payload for x in elems]
+    for m in multipliers:
+        m_inv = K.inv(K.el(m)).payload
+        for a in payloads:
+            am = K.mul(a, m)
+            assert K.mul(m, a) == am and K.mul(am, m_inv) == a
+    assert steps == []
+    one = K.one().payload
+    for a in payloads:
+        assert a == one or K.mul(a, one) is a and K.mul(one, a) is a
 
 
 @st.composite
