@@ -47,7 +47,9 @@ class BasisData:
 
     basis_signs picks sign_i * e_i as the representative of the i-th
     F2-basis class; a -1 sign lets rings without positively-valued
-    elements (like -deg) still carry a basis.
+    elements (like -deg) still carry a basis.  ``clearing(gamma)`` is
+    memoized per gamma on the basis; the table holds ring elements only,
+    so it makes no cycle with v.
     """
 
     valuation: Valuation
@@ -76,6 +78,20 @@ class BasisData:
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "pis", pis)
         object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_clearing", {})
+
+    def clearing(self, gamma) -> Tuple[GammaDecomposition, RingElement, RingElement]:
+        """(decomposition, multiplier prod(pi_i) * a^2, a) for the value gamma,
+        with a = preimage(delta): what clears gamma, built once per gamma."""
+        got = self._clearing.get(gamma)
+        if got is None:
+            dec = mod2_decompose(self.group, gamma)
+            a = self.valuation.preimage(dec.delta)
+            m = self.valuation.ring.one()
+            for i in sorted(dec.index_set):
+                m = m * self.pis[i]
+            got = self._clearing[gamma] = (dec, m * a * a, a)
+        return got
 
 
 @dataclass(frozen=True)
@@ -129,20 +145,7 @@ def gamma_data(
     finite = [val for val in (vx, vy) if val is not INF]
     if not finite:
         raise PreconditionError("gamma needs an argument outside the support")
-    gamma = max((value_neg(val) for val in finite))
-    dec = mod2_decompose(basis.group, gamma)
-    return dec, clearing_multiplier(basis, dec), v.preimage(dec.delta)
-
-
-def clearing_multiplier(basis: BasisData, dec: GammaDecomposition) -> RingElement:
-    """prod(pi_i for i in dec.index_set) * a^2 with a = preimage(dec.delta):
-    the multiplier that clears the value dec decomposes."""
-    v = basis.valuation
-    a = v.preimage(dec.delta)
-    m = v.ring.one()
-    for i in sorted(dec.index_set):
-        m = m * basis.pis[i]
-    return m * a * a
+    return basis.clearing(max((value_neg(val) for val in finite)))
 
 
 def default_basis(v: Valuation) -> BasisData:
@@ -174,18 +177,14 @@ def lift(data: LiftData) -> QuasiOrder:
     v = data.basis.valuation
     ring = v.ring
     rq = data.residue_qo
-    group = data.basis.group
     eta = data.eta
     # gamma -> (payload of the multiplier that clears gamma, eta's sign on
-    # it): each value is decomposed and cleared once
+    # it), read off the basis's clearing table
     clearing: dict = {}
 
     def clear(gamma):
-        dec = mod2_decompose(group, gamma)
-        got = clearing[gamma] = (
-            clearing_multiplier(data.basis, dec).payload,
-            eta.product_over(dec.index_set),
-        )
+        dec, m, _a = data.basis.clearing(gamma)
+        got = clearing[gamma] = (m.payload, eta.product_over(dec.index_set))
         return got
 
     kind = classify_qo(rq)

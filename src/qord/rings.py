@@ -294,6 +294,9 @@ class RationalField(Ring):
         """(numerator, denominator) of a as Z payloads: Q read as Quot(Z)."""
         return a.numerator, a.denominator
 
+    # the reduced pair is the stored one, so no split is cheaper
+    num_den = poly_pair
+
     def zero_payload(self):
         return _Q_ZERO
 
@@ -1094,7 +1097,8 @@ class RationalFunctionField(Ring, metaclass=_Interned):
     pair of dense polynomial payloads (num, den) enters through
     ``from_poly_pair`` and leaves through ``poly_pair`` with no change of
     coefficient type: over Z num = N and den = D, over Q num = N/lc(D) and
-    den = D/lc(D) is monic.  In several variables the
+    den = D/lc(D) is monic.  ``num_den`` reads (N, D) off with no gcd, as
+    N/1 and D/1 over Q.  In several variables the
     payload is that pair of polynomial payloads, only the content and the
     sign of the denominator's leading coefficient are normalized (over Q
     the content is a rational number), and equality cross-multiplies.
@@ -1153,6 +1157,17 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         if self.poly._over_q:
             n, d = a
             return _q_reduced(n, d[-1]), _q_reduced(d, d[-1])
+        return a
+
+    def num_den(self, a):
+        """(num, den) polynomial payloads with a = num/den, read off the
+        payload with no gcd: in one variable N and D themselves (over Q as
+        N/1 and D/1), in several the stored pair.  It serves readers that
+        any split of a into num/den answers alike, such as v(num) - v(den)
+        for a valuation v; ``poly_pair`` gives the normalized split."""
+        if self.poly._over_q:
+            n, d = a
+            return (n, 1), (d, 1)
         return a
 
     def _from_integer(self, num, den):

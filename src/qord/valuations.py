@@ -410,12 +410,17 @@ def trivial_valuation(ring: Ring, support: Optional[Ideal] = None) -> Valuation:
 def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valuation:
     """Extend u to a polynomial ring by min over monomials of u(coef)+sum(e_i*g_i).
 
-    The value group is Z; the base group must be trivial or Z.  On Z[X]
-    and Q[X] the polynomial is read as N/d with integer coefficients N_e
-    (``PolynomialRing.int_form``) and its value is min_e(u(N_e) + e*g) -
-    u(d); u's value on each integer is kept in a table of this valuation,
-    so u is called once per distinct integer, always on the base payload
-    ``u.ring.int_payload(c)``.  Other polynomial rings read ``terms``.  The Manis
+    The value group is Z; the base group must be trivial or Z.  When u is
+    trivial with support 0, u(c) = 0 for every c != 0, so the value is the
+    least sum(e_i*g_i) over the exponents of f's terms, and u is never
+    called: on Z[X] and Q[X] that is g*deg f for g < 0, g*ord_X f for g > 0
+    and 0 for g = 0, read off ``PolynomialRing.int_form``.  Any other base
+    is called on the coefficients.  On Z[X] and Q[X] the polynomial is read
+    as N/d with integer coefficients N_e (``int_form``), with value
+    min_e(u(N_e) + e*g) - u(d); u's value on each integer is kept in a table
+    of this valuation, so u is called once per distinct integer, always on
+    the base payload ``u.ring.int_payload(c)``, and the table is the only
+    memo that fills.  Other polynomial rings read ``terms``.  The Manis
     flag is set only for the recognized witness patterns: a Manis base on
     a field with the same value group (constant witnesses), or a trivial
     base with both a +1 and a -1 twist (variable-power witnesses).
@@ -435,7 +440,31 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
             return INF
         return val if u.group.rank == 1 else (0,)
 
-    if poly.dense:
+    if u.group.rank == 0 and u.support.is_zero:
+        if poly.dense:
+            (gamma,) = gammas
+
+            def ev(payload):
+                n = poly.int_form(payload)[0]
+                if not n:
+                    return INF
+                # the least e*gamma over the exponents: the degree for
+                # gamma < 0, the lowest exponent for gamma > 0
+                if gamma < 0:
+                    return (gamma * (len(n) - 1),)
+                if gamma > 0:
+                    return (gamma * next(e for e, c in enumerate(n) if c),)
+                return (0,)
+
+        else:
+
+            def ev(payload):
+                weights = [
+                    sum(map(operator.mul, exps, gammas)) for exps, _ in poly.terms(payload)
+                ]
+                return (min(weights),) if weights else INF
+
+    elif poly.dense:
         # u on each integer met so far, read on its base payload
         on_int: dict = {}
         (gamma,) = gammas
@@ -443,7 +472,7 @@ def gauss_on(u: Valuation, poly: PolynomialRing, gammas: Sequence[int]) -> Valua
         def u_int(c):
             val = on_int.get(c)
             if val is None:
-                val = on_int[c] = embed(u._eval_memo(u.ring.int_payload(c)))
+                val = on_int[c] = embed(u._eval_payload(u.ring.int_payload(c)))
             return val
 
         def ev(payload):
@@ -551,7 +580,10 @@ def frac_extend_val(v: Valuation, uniformizer: Optional[RingElement] = None) -> 
     supplied uniformizer (an element of value +-1 in a rank-1 group).
     nu is v itself when v.ring is a field and supp(v) = 0; otherwise nu
     carries ``Extension(v, to_field)``, with to_field the map x -> x/1 from
-    v.ring into nu.ring (``field_embedding`` reads it).  nu holds v, and
+    v.ring into nu.ring (``field_embedding`` reads it).  nu reads x as
+    num/den by ``num_den`` (no gcd) and calls v's evaluator on both parts,
+    not v's memo, so nu's memo, keyed on the fraction, is the only one that
+    an evaluation of nu fills.  nu holds v, and
     v holds nu only weakly: while anything holds nu (its residue ring
     included), it is the one nu returned for (v, uniformizer), and once
     nothing does, both are freed by reference counting.
@@ -581,11 +613,13 @@ def _build_passage(v: Valuation, uniformizer: Optional[RingElement]) -> Valuatio
         return on_quotient(v, qring, project, section, Extension(v, project))
     vq = on_quotient(v, qring, project, section)
 
+    zero, ev_q = qring.zero_payload(), vq._eval_payload
+
     def ev(payload):
-        num, den = K.poly_pair(payload)
-        if num == qring.zero_payload():
+        num, den = K.num_den(payload)
+        if num == zero:
             return INF
-        return value_sub(vq._eval_memo(num), vq._eval_memo(den))
+        return value_sub(ev_q(num), ev_q(den))
 
     if uniformizer is None and not vq.manis and isinstance(v.provenance, Padic):
         uniformizer = base.from_int(v.provenance.prime)

@@ -103,6 +103,15 @@ def test_gamma_data_gamma_five():
     assert v2(x * m) == (0,)
 
 
+def test_gamma_data_is_one_clearing_per_gamma_on_the_basis():
+    # values with the same gamma share one clearing, which is the basis's
+    basis = default_basis(v2)
+    first = gamma_data(v2, QQ.el(Fraction(1, 8)), QQ.one(), basis)
+    again = gamma_data(v2, QQ.from_int(3), QQ.el(Fraction(5, 8)), basis)
+    assert again is first and basis.clearing((3,)) is first
+    assert basis.clearing((4,)) is not first
+
+
 def test_gamma_data_drops_infinite_summand():
     dec, m, a = gamma_data(v2, QQ.zero(), QQ.el(Fraction(1, 8)))
     assert dec.gamma == (3,)

@@ -1,7 +1,8 @@
 """Z[X] and Q[X] on the dense integer kernel against sympy: arithmetic,
 canonical form, printing and parsing, and the Gauss and degree valuations
-read on the dense payloads (with the sparse Z[X,Y] next to them); the
-sparse Z[X,Y] and Q[X,Y] kernel and the p-adic valuations as well."""
+read on the dense payloads over p-adic and trivial bases (with the sparse
+Z[X,Y] and Q[X,Y] next to them); the sparse Z[X,Y] and Q[X,Y] kernel and
+the p-adic valuations as well."""
 
 import math
 from fractions import Fraction
@@ -173,6 +174,38 @@ def test_gauss_over_a_supported_base_examples(text, want):
     assert MOD3(ZX.parse(text)) == want
 
 
+# a trivial base with support 0: u(c) = 0 for c != 0, so the value is the
+# least gamma*e over the exponents of the terms (MOD3 above keeps the table)
+TRIVIAL_GAMMAS = (-2, -1, 0, 1, 2)
+TRIVIAL = {
+    (ring.name, gamma): gauss_on(trivial_valuation(ring.base), ring, (gamma,))
+    for ring in (ZX, QX)
+    for gamma in TRIVIAL_GAMMAS
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_element, st.sampled_from(TRIVIAL_GAMMAS))
+def test_gauss_over_a_trivial_base_against_sympy(xa, gamma):
+    ring, x, poly = xa
+    v = TRIVIAL[ring.name, gamma]
+    if poly.is_zero:
+        assert v(x) is INF
+        return
+    assert v(x) == (min(gamma * e for (e,), c in poly.terms() if c),)
+
+
+@pytest.mark.parametrize("ring", [ZX, QX])
+@pytest.mark.parametrize(
+    "text, gamma, want",
+    [("2*X + X^3", -1, (-3,)), ("2*X + X^3", -2, (-6,)), ("2*X + X^3", 1, (1,)),
+     ("2*X + X^3", 2, (2,)), ("X^2 + 5*X^4", 0, (0,)), ("7", -2, (0,)), ("7", 2, (0,)),
+     ("0", -1, INF)],
+)
+def test_gauss_over_a_trivial_base_examples(ring, text, gamma, want):
+    assert TRIVIAL[ring.name, gamma](ring.parse(text)) == want
+
+
 # the sparse Z[X,Y]: min over monomials of v_p(c) + e_X*g_X + e_Y*g_Y
 GAMMA_PAIRS = ((1, -1), (0, 2), (-1, -1), (2, 0))
 GAUSS_XY = {
@@ -246,6 +279,27 @@ def test_sparse_kernel_against_sympy_poly(ring, data):
         assert ring._canon_dict(dict(got.payload)) == got.payload
         assert all(c for _, c in got.payload)
     assert (x == y) == (px == py)
+
+
+# over a trivial base with support 0: the least e_X*g_X + e_Y*g_Y
+TRIVIAL_WEIGHTS = ((1, -1), (0, 1), (1, 0), (-1, -1), (2, 0))
+TRIVIAL_XY = {
+    (ring.name, g): gauss_on(trivial_valuation(ring.base), ring, g)
+    for ring in (ZXY, QXY)
+    for g in TRIVIAL_WEIGHTS
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZXY, QXY]), st.data(), st.sampled_from(TRIVIAL_WEIGHTS))
+def test_sparse_gauss_over_a_trivial_base_against_sympy(ring, data, gammas):
+    x, poly = data.draw(sparse_elements(ring))
+    v = TRIVIAL_XY[ring.name, gammas]
+    if poly.is_zero:
+        assert v(x) is INF
+        return
+    want = min(sum(e * g for e, g in zip(exps, gammas)) for exps, _ in poly.terms())
+    assert v(x) == (want,)
 
 
 # ---------------------------------------------------------------------------

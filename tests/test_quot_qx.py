@@ -1,6 +1,7 @@
 """Quot(Q[X]) beyond the kernel: every reader of the integer payload form
-against the formula it replaced, applied to the reference Q[X] pair, and
-the extended valuations against sympy."""
+against the formula it replaced, applied to the reference Q[X] pair, the
+extended valuations against sympy, and the split ``num_den`` that the
+extensions read against the reduced ``poly_pair`` on Quot(Z[X]) as well."""
 
 from fractions import Fraction
 
@@ -15,12 +16,13 @@ from qord.quasiorders import (
     from_valuation,
     leading_term_order,
 )
-from qord.rings import QQ, RationalFunctionField, poly_ring
+from qord.rings import QQ, ZZ, RationalFunctionField, poly_ring
 from qord.valuations import (
     degree_valuation,
     frac_extend_val,
     gauss_on,
     padic_valuation,
+    trivial_valuation,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -264,3 +266,82 @@ def test_gauss_extension_against_sympy(xa, key):
         return
     n, d = _sympy_parts(num, den)
     assert nu(x) == (_gauss_min(n, p, gamma) - _gauss_min(d, p, gamma),)
+
+
+# the X-adic valuation: gauss over the trivial base with twist +1, extended
+# along the uniformizer X, is ord_X(N) - ord_X(D)
+NU_XADIC = frac_extend_val(
+    gauss_on(trivial_valuation(QQ), QX, (1,)), uniformizer=QX.var("X")
+)
+
+
+def _ord_x(poly):
+    return min(e for (e,), c in poly.terms() if c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_elements())
+def test_x_adic_extension_against_sympy(xa):
+    x, num, den = xa
+    if num == ZERO:
+        assert NU_XADIC(x) is INF
+        return
+    n, d = _sympy_parts(num, den)
+    assert NU_XADIC(x) == (_ord_x(n) - _ord_x(d),)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("(X^2 + X^3)/(X)", (1,)), ("(1)/(X^3 + X^5)", (-3,)), ("(1 + X)/(2 + X^4)", (0,)),
+     ("0", INF)],
+)
+def test_x_adic_extension_examples(text, want):
+    assert NU_XADIC(K.parse(text)) == want
+
+
+# ---------------------------------------------------------------------------
+# the split the extensions read: num_den against poly_pair
+
+
+ZX = poly_ring(ZZ, "X")
+KZ = RationalFunctionField(ZX)
+
+
+@st.composite
+def zx_polys(draw):
+    coefs = draw(st.lists(st.integers(-12, 12), max_size=5))
+    return ZX._canon_dict({(e,): c for e, c in enumerate(coefs) if c})
+
+
+#: Gauss valuations over v_2 and over the trivial valuation, twists +-1,
+#: on Z[X] and Q[X], each extended along X (needed where v is not Manis)
+SPLIT_VALS = {
+    (poly.name, base, gamma): gauss_on(u, poly, (gamma,))
+    for poly in (ZX, QX)
+    for base, u in (
+        ("v_2", padic_valuation(2, poly.base)),
+        ("triv", trivial_valuation(poly.base)),
+    )
+    for gamma in (1, -1)
+}
+SPLIT_EXT = {
+    key: frac_extend_val(v, uniformizer=v.ring.var("X")) for key, v in SPLIT_VALS.items()
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(ZX, KZ, zx_polys), (QX, K, qx_polys)]), st.data())
+def test_num_den_split_against_poly_pair(rings, data):
+    poly, field, polys = rings
+    num, den = data.draw(polys()), data.draw(polys())
+    if den == poly.zero_payload():
+        den = poly.one_payload()
+    x = field.frac(poly.el(num), poly.el(den))
+    n, d = field.num_den(x.payload)
+    assert poly.canon(n) == n and poly.canon(d) == d
+    assert field.from_poly_pair(n, d) == x.payload
+    pn, pd = field.poly_pair(x.payload)
+    for key, v in SPLIT_VALS.items():
+        if key[0] == poly.name:
+            want = INF if pn == poly.zero_payload() else value_sub(v(poly.el(pn)), v(poly.el(pd)))
+            assert SPLIT_EXT[key](x) == want

@@ -199,6 +199,47 @@ def test_frac_extend_degree():
     assert a == b and nu(a) == nu(b)
 
 
+def test_extensions_read_the_fraction_with_one_memo(monkeypatch):
+    # nu = -deg on the differences the lift of roundtrip-deg-plus compares:
+    # nu splits each fraction with no gcd (no poly_pair), the trivial base
+    # is never called, and nu's memo is the only one that fills
+    from qord.corpus import get_instance
+    from qord.dsl import Check, SessionContext, bind_check, execute_statement, parse_session
+    from qord.rings import RationalFunctionField
+
+    inst = get_instance("roundtrip-deg-plus")
+    ctx = SessionContext()
+    for stmt in parse_session(inst.session).statements:
+        if isinstance(stmt, Check):
+            break
+        execute_statement(ctx, stmt, inst.label_prefix)
+    elems = bind_check(ctx, stmt, inst.label_prefix).universe(ctx).elements()
+    vdeg = degree_valuation(QX)
+    nu = frac_extend_val(vdeg, uniformizer=QX.var("X"))
+    diffs = [y - x for x in elems for y in elems]
+    assert diffs and diffs[0].ring is nu.ring
+
+    calls = []
+    pair = RationalFunctionField.poly_pair
+    monkeypatch.setattr(
+        RationalFunctionField, "poly_pair",
+        lambda self, a: calls.append("poly_pair") or pair(self, a),
+    )
+    u = vdeg.provenance.base
+    base_ev = u._eval_payload
+    monkeypatch.setattr(u, "_eval_payload", lambda p: calls.append("base") or base_ev(p))
+    before = len(vdeg._memo)
+    values = [nu(t) for t in diffs]
+    assert calls == [] and len(vdeg._memo) == before
+    assert len(nu._memo) > 1 and {INF, (0,), (-1,)} <= set(values)
+
+    # a base that needs the integer table: the table is u's only memo
+    v2q = padic_valuation(2, QQ)
+    v = gauss_on(v2q, QX, (1,))
+    sample = SampleUniverse(QX, seed=42, count=200).elements()
+    assert {v(x) for x in sample} - {INF} and not v2q._memo
+
+
 def test_frac_extend_preimage_through_a_manis_passage():
     # the Gauss twist (1, -1) of the trivial valuation on Z[X,Y] is Manis,
     # so its extension to Quot(Z[X,Y]) embeds the ring's own preimages
