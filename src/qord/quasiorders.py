@@ -97,13 +97,17 @@ def from_valuation(w: Valuation) -> QuasiOrder:
     )
 
 
+def _q_le(a, b) -> bool:
+    """a <= b for Q payloads (n, d), cross-multiplied as d > 0."""
+    return a[0] * b[1] <= b[0] * a[1]
+
+
 def natural_order(ring: Ring) -> QuasiOrder:
     """The unique order of Z or Q."""
     if not isinstance(ring, (IntegerRing, RationalField)):
         raise ValueError(f"no natural order on {ring.name}")
-    return QuasiOrder(
-        ring, operator.le, f"leq({ring.name})", support_ideal=ZeroIdeal(ring)
-    )
+    le = operator.le if isinstance(ring, IntegerRing) else _q_le
+    return QuasiOrder(ring, le, f"leq({ring.name})", support_ideal=ZeroIdeal(ring))
 
 
 def const_term_order(poly: PolynomialRing) -> QuasiOrder:

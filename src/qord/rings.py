@@ -4,9 +4,9 @@ Supported ring kinds: the integers, the rationals, polynomial rings over
 them (dense integer coefficients in one variable over Z or Q, sparse
 terms otherwise), quotients by ideals that are prime by construction,
 and fraction fields of domains.  All payloads are immutable
-hashable Python values (int, Fraction, tuples), all operations are pure,
-and every ring has a canonical element syntax that round-trips through
-``parse``.
+hashable Python values (ints, and tuples of them: a rational is the
+reduced pair (n, d) of ints), all operations are pure, and every ring has
+a canonical element syntax that round-trips through ``parse``.
 """
 
 from __future__ import annotations
@@ -282,17 +282,31 @@ class IntegerRing(Ring):
         return _parse_int(text, self.name)
 
 
-#: zero of Q; one shared Fraction, since Fractions are immutable
-_Q_ZERO = Fraction(0)
+#: zero of Q, one shared pair
+_Q_ZERO = (0, 1)
+
+
+def _q_pair(n: int, d: int):
+    """The Q payload of n/d, for ints n and d != 0."""
+    if d < 0:
+        n, d = -n, -d
+    g = math.gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
 
 
 class RationalField(Ring):
+    """Q.  A payload is the reduced pair (n, d) of ints standing for n/d:
+    d > 0 and gcd(n, d) = 1, so zero is (0, 1) and equal rationals have
+    equal pairs.  ``canon`` (and so ``el``) also takes an int or a
+    ``fractions.Fraction``.  Sums and products reduce as ``fractions`` does
+    (Knuth, TAOCP 2, 4.5.1): the gcds run on the parts, not on the result."""
+
     name = "Q"
     is_field = True
 
     def poly_pair(self, a):
         """(numerator, denominator) of a as Z payloads: Q read as Quot(Z)."""
-        return a.numerator, a.denominator
+        return a
 
     # the reduced pair is the stored one, so no split is cheaper
     num_den = poly_pair
@@ -301,24 +315,53 @@ class RationalField(Ring):
         return _Q_ZERO
 
     def int_payload(self, n):
-        return Fraction(n)
+        return (n, 1) if n else _Q_ZERO
+
+    def canon(self, a):
+        if isinstance(a, tuple):
+            n, d = a
+        elif isinstance(a, (int, Fraction)):
+            n, d = a.numerator, a.denominator
+        else:
+            raise TypeError(f"not a rational payload: {a!r}")
+        if not d:
+            raise ZeroDivisionError(f"zero denominator in {self.name}")
+        return _q_pair(n, d)
 
     def add(self, a, b):
-        return a + b
+        (na, da), (nb, db) = a, b
+        g = math.gcd(da, db)
+        if g == 1:
+            return na * db + da * nb, da * db
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = math.gcd(t, g)
+        if g2 == 1:
+            return t, s * db
+        return t // g2, s * (db // g2)
 
     def neg(self, a):
-        return -a
+        return -a[0], a[1]
 
     def mul(self, a, b):
-        return a * b
+        (na, da), (nb, db) = a, b
+        g1 = math.gcd(na, db)
+        if g1 != 1:
+            na, db = na // g1, db // g1
+        g2 = math.gcd(nb, da)
+        if g2 != 1:
+            nb, da = nb // g2, da // g2
+        return na * nb, da * db
 
     def inv(self, x):
-        if x.payload == 0:
+        n, d = x.payload
+        if not n:
             raise ZeroDivisionError("inverse of 0")
-        return self.el(1 / x.payload)
+        return RingElement(self, (d, n) if n > 0 else (-d, -n))
 
     def format(self, a):
-        return str(a)
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def parse_payload(self, text):
         return _parse_fraction(text, self.name)
@@ -335,7 +378,7 @@ def _parse_int(text: str, where: str) -> int:
     raise ElementSyntaxError(f"bad integer literal {text!r} in {where}")
 
 
-def _parse_fraction(text: str, where: str) -> Fraction:
+def _parse_fraction(text: str, where: str):
     t = text.strip()
     m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(\d+))?", t)
     if not m:
@@ -344,7 +387,7 @@ def _parse_fraction(text: str, where: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ElementSyntaxError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return _q_pair(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +446,10 @@ class PolynomialRing(Ring, metaclass=_Interned):
                 for (e,), c in d.items():
                     n[e] = c
                 return tuple(_trimmed(n))
-            den = math.lcm(*[c.denominator for c in d.values()])
-            for (e,), c in d.items():
-                n[e] = c.numerator * (den // c.denominator)
+            cs = [(e, self.base.canon(c)) for (e,), c in d.items()]
+            den = math.lcm(*[cd for _, (_, cd) in cs])
+            for e, (cn, cd) in cs:
+                n[e] = cn * (den // cd)
             return _q_reduced(_trimmed(n), den)
         items = []
         zero = self.base.zero_payload()
@@ -423,7 +467,7 @@ class PolynomialRing(Ring, metaclass=_Interned):
             return a
         n, d = self.int_form(a)
         return tuple(
-            ((e,), Fraction(n[e], d) if self._over_q else n[e])
+            ((e,), _q_pair(n[e], d) if self._over_q else n[e])
             for e in range(len(n) - 1, -1, -1)
             if n[e]
         )
@@ -498,7 +542,7 @@ class PolynomialRing(Ring, metaclass=_Interned):
         if self.dense:
             n, d = self.int_form(a)
             c = n[0] if n else 0
-            return Fraction(c, d) if self._over_q else c
+            return _q_pair(c, d) if self._over_q else c
         zero_exps = (0,) * self.nvars
         for exps, c in a:
             if exps == zero_exps:
@@ -565,6 +609,7 @@ def _parse_poly(ring: PolynomialRing, text: str):
         return t
 
     def parse_number(sign: int):
+        """The reduced pair (num, den) of the number literal next in line."""
         t = take()
         if not t.isdigit():
             raise ElementSyntaxError(f"expected number in {text!r}")
@@ -574,19 +619,16 @@ def _parse_poly(ring: PolynomialRing, text: str):
             den = take()
             if not den.isdigit() or int(den) == 0:
                 raise ElementSyntaxError(f"bad coefficient in {text!r}")
-            return Fraction(num, int(den))
-        return num
+            return _q_pair(num, int(den))
+        return num, 1
 
     def coef_payload(value):
-        if isinstance(value, Fraction):
-            if isinstance(ring.base, RationalField):
-                return value
-            if value.denominator != 1:
-                raise ElementSyntaxError(
-                    f"fractional coefficient in {ring.name}: {text!r}"
-                )
-            return ring.base.int_payload(value.numerator)
-        return ring.base.int_payload(value)
+        if isinstance(ring.base, RationalField):
+            return value
+        num, den = value
+        if den != 1:
+            raise ElementSyntaxError(f"fractional coefficient in {ring.name}: {text!r}")
+        return ring.base.int_payload(num)
 
     def parse_term():
         sign = 1
@@ -624,11 +666,8 @@ def _parse_poly(ring: PolynomialRing, text: str):
                 expect_factor = True
             else:
                 expect_factor = False
-        if coef is None:
-            coef = sign
-        elif sign == -1:
-            coef = -coef
-        return tuple(exps), coef_payload(coef)
+        # a number has taken the sign before it; a bare monomial has +-1
+        return tuple(exps), coef_payload((sign, 1) if coef is None else coef)
 
     d: dict = {}
     while i < len(tokens):
@@ -798,14 +837,15 @@ def _uni_exquo(a, b):
 
 
 def _content(ring: PolynomialRing, a):
-    """gcd of integer coefficients, or gcd(numerators)/lcm(denominators)."""
+    """gcd of integer coefficients, or the Q payload of
+    gcd(numerators)/lcm(denominators)."""
     if isinstance(ring.base, RationalField):
         num = 0
         den = 1
-        for _, c in a:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num or 1, den)
+        for _, (n, d) in a:
+            num = math.gcd(num, n)
+            den = math.lcm(den, d)
+        return num or 1, den
     g = 0
     for _, c in a:
         g = math.gcd(g, abs(c))
@@ -1131,16 +1171,15 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         if not num:
             return ((), poly.one_payload())
         cn, cd = _content(poly, num), _content(poly, den)
-        if isinstance(cn, Fraction):
-            g = Fraction(
-                math.gcd(cn.numerator, cd.numerator),
-                cd.denominator * cn.denominator
-                // math.gcd(cn.denominator, cd.denominator),
-            )
-            if den[0][1] < 0:
-                g = -g
-            num = tuple((e, c / g) for e, c in num)
-            den = tuple((e, c / g) for e, c in den)
+        if isinstance(poly.base, RationalField):
+            # divide by g = gcd(numerators)/lcm(denominators) of both
+            # contents, with the sign of lc(den): multiply by 1/g
+            (an, ad), (bn, bd) = cn, cd
+            s = -1 if den[0][1][0] < 0 else 1
+            g_inv = (s * math.lcm(ad, bd), math.gcd(an, bn))
+            mul = poly.base.mul
+            num = tuple((e, mul(c, g_inv)) for e, c in num)
+            den = tuple((e, mul(c, g_inv)) for e, c in den)
             return (num, den)
         g = math.gcd(cn, cd)
         if den[0][1] < 0:
@@ -1283,9 +1322,10 @@ class RationalFunctionField(Ring, metaclass=_Interned):
     # They read or write the integer form (N, D) of a one-variable field,
     # where lc(D) > 0.
 
-    def rational_payload(self, q: Fraction):
-        """The payload of the constant q."""
-        return ((q.numerator,), (q.denominator,)) if q else _K_ZERO
+    def rational_payload(self, q):
+        """The payload of the constant with Q payload q."""
+        n, d = q
+        return ((n,), (d,)) if n else _K_ZERO
 
     def _cross(self, a, b):
         """p = N_a*D_b and q = N_b*D_a, padded to one length:
@@ -1311,11 +1351,11 @@ class RationalFunctionField(Ring, metaclass=_Interned):
         return p <= q
 
     def limit_at_infinity(self, a):
-        """lim a(X) as X -> infinity, as a Fraction; None when it is infinite."""
+        """lim a(X) as X -> infinity, as a Q payload; None when it is infinite."""
         num, den = a
         if len(num) < len(den):
-            return Fraction(0)
-        return Fraction(num[-1], den[-1]) if len(num) == len(den) else None
+            return _Q_ZERO
+        return _q_pair(num[-1], den[-1]) if len(num) == len(den) else None
 
     def format(self, a):
         num, den = self.poly_pair(a)
@@ -1338,7 +1378,7 @@ def fraction_field(domain: Ring):
     field of a field is the field itself.
     """
     if isinstance(domain, IntegerRing):
-        return QQ, lambda x: QQ.el(Fraction(x.payload))
+        return QQ, lambda x: RingElement(QQ, QQ.int_payload(x.payload))
     if domain.is_field:
         return domain, lambda x: x
     if isinstance(domain, PolynomialRing):

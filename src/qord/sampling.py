@@ -14,7 +14,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, List, Sequence
 
 from .rings import (
@@ -27,6 +26,7 @@ from .rings import (
     Ring,
     RingElement,
     _mono_key,
+    _q_pair,
     _q_reduced,
     _trimmed,
 )
@@ -100,13 +100,13 @@ def payload_drawer(ring: Ring, bounds: Bounds, rng: random.Random) -> Callable[[
     """A function drawing one canonical payload of ring from rng per call.
 
     The ring's kind is looked at once, here, and each call builds the
-    payload directly: an int for Z and Z/p, a Fraction for Q, a dense or
-    sparse polynomial payload, ``from_poly_pair`` of two polynomial draws
-    for a fraction field (a zero denominator becomes 1), and the reduced
-    base draw for a ``QuotientRing``.  A ring of another kind draws
-    through its own ``sampler(draw_on)``, where ``draw_on(ring)`` is this
-    function for another ring on the same stream; residue domains draw so
-    from their concrete ring or their parent.  Every integer comes from
+    payload directly: an int for Z and Z/p, the reduced pair (n, d) for Q,
+    a dense or sparse polynomial payload, ``from_poly_pair`` of two
+    polynomial draws for a fraction field (a zero denominator becomes 1),
+    and the reduced base draw for a ``QuotientRing``.  A ring of another
+    kind draws through its own ``sampler(draw_on)``, where ``draw_on(ring)``
+    is this function for another ring on the same stream; residue domains
+    draw so from their concrete ring or their parent.  Every integer comes from
     ``randint``, in the order of the written-out draw: a polynomial draws
     its number of terms, then for each term its exponents and its
     coefficient; a rational draws its numerator, then its denominator.
@@ -117,7 +117,7 @@ def payload_drawer(ring: Ring, bounds: Bounds, rng: random.Random) -> Callable[[
         return lambda: randint(bits, -h, h)
     if isinstance(ring, RationalField):
         dh = bounds.den_height
-        return lambda: Fraction(randint(bits, -h, h), randint(bits, 1, dh))
+        return lambda: _q_pair(randint(bits, -h, h), randint(bits, 1, dh))
     if isinstance(ring, IntegerModRing):
         top = ring.modulus - 1
         return lambda: randint(bits, 0, top)
@@ -176,13 +176,14 @@ def _poly_drawer(ring: PolynomialRing, bounds: Bounds, rng: random.Random):
     coef = payload_drawer(base, bounds, rng)
     nvars = range(ring.nvars)
     if isinstance(base, (IntegerRing, RationalField)):
-        # + is the base's add and every payload is canonical: drop the
-        # zeros and sort, as ``_canon_dict`` would
-        add = operator.add
+        # every payload is canonical: drop the zeros and sort, as
+        # ``_canon_dict`` would
+        add = operator.add if isinstance(base, IntegerRing) else base.add
+        zero = base.zero_payload()
 
         def finish(d):
             terms = sorted(d.items(), key=_term_key, reverse=True)
-            return tuple([t for t in terms if t[1]])
+            return tuple([t for t in terms if t[1] != zero])
 
     else:
         add, finish = base.add, ring._canon_dict

@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .groups import (
@@ -327,10 +326,13 @@ def _vp_int(n: int, p: int) -> object:
 def _padic_residue_form_q(p: int) -> ResidueForm:
     """Rv of v_p on Q is Z/pZ: a/b maps to a * b^-1 mod p."""
 
-    def to_c(x: Fraction):
-        return (x.numerator * pow(x.denominator, -1, p)) % p
+    from .rings import QQ
 
-    return IntegerModRing(p), to_c, Fraction
+    def to_c(x):
+        n, d = x
+        return (n * pow(d, -1, p)) % p
+
+    return IntegerModRing(p), to_c, QQ.int_payload
 
 
 def padic_valuation(p: int, ring: Ring = None) -> Valuation:
@@ -343,10 +345,11 @@ def padic_valuation(p: int, ring: Ring = None) -> Valuation:
         raise ValueError(f"{p} is not prime")
     if isinstance(ring, RationalField):
 
-        def ev(x: Fraction):
-            if x == 0:
+        def ev(x):
+            n, d = x
+            if not n:
                 return INF
-            return value_sub(_vp_int(x.numerator, p), _vp_int(x.denominator, p))
+            return value_sub(_vp_int(n, p), _vp_int(d, p))
 
         return Valuation(
             ring,
@@ -356,7 +359,7 @@ def padic_valuation(p: int, ring: Ring = None) -> Valuation:
             support=ZeroIdeal(ring),
             manis=True,
             local=True,
-            preimage_fn=lambda g: ring.el(Fraction(p) ** g[0]),
+            preimage_fn=lambda g: RingElement(ring, (p, 1)) ** g[0],
             provenance=Padic(p),
             residue_form=_padic_residue_form_q(p),
         )

@@ -37,11 +37,18 @@ K_Z = RationalFunctionField(ZX)
 
 
 def _num_sign(x):
-    return (x > 0) - (x < 0)
+    """Sign of an int or of a Q payload (n, d), d > 0."""
+    n = x[0] if isinstance(x, tuple) else x
+    return (n > 0) - (n < 0)
 
 
 def _const_sign(poly):
     return lambda p: _num_sign(poly.const_coef(p))
+
+
+def _rational(c):
+    """sympy's value of an int or of a Q payload (n, d)."""
+    return sympy.Rational(*c) if isinstance(c, tuple) else sympy.Rational(c)
 
 
 def _sympy_sign(coef):
@@ -54,7 +61,7 @@ def _sympy_sign(coef):
         def sign(p):
             num, den = (
                 sympy.Poly.from_dict(
-                    {e: sympy.Rational(c) for e, c in field.poly.terms(part)}, SX, domain="QQ"
+                    {e: _rational(c) for e, c in field.poly.terms(part)}, SX, domain="QQ"
                 )
                 for part in field.poly_pair(p)
             )

@@ -51,11 +51,15 @@ rings = st.sampled_from([ZX, QX])
 any_element = rings.flatmap(elements)
 
 
+def _rational(c):
+    """sympy's value of a coefficient: an int, a Fraction or a Q payload (n, d)."""
+    return sympy.Rational(*c) if isinstance(c, tuple) else sympy.Rational(c)
+
+
 def _to_sympy(ring, x):
     return sympy.Poly(
         sum(
-            (sympy.Rational(c.numerator, c.denominator) * SX**e
-             for (e,), c in ring.terms(x.payload)),
+            (_rational(c) * SX**e for (e,), c in ring.terms(x.payload)),
             sympy.Integer(0),
         ),
         SX,
@@ -251,8 +255,7 @@ SPARSE_COEFS = {ZXY: st.integers(-40, 40), QXY: rational}
 def _sparse_poly(ring, terms):
     return sympy.Poly(
         sum(
-            (sympy.Rational(c.numerator, c.denominator) * SX**ex * SY**ey
-             for (ex, ey), c in terms),
+            (_rational(c) * SX**ex * SY**ey for (ex, ey), c in terms),
             sympy.Integer(0),
         ),
         SX, SY, domain="ZZ" if ring is ZXY else "QQ",
@@ -277,7 +280,7 @@ def test_sparse_kernel_against_sympy_poly(ring, data):
         assert _sparse_poly(ring, ring.terms(got.payload)) == want
         # canonical: no zero coefficient, largest monomial first
         assert ring._canon_dict(dict(got.payload)) == got.payload
-        assert all(c for _, c in got.payload)
+        assert all(c != ring.base.zero_payload() for _, c in got.payload)
     assert (x == y) == (px == py)
 
 

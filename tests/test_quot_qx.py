@@ -61,10 +61,7 @@ NEGATIVE_LEAD = ["(-1*X)/(1)", "(-3)/(2*X)", "(X - 2)/(-1/2*X^2 + 1)", "-X^3 + 1
 
 
 def _to_sympy(p):
-    return sum(
-        (sympy.Rational(c.numerator, c.denominator) * SX**e for (e,), c in QX.terms(p)),
-        sympy.Integer(0),
-    )
+    return sum((sympy.Rational(*c) * SX**e for (e,), c in QX.terms(p)), sympy.Integer(0))
 
 
 def _from_sympy(poly):
@@ -82,7 +79,9 @@ def ref_pair(num, den):
 
 
 def _sign(x):
-    return (x > 0) - (x < 0)
+    """Sign of an int or of a Q payload (n, d), d > 0."""
+    n = x[0] if isinstance(x, tuple) else x
+    return (n > 0) - (n < 0)
 
 
 def _lead(q):
@@ -137,7 +136,7 @@ def pair_lc_fraction(pair):
         return Fraction(0)
     if dn > dd:
         raise ValueError("element is outside the valuation ring")
-    return Fraction(cn) / Fraction(cd)
+    return Fraction(*cn) / Fraction(*cd)
 
 
 def pair_from_c(q):
@@ -164,7 +163,7 @@ def _check_readers(x, pair):
     assert NU_GAUSS3(x) == pair_ext_value(GAUSS3, pair)
     _, to_c, from_c = NU_DEG.residue_form
     try:
-        want = pair_lc_fraction(pair)
+        want = QQ.canon(pair_lc_fraction(pair))
     except ValueError:
         with pytest.raises(ValueError):
             to_c(p)
@@ -266,6 +265,27 @@ def test_gauss_extension_against_sympy(xa, key):
         return
     n, d = _sympy_parts(num, den)
     assert nu(x) == (_gauss_min(n, p, gamma) - _gauss_min(d, p, gamma),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k_elements())
+def test_degree_residue_map_against_sympy(xa):
+    # the residue map of the degree valuation into Q: LC(N)/LC(D) on the
+    # value-0 elements, 0 on I_v, and an error outside R_v
+    x, num, den = xa
+    _, to_c, _ = NU_DEG.residue_form
+    n, d = _sympy_parts(num, den)
+    if n.is_zero or n.degree() < d.degree():
+        assert to_c(x.payload) == QQ.zero_payload()
+    elif n.degree() == d.degree():
+        lc = n.LC() / d.LC()
+        assert NU_DEG(x) == (0,)
+        assert to_c(x.payload) == (int(lc.p), int(lc.q))
+    else:
+        with pytest.raises(ValueError):
+            to_c(x.payload)
+        with pytest.raises(ValueError):
+            NU_DEG.residue_ring().element(x)
 
 
 # the X-adic valuation: gauss over the trivial base with twist +1, extended

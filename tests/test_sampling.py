@@ -4,12 +4,14 @@ it draws, pinned by digest for every ring kind."""
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 from qord import corpus
 from qord.rings import (
     QQ,
     ZZ,
     IntegerModRing,
+    PolynomialRing,
     QuotientRing,
     SupportIdeal,
     VariableIdeal,
@@ -53,10 +55,21 @@ def _rings():
     return rings
 
 
+def _pinned_form(ring, p):
+    """p with each Q payload (n, d) in it as the Fraction n/d, the form the
+    digests were pinned in; a residue domain hands out its parent's payloads."""
+    ring = getattr(ring, "parent", ring)
+    if ring is QQ:
+        return Fraction(*p)
+    if isinstance(ring, PolynomialRing) and ring.base is QQ and not ring.dense:
+        return tuple((e, Fraction(*c)) for e, c in p)
+    return p
+
+
 def _digest(ring, seed, bounds=Bounds()):
     h = hashlib.sha256()
     for x in SampleUniverse(ring, seed=seed, count=150, bounds=bounds).elements():
-        h.update(repr(x.payload).encode() + b"\n")
+        h.update(repr(_pinned_form(ring, x.payload)).encode() + b"\n")
     return h.hexdigest()[:16]
 
 

@@ -5,6 +5,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qord.groups import INF, TRIVIAL_GROUP, Z_GROUP, value_le, value_lt
 from qord.report import PASS, PreconditionError
@@ -85,6 +87,28 @@ def test_padic_matches_oracle():
                 assert v2(QQ.el(x)) is INF
             else:
                 assert v2(QQ.el(x)) == oracle_vp(x, 2)
+
+
+PADIC_Q = {p: padic_valuation(p, QQ) for p in (2, 3, 5, 7)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(PADIC_Q)),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+def test_padic_on_q_pairs_matches_oracle(p, q):
+    # on the reduced pair (n, d): v_p against trial division, and the
+    # residue map into F_p against n * d^-1 mod p on R_v
+    v = PADIC_Q[p]
+    x = QQ.el(q)
+    assert v(x) == oracle_vp(q, p)
+    _, to_c, from_c = v.residue_form
+    if q.denominator % p:
+        assert to_c(x.payload) == q.numerator * pow(q.denominator, -1, p) % p
+        c = to_c(x.payload)
+        assert from_c(c) == QQ.from_int(c).payload
+        assert v.residue_ring().el(x.payload) == v.residue_ring().from_int(c)
 
 
 def test_padic_axiom_values():
@@ -438,7 +462,7 @@ def test_val_axioms_planted_fault():
     broken = Valuation(
         QQ,
         Z_GROUP,
-        lambda x: (1,) if x == 1 else ((0,) if x != 0 else INF),
+        lambda x: (1,) if x == QQ.one_payload() else ((0,) if x != QQ.zero_payload() else INF),
         "broken",
         support=ZeroIdeal(QQ),
     )
@@ -492,7 +516,10 @@ def test_equivalence_checks():
     verdict = [r for r in res if r.name.endswith(".equivalent")][0]
     assert verdict.status == "fail"
     doubled = Valuation(
-        QQ, v2.group, lambda p: INF if p == 0 else (2 * v2(QQ.el(p))[0],), "2*v_2"
+        QQ,
+        v2.group,
+        lambda p: INF if p == QQ.zero_payload() else (2 * v2(QQ.el(p))[0],),
+        "2*v_2",
     )
     res = equivalent_check(v2, doubled, U, samples=300)
     assert all(r.status == PASS for r in res)
