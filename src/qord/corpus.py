@@ -10,7 +10,10 @@ the non-Archimedean order demo.  Golden fragments pin the anchored facts
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -426,23 +429,122 @@ def diff_golden(report: Report, inst: CorpusInstance) -> List[str]:
     return out
 
 
+#: bytes per instance index in run_corpus's work queue
+_RECORD = 4
+
+
 def run_corpus(
     selection: Optional[List[str]] = None, seed: int = 42, samples: int = 500
 ) -> Report:
-    """Run instances and diff each against its golden fragment."""
-    names = selection or [inst.name for inst in CORPUS]
+    """Run instances and diff each against its golden fragment.
+
+    The instances run on every usable CPU: this process and one forked
+    helper per further CPU (at most one process per instance) pull
+    instance indices from one queue, and the helpers send their reports
+    back.  The combined report is built in selection order, so its JSON
+    is byte-identical to a one-process run.  The run stays in this
+    process when there is one usable CPU, no ``os.fork``, one instance,
+    a profiler or tracer attached (a profile cannot follow a fork), or a
+    second thread running (a fork copies only the calling thread).
+    Memory is per process: each helper starts as a copy of this one.  An
+    instance whose helper delivered nothing runs again here, so a bug
+    raises here as the caller's exception.  No helper outlives the call.
+    """
+    insts = [get_instance(name) for name in selection or [inst.name for inst in CORPUS]]
+
+    def run(i: int):
+        rep = run_instance(insts[i], seed=seed, samples=samples)
+        return rep.checks, diff_golden(rep, insts[i]), rep.halted
+
+    helpers = _helper_count(len(insts))
+    done = _run_shared(run, len(insts), helpers) if helpers else {}
     combined = Report(seed=seed)
-    for name in names:
-        inst = get_instance(name)
-        rep = run_instance(inst, seed=seed, samples=samples)
-        combined.checks.extend(rep.checks)
-        mismatches = diff_golden(rep, inst)
+    for i, inst in enumerate(insts):
+        checks, mismatches, halted = done[i] if i in done else run(i)
+        combined.checks.extend(checks)
         detail = "interpretation" if inst.interpretation else None
         combined.checks.append(
-            result(f"{name}::golden-match", not mismatches, mismatches, len(rep.checks), detail)
+            result(f"{inst.name}::golden-match", not mismatches, mismatches, len(checks), detail)
         )
-        combined.halted = combined.halted or rep.halted
+        combined.halted = combined.halted or halted
     return combined
+
+
+def _helper_count(instances: int) -> int:
+    """Forked helpers for a run of ``instances``: usable CPUs less one."""
+    if instances < 2 or not hasattr(os, "fork"):
+        return 0
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return 0
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 0  # a fork copies no other thread, so a lock one holds stays held
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, instances) - 1
+
+
+def _run_shared(run, n: int, helpers: int) -> dict:
+    """``run(i)`` for each i < n by index, from this process and ``helpers``
+    forked ones that pull from one queue; a helper's index is missing when
+    the helper delivered no record for it."""
+    import pickle
+    import signal
+
+    queue, fill = os.pipe()
+    try:
+        os.write(fill, b"".join(i.to_bytes(_RECORD, "little") for i in range(n)))
+    finally:
+        os.close(fill)
+
+    def pull():
+        while record := os.read(queue, _RECORD):
+            yield int.from_bytes(record, "little")
+
+    done, children, delivered = {}, [], False
+    try:
+        for _ in range(helpers):
+            back, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the others pull the rest
+                os.close(back)
+                os.close(send)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(back)
+                    with os.fdopen(send, "wb") as out:
+                        for i in pull():
+                            pickle.dump((i, *run(i)), out)
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(send)
+            children.append((pid, os.fdopen(back, "rb")))
+        for i in pull():
+            done[i] = run(i)
+        for _, back in children:
+            records = io.BytesIO(back.read())  # to EOF, before waitpid
+            try:
+                while True:
+                    i, *record = pickle.load(records)
+                    done[i] = record
+            except (EOFError, pickle.UnpicklingError):
+                pass
+        delivered = True
+    finally:
+        os.close(queue)
+        for pid, back in children:
+            back.close()
+            if not delivered:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return done
 
 
 def corpus_exit_code(report: Report) -> int:
