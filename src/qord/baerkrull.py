@@ -30,7 +30,7 @@ from .groups import (
 )
 from .quasiorders import ORDER, PROPER, QuasiOrder, classify_qo, pullback, transport_qo
 from .report import INCONCLUSIVE, PASS, CheckResult, PreconditionError, result, sweep
-from .residues import compatible, is_compatible, residue_qo, residue_universe
+from .residues import is_compatible, residue_qo, residue_universe
 from .rings import RingElement, RingMismatchError
 from .sampling import SampleUniverse
 from .valuations import (
@@ -387,7 +387,8 @@ def bk3_lift(
     v may be any valuation whose quotient by the support is a domain; the
     lift happens through the extension to Quot(R/supp), and the result is
     the restriction of that field quasi-order along the embedding.
-    Returns (restricted, field-level, checks).
+    Returns (restricted, field-level, checks): the ``is_compatible``
+    entries on R and on the field, then ``compat-levels-agree``.
     """
     ring = v.ring
     nu = frac_extend_val(v, uniformizer)
@@ -410,8 +411,11 @@ def bk3_lift(
         v.support,
     )
 
-    verdict_r = compatible(v, restricted, universe, samples)
-    verdict_k = compatible(nu, lifted, universe.on(nu.ring), samples)
+    levels = [
+        is_compatible(v, restricted, universe, samples),
+        is_compatible(nu, lifted, universe.on(nu.ring), samples),
+    ]
+    verdict_r, verdict_k = (r.status == PASS for r in levels)
     # verdicts sampled on two universes: a disagreement is inconclusive
     agree = result(
         f"{label}.compat-levels-agree",
@@ -421,7 +425,7 @@ def bk3_lift(
         detail=f"R:{verdict_r} K:{verdict_k}",
         otherwise=INCONCLUSIVE,
     )
-    return restricted, lifted, [agree]
+    return restricted, lifted, [*levels, agree]
 
 
 def mu_restrict(

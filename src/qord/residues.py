@@ -41,7 +41,6 @@ from .valuations import (
     in_iv,
     in_rv,
     in_uv,
-    is_coarsening,
     on_quotient,
 )
 
@@ -103,10 +102,6 @@ def is_compatible(
         universe.pairs(samples, label),
         lambda y, z: q.le(zero, y) and q.le(y, z) and not value_le(v(z), v(y)),
     )
-
-
-def compatible(v, q, universe, samples=500) -> bool:
-    return is_compatible(v, q, universe, samples).status == PASS
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +452,13 @@ def special_star_check(
 ) -> List[CheckResult]:
     """Quot(Rv) reaches every residue of the fraction-field extension.
 
-    For each sampled field element of nonnegative extended value we hunt a
-    fraction of valuation-ring elements with unit denominator in the same
-    residue class: through the Manis preimage when available, otherwise by
-    a bounded search over sampled multipliers.  Exhausted searches are
-    inconclusive, not failures.
+    One sweep over sampled field elements xi, given nonnegative extended
+    value.  For each distinct xi we hunt, once, a fraction of valuation-ring
+    elements with unit denominator in xi's residue class: through the
+    Manis preimage when available, otherwise by a bounded search over
+    sampled multipliers.  A Manis pair (a, b) outside the class fails,
+    witnessed by (xi, a, b).  Exhausted searches are inconclusive, not
+    failures, witnessed by the first xi left unrepresented.
     """
     label = label or f"special*({v.name})"
     uniformizer = None
@@ -478,49 +475,43 @@ def special_star_check(
     K = nu.ring
     zero_v = v.group.zero()
 
-    field_universe = universe.on(K)
     multipliers = [x for x in universe.elements() if v(x) is not INF]
     split = _num_den_in(v, K)
 
-    checked = 0
-    witness = None
-    inconclusive = None
-    for xi in field_universe.singles(samples, label):
-        if nu(xi) is INF or not value_le(zero_v, nu(xi)):
-            continue
-        checked += 1
+    def represents(xi, a, b):
+        if not (value_le(zero_v, v(a)) and v(b) == zero_v):
+            return False
+        frac = to_field(a) * K.inv(to_field(b))
+        dv = nu._eval_memo(K.sub(xi.payload, frac.payload))
+        return dv is INF or value_lt(zero_v, dv)
+
+    mismatch = []  # (xi, a, b): a Manis pair outside xi's residue class
+    unrepresented = []  # the elements no candidate pair represents
+
+    def fails(xi):
         num, den = split(xi)
-        if v(den) is INF:
-            inconclusive = (str(xi),)
-            continue
+        if v(den) is not INF:
+            for a, b in _representation_candidates(v, num, den, multipliers):
+                if represents(xi, a, b):
+                    return False
+                if v.manis:
+                    # a Manis witness pair must already agree
+                    mismatch.append((xi, a, b))
+                    return True
+        unrepresented.append(xi)
+        return False
 
-        def verify(a, b):
-            if not (value_le(zero_v, v(a)) and v(b) == zero_v):
-                return False
-            frac = to_field(a) * K.inv(to_field(b))
-            dv = nu._eval_memo(K.sub(xi.payload, frac.payload))
-            return dv is INF or value_lt(zero_v, dv)
-
-        found = False
-        bad_pair = None
-        for a, b in _representation_candidates(v, num, den, multipliers):
-            if verify(a, b):
-                found = True
-                break
-            if v.manis:
-                # a Manis witness pair must already agree; record the breakage
-                bad_pair = (a, b)
-                break
-        if not found:
-            if v.manis and bad_pair is not None:
-                witness = (str(xi), str(bad_pair[0]), str(bad_pair[1]))
-                break
-            inconclusive = (str(xi),)
-    if witness is not None:
-        return [result(label, False, witness, checked, "residue mismatch")]
-    ok = inconclusive is None
+    n = sweep(
+        label,
+        universe.on(K).tuples(1, samples, label),
+        fails,
+        given=lambda xi: nu(xi) is not INF and in_rv(nu, xi),
+    ).samples_used
+    if mismatch:
+        return [result(label, False, mismatch[0], n, "residue mismatch")]
+    ok = not unrepresented
     detail = None if ok else "no representation found within the sampled multipliers"
-    return [result(label, ok, inconclusive, checked, detail, otherwise=INCONCLUSIVE)]
+    return [result(label, ok, unrepresented[:1], n, detail, otherwise=INCONCLUSIVE)]
 
 
 def _num_den_in(v: Valuation, K) -> Callable:
@@ -583,7 +574,10 @@ def rank_check(
 ) -> Tuple[int, List[Valuation], List[CheckResult]]:
     """Filter nontrivial candidates by compatibility, dedupe, verify a chain.
 
-    The survivors must be totally ordered by coarsening; a violation
+    Whether v coarsens w is swept once per ordered pair of survivors, under
+    the tag ``is_coarsening(v,w)``; the dedupe, the chain and its order
+    are read from those verdicts, which are not report entries.  The
+    survivors must be totally ordered by coarsening; a violation
     contradicts a guaranteed invariant and is reported as a hard
     inconsistency.  Returns (chain length, coarsest-first chain, checks).
     """
@@ -603,11 +597,19 @@ def rank_check(
         if ok:
             survivors.append(v)
 
-    # whether survivors[i] is a coarsening of survivors[j], swept once per
-    # ordered pair; on a field, equivalent valuations have one valuation
-    # ring, so the equivalent candidates are the mutual coarsenings
+    def coarsens(v, w):  # R_w in R_v and I_v in I_w, on the samples
+        tag = f"is_coarsening({v.name},{w.name})"
+        return sweep(
+            tag,
+            universe.tuples(1, samples, tag),
+            lambda x: in_rv(w, x) and not in_rv(v, x) or in_iv(v, x) and not in_iv(w, x),
+        ).status == PASS
+
+    # whether survivors[i] is a coarsening of survivors[j]; on a field,
+    # equivalent valuations have one valuation ring, so the equivalent
+    # candidates are the mutual coarsenings
     coarser = {
-        (i, j): is_coarsening(v, w, universe, samples)
+        (i, j): coarsens(v, w)
         for i, v in enumerate(survivors)
         for j, w in enumerate(survivors)
         if i != j
@@ -657,8 +659,9 @@ def associated_qofield(
     """Quotient by the support, extend to the fraction field.
 
     When a valuation is supplied, its support must agree with q's on the
-    samples (PreconditionError otherwise), and compatibility verdicts are
-    compared at each distinct level.
+    samples (the ``samesupp`` entry; PreconditionError otherwise, with its
+    witness), and v's ``is_compatible`` entry at each distinct level joins
+    the checks before ``compat-levels-agree`` compares their verdicts.
     """
     ring = q.ring
     support = q.support_ideal
@@ -686,12 +689,16 @@ def associated_qofield(
     ext = frac_extend_qo(q_mid)
 
     if v is not None:
-        same_supp = all(
-            v.support.contains(x.payload) == support.contains(x.payload)
-            for x in universe.singles(min(samples, 100), f"{label}.samesupp")
+        same = sweep(
+            f"{label}.samesupp",
+            universe.tuples(1, min(samples, 100), f"{label}.samesupp"),
+            lambda x: v.support.contains(x.payload) != support.contains(x.payload),
         )
-        if not same_supp:
-            raise PreconditionError("valuation support differs from the q.o. support")
+        if same.witness:
+            raise PreconditionError(
+                "valuation support differs from the q.o. support", witness=same.witness
+            )
+        out.append(same)
         v_mid = on_quotient(v, qring, project, section)
         # each distinct level once: R/supp is R when the support is zero, and
         # the field is R/supp when that is a field; the field level needs a
@@ -702,7 +709,9 @@ def associated_qofield(
         if ext.ring is not qring and (v_mid.manis or isinstance(v_mid.provenance, Padic)):
             nu = frac_extend_val(v_mid)
             levels.append(("K", nu, ext, universe.on(nu.ring)))
-        verdicts = [compatible(w, p, U, samples) for _, w, p, U in levels]
+        compat = [is_compatible(w, p, U, samples) for _, w, p, U in levels]
+        out += compat
+        verdicts = [r.status == PASS for r in compat]
         detail = " ".join(f"{lv[0]}:{ok}" for lv, ok in zip(levels, verdicts))
         if len(levels) == 1:
             detail += " (one level only, nothing compared)"

@@ -862,6 +862,15 @@ class Ideal:
     ring: Ring
     reducible = True
     is_zero = False
+    #: the defining data (zero, a prime generator, a set of variables), or
+    #: None when only the object itself is known to be this ideal
+    key = None
+
+    def same(self, other: "Ideal") -> bool:
+        """Whether other is this ideal: this object, or one of its kind and
+        ring with its key."""
+        mine, theirs = (type(self), self.ring, self.key), (type(other), other.ring, other.key)
+        return self is other or (self.key is not None and mine == theirs)
 
     def contains(self, a) -> bool:
         raise NotImplementedError
@@ -879,6 +888,7 @@ class Ideal:
 
 class ZeroIdeal(Ideal):
     is_zero = True
+    key = ()
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -902,7 +912,7 @@ class PrincipalIdeal(Ideal):
         if not _is_prime(generator):
             raise ValueError(f"{generator} is not prime; quotient would not be a domain")
         self.ring = ring
-        self.generator = generator
+        self.generator = self.key = generator
 
     def contains(self, a):
         return a % self.generator == 0
@@ -929,6 +939,7 @@ class VariableIdeal(Ideal):
         self.ring = ring
         self.variables = variables
         self.indices = tuple(ring.variables.index(v) for v in variables)
+        self.key = frozenset(variables)
 
     def contains(self, a):
         terms = self.ring.terms(a)

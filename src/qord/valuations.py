@@ -804,8 +804,12 @@ def quotient_val(
 ) -> Valuation:
     """The valuation w/v on Rv: infinity on I_v, else (the u-part of) w(a).
 
-    Precondition, checked on samples: v is Manis and the quasi-order of w
-    is v-compatible, i.e. w(z) <= w(y) implies v(z) <= v(y).
+    Precondition: v is Manis, and the quasi-order of w is v-compatible,
+    w(z) <= w(y) implies v(z) <= v(y), swept on sampled pairs; the pair
+    that breaks it is the PreconditionError's witness.  No other sample
+    is drawn: w/v is Manis when w is a composite over v with a Manis upper
+    part, when w is v, or when w is Manis and ``w.support.same(v.support)``
+    (one ideal by structure); otherwise the flag is False.
     """
     if w.ring is not v.ring:
         raise RingMismatchError("w and v must live on the same ring")
@@ -825,41 +829,17 @@ def quotient_val(
     residue = v.residue_ring()
     zero_v = v.group.zero()
 
+    # (the value group, w's part of the value off I_v, Manis, preimages)
     if isinstance(w.provenance, Composite) and w.provenance.base is v:
-        upper = w.provenance.upper
-        group = upper.group
-        vr = v.group.rank
-
-        def ev(payload):
-            if value_lt(zero_v, v._eval_memo(payload)):
-                return INF
-            return w._eval_memo(payload)[vr:]
-
-        pre = (lambda g: upper.preimage(g)) if upper.manis else None
-        manis = upper.manis
+        upper, vr = w.provenance.upper, v.group.rank
+        group, part, manis = upper.group, lambda p: w._eval_memo(p)[vr:], upper.manis
+        pre = upper.preimage if upper.manis else None
     elif w is v:
-        group = TRIVIAL_GROUP
-
-        def ev(payload):
-            if value_lt(zero_v, v._eval_memo(payload)):
-                return INF
-            return ()
-
+        group, part, manis = TRIVIAL_GROUP, lambda p: (), True
         pre = lambda g: residue.one()
-        manis = True
     else:
-        group = w.group
-
-        def ev(payload):
-            if value_lt(zero_v, v._eval_memo(payload)):
-                return INF
-            return w._eval_memo(payload)
-
-        manis = w.manis and all(
-            (v(x) is INF) == (w(x) is INF)
-            for x in universe.singles(samples, f"supports({w.name},{v.name})")
-        )
-        pre = None
+        group, part, pre = w.group, w._eval_memo, None
+        manis = w.manis and w.support.same(v.support)
         if manis:
 
             def pre(g):
@@ -869,6 +849,11 @@ def quotient_val(
                         f"preimage {x} of {format_value(g)} is not a v-unit"
                     )
                 return residue.element(x)
+
+    def ev(payload):
+        if value_lt(zero_v, v._eval_memo(payload)):
+            return INF
+        return part(payload)
 
     return Valuation(
         residue,
@@ -992,17 +977,6 @@ def coarsening_check(v: Valuation, w: Valuation, universe, samples: int = 500,
         )
     )
     return out
-
-
-def is_coarsening(v: Valuation, w: Valuation, universe, samples: int = 500) -> bool:
-    zv, zw = v.group.zero(), w.group.zero()
-    tag = f"is_coarsening({v.name},{w.name})"
-    return sweep(
-        tag,
-        universe.tuples(1, samples, tag),
-        lambda x: (value_le(zw, w(x)) and not value_le(zv, v(x)))
-        or (value_lt(zv, v(x)) and not value_lt(zw, w(x))),
-    ).status == PASS
 
 
 def equivalent_check(v: Valuation, w: Valuation, universe, samples: int = 500,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from qord.quasiorders import (
     natural_order,
     transport_qo,
 )
-from qord.report import EXIT_OK, INCONCLUSIVE, PASS, PreconditionError, Report
+from qord.report import EXIT_OK, FAIL, INCONCLUSIVE, PASS, PreconditionError, Report
 from qord.rings import QQ, ZZ, poly_ring
 from qord.sampling import SampleUniverse
 from qord.valuations import (
@@ -410,6 +411,12 @@ def test_bk3_on_integers_matches_padic_qo():
         v2z, (1,), trivial_residue_qo(frac_extend_val(v2z)), UZ, samples=300
     )
     assert all(c.status == PASS for c in checks)
+    # compatibility on Z and on Q, each its own entry, then their comparison
+    assert [c.name for c in checks] == [
+        f"compat(v_2,{restricted.name})",
+        f"compat(v_2~,{lifted.name})",
+        "bk3.compat-levels-agree",
+    ]
     direct = from_valuation(v2z)
     for x, y in UZ.pairs(500, "cmp"):
         assert restricted.le(x, y) == direct.le(x, y)
@@ -418,12 +425,17 @@ def test_bk3_on_integers_matches_padic_qo():
 def test_bk3_levels_that_disagree_are_inconclusive(monkeypatch):
     # verdicts sampled on Z and on Q: a disagreement is not a failure
     v2z = padic_valuation(2, ZZ)
-    verdicts = iter([True, False])  # on Z, then on Q
-    monkeypatch.setattr(baerkrull, "compatible", lambda *args: next(verdicts))
-    _, _, [agree] = bk3_lift(
+    verdicts = iter([PASS, FAIL])  # on Z, then on Q
+    compat = baerkrull.is_compatible
+    monkeypatch.setattr(
+        baerkrull, "is_compatible",
+        lambda *args: replace(compat(*args), status=next(verdicts)),
+    )
+    _, _, [on_r, on_k, agree] = bk3_lift(
         v2z, (1,), trivial_residue_qo(frac_extend_val(v2z)),
         SampleUniverse(ZZ, seed=42, count=100), samples=100,
     )
+    assert (on_r.status, on_k.status) == (PASS, FAIL)
     assert agree.name == "bk3.compat-levels-agree"
     assert agree.status == INCONCLUSIVE and agree.detail == "R:True K:False"
     assert Report(seed=42, checks=[agree]).exit_code() == EXIT_OK

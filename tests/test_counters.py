@@ -18,12 +18,14 @@ BOUNDS = {
     "comparator calls on le memo misses": 66_846,
     "sweep predicate evaluations in SampledTuples.first": 111_711,
     "rings._uni_prem calls": 2_345,
+    "tuples drawn by SampledTuples plans": 85_134,
 }
 
 
 def test_seed_42_corpus_work_stays_within_its_pins(monkeypatch):
     counts = Counter()
     le, first, prem = QuasiOrder.le, SampledTuples.first, rings._uni_prem
+    draw = SampledTuples._draw
 
     def counted_le(self, x, y):
         memo = self._memo
@@ -44,9 +46,16 @@ def test_seed_42_corpus_work_stays_within_its_pins(monkeypatch):
         counts["rings._uni_prem calls"] += 1
         return prem(a, b)
 
+    def counted_draw(self):
+        drawn = len(self._keys)
+        more = draw(self)
+        counts["tuples drawn by SampledTuples plans"] += len(self._keys) - drawn
+        return more
+
     monkeypatch.setattr(QuasiOrder, "le", counted_le)
     monkeypatch.setattr(SampledTuples, "first", counted_first)
     monkeypatch.setattr(rings, "_uni_prem", counted_prem)
+    monkeypatch.setattr(SampledTuples, "_draw", counted_draw)
     # in this process, so that the counting wrappers see all of the work
     for inst in CORPUS:
         run_instance(inst, seed=42)

@@ -87,6 +87,40 @@ def test_only_report_builds_a_check_result():
     assert builders == []
 
 
+#: the SampleUniverse methods that draw a sample plan
+SAMPLERS = {"singles", "tuples", "pairs", "triples"}
+
+
+def _draws_a_sample(expr) -> bool:
+    return any(
+        isinstance(n, ast.Call) and getattr(n.func, "attr", None) in SAMPLERS
+        for n in ast.walk(expr)
+    )
+
+
+def test_only_report_iterates_a_sample():
+    # a verdict over sampled tuples comes from report.sweep, which carries
+    # its witness, never from a loop, comprehension, all, any or next of
+    # its own over a freshly drawn sample
+    loops = set()
+    for path in sorted(Path(qord.__file__).parent.glob("*.py")):
+        if path.name in ("report.py", "sampling.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                iterated = [node.iter]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "all", "any", "next"
+            ):
+                iterated = node.args
+            else:
+                continue
+            loops.update(
+                f"{path.name}:{expr.lineno}" for expr in iterated if _draws_a_sample(expr)
+            )
+    assert sorted(loops) == []
+
+
 #: top-level names that nothing in the package calls, each with its reason
 ENTRY_POINTS = {
     "run_text": "runs a session from text: the DSL's entry for scripts and tests",

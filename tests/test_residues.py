@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qord import corpus, residues, sampling
@@ -44,7 +46,6 @@ from qord.valuations import (
     gauss_on,
     in_iv,
     in_rv,
-    is_coarsening,
     padic_valuation,
     quotient_val,
     trivial_valuation,
@@ -462,6 +463,30 @@ def test_special_star_manis_always_passes():
         assert got.status == PASS and got.samples_used > 0, (ring.name, got)
 
 
+def test_special_star_search_that_runs_out_is_inconclusive():
+    # the Gauss extension of v_2 to Z[X] is not Manis, so each residue is
+    # hunted among sampled multipliers; the witness is the first element
+    # left unrepresented, and samples_used counts every element of
+    # nonnegative value, repeats included
+    v = gauss_on(padic_valuation(2, ZZ), ZX, (1,))
+    (got,) = special_star_check(v, SampleUniverse(ZX, seed=42, count=60), samples=100)
+    assert got.status == INCONCLUSIVE and got.samples_used == 49
+    assert got.detail == "no representation found within the sampled multipliers"
+    assert got.witness == ("(5*X^2 + -6)/(6*X^3 + 5*X^2 + 3*X)",)
+
+
+def test_special_star_manis_pair_outside_the_class_fails(monkeypatch):
+    # a Manis v must represent every residue by its preimage pair; a pair
+    # in another residue class is a mismatch, witnessed by (xi, a, b)
+    monkeypatch.setattr(
+        residues, "_representation_candidates", lambda v, num, den, mult: [(num + den, den)]
+    )
+    v2 = padic_valuation(2, QQ)
+    (got,) = special_star_check(v2, SampleUniverse(QQ, seed=42, count=50), samples=50)
+    assert got.status == FAIL and got.detail == "residue mismatch"
+    assert got.witness == ("1", "2", "1") and got.samples_used == 1
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -492,15 +517,17 @@ def test_rank_sweeps_each_ordered_pair_once(monkeypatch):
     # rank(L, nu, w): two survivors, so two coarsening sweeps, and the
     # dedupe, the chain and the order are all read from them
     calls = []
+    sweep = residues.sweep
 
-    def counted(v, w, *args):
-        calls.append((v.name, w.name))
-        return is_coarsening(v, w, *args)
+    def counted(name, *args, **kwargs):
+        if name.startswith("is_coarsening("):
+            calls.append(name)
+        return sweep(name, *args, **kwargs)
 
-    monkeypatch.setattr(residues, "is_coarsening", counted)
+    monkeypatch.setattr(residues, "sweep", counted)
     report = corpus.run_instance(corpus.get_instance("rank-qx"))
     assert report["rank-qx::rank(L,nu,w,expect=2).length"].detail == "rank 2: nu < w"
-    assert sorted(calls) == [("nu", "w"), ("w", "nu")]
+    assert sorted(calls) == ["is_coarsening(nu,w)", "is_coarsening(w,nu)"]
 
 
 def test_rank_composite_is_two():
@@ -601,6 +628,15 @@ def test_associated_field_of_padic_matches_extension():
     for x, y in UQ.pairs(300, "cmp"):
         assert ext.le(x, y) == direct.le(x, y)
     assert all(c.status == PASS for c in checks)
+    # each sampled judgement is an entry: q's support, v's support against
+    # it, compatibility on Z and on Q, then the comparison of the levels
+    assert [c.name for c in checks] == [
+        "qofield.support-agree",
+        "qofield.samesupp",
+        "compat(v_2,qo(v_2))",
+        "compat(v_2~,qo(v_2)~)",
+        "qofield.compat-levels-agree",
+    ]
 
 
 def test_associated_field_refuses_a_valuation_of_another_support():
@@ -608,23 +644,31 @@ def test_associated_field_refuses_a_valuation_of_another_support():
     # zero support on v is checked against q's like any other
     q = const_term_order(ZX)
     U = SampleUniverse(ZX, seed=42, count=200)
-    with pytest.raises(PreconditionError, match="valuation support differs"):
+    with pytest.raises(PreconditionError, match="valuation support differs") as info:
         associated_qofield(q, U, samples=300, v=degree_valuation(ZX))
+    # the samesupp sweep's witness: in <X>, but not in the support {0} of v
+    assert info.value.witness == ("6*X",)
 
 
 def test_compat_levels_that_disagree_are_inconclusive(monkeypatch):
     # the levels' verdicts are sampled on different universes, so levels
-    # that disagree are inconclusive: neither a failure nor exit 4
+    # that disagree are inconclusive: the agreement entry is neither a
+    # failure nor exit 4, and each level's own entry keeps its verdict
     v2z = padic_valuation(2, ZZ)
-    verdicts = iter([True, False])  # on R = R/supp, then on the field Q
-    monkeypatch.setattr(residues, "compatible", lambda *args: next(verdicts))
+    verdicts = iter([PASS, FAIL])  # on R = R/supp, then on the field Q
+    compat = residues.is_compatible
+    monkeypatch.setattr(
+        residues, "is_compatible",
+        lambda *args: replace(compat(*args), status=next(verdicts)),
+    )
     _, _, checks = associated_qofield(
         from_valuation(v2z), SampleUniverse(ZZ, seed=42, count=100), samples=100, v=v2z
     )
-    agree = checks[-1]
+    *_, on_r, on_k, agree = checks
+    assert (on_r.status, on_k.status) == (PASS, FAIL)
     assert agree.name == "qofield.compat-levels-agree"
     assert agree.status == INCONCLUSIVE and agree.detail == "R:True K:False"
-    assert Report(seed=42, checks=checks).exit_code() == EXIT_OK
+    assert Report(seed=42, checks=[agree]).exit_code() == EXIT_OK
 
 
 def test_compat_levels_are_swept_once_each(monkeypatch):
@@ -632,9 +676,9 @@ def test_compat_levels_are_swept_once_each(monkeypatch):
     # levels, Z and Q (reached through the p-adic uniformizer 2), each
     # swept once; v_2 on Q has one, which compares nothing and cannot pass
     swept = []
-    compatible = residues.compatible
+    compat = residues.is_compatible
     monkeypatch.setattr(
-        residues, "compatible", lambda v, *a: swept.append(v.ring) or compatible(v, *a)
+        residues, "is_compatible", lambda v, *a: swept.append(v.ring) or compat(v, *a)
     )
     v2z, v2q = padic_valuation(2, ZZ), padic_valuation(2, QQ)
     _, _, checks = associated_qofield(

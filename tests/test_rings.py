@@ -106,6 +106,27 @@ def test_prime_ideal_guard():
         PrincipalIdeal(ZZ, 6)
 
 
+def test_ideals_are_the_same_by_their_defining_data():
+    from qord.rings import SupportIdeal
+    from qord.valuations import padic_valuation
+
+    assert ZeroIdeal(ZZ).same(ZeroIdeal(ZZ))
+    assert PrincipalIdeal(ZZ, 2).same(PrincipalIdeal(ZZ, 2))
+    assert VariableIdeal(ZXY, ["X", "Y"]).same(VariableIdeal(ZXY, ["Y", "X"]))
+    for a, b in (
+        (PrincipalIdeal(ZZ, 2), PrincipalIdeal(ZZ, 3)),
+        (VariableIdeal(ZXY, ["X"]), VariableIdeal(ZXY, ["Y"])),
+        (ZeroIdeal(ZZ), PrincipalIdeal(ZZ, 2)),
+        (ZeroIdeal(ZZ), ZeroIdeal(QQ)),
+    ):
+        assert not a.same(b) and not b.same(a)
+    # a support known only through its valuation is only itself
+    v2 = padic_valuation(2, ZZ)
+    opaque = SupportIdeal(v2)
+    assert opaque.same(opaque) and not opaque.same(SupportIdeal(v2))
+    assert not opaque.same(ZeroIdeal(ZZ)) and not ZeroIdeal(ZZ).same(opaque)
+
+
 def test_unreducible_ideal_falls_back_to_membership_equality():
     # a support ideal with no canonical reduction: the quotient is flagged
     # non-canonical and compares by a membership test on differences

@@ -34,7 +34,6 @@ from qord.valuations import (
     in_iv,
     in_rv,
     in_uv,
-    is_coarsening,
     padic_valuation,
     quotient_val,
     transport_to_residue,
@@ -396,6 +395,32 @@ def test_quotient_val_preimage_through_the_residue_element():
         assert wv(x) == (k,)
 
 
+def test_quotient_val_reads_manis_off_the_supports(monkeypatch):
+    # the generic branch is Manis when w is and the two supports are one
+    # ideal by their defining data: both zero, or one prime generator even
+    # on two distinct objects; no sample decides it
+    plans = []
+    tuples = SampleUniverse.tuples
+
+    def counted(self, arity, n, tag):
+        plans.append((arity, tag))
+        return tuples(self, arity, n, tag)
+
+    monkeypatch.setattr(SampleUniverse, "tuples", counted)
+    triv = trivial_valuation(QQ)
+    assert quotient_val(v2, triv, SampleUniverse(QQ, seed=9, count=80)).manis
+    # the one plan drawn is the precondition's pairs
+    assert plans == [(2, f"quotient_val(v_2,{triv.name})")]
+    w, v = (trivial_valuation(ZZ, PrincipalIdeal(ZZ, 2)) for _ in range(2))
+    assert w is not v and w.support is not v.support
+    assert quotient_val(w, v, SampleUniverse(ZZ, seed=9, count=80)).manis
+    # a support known only through its valuation has no structural rule,
+    # so the flag is False, though no sample could tell it from {0}
+    opaque = Valuation(QQ, v2.group, v2._eval_payload, "v2?", manis=True,
+                       preimage_fn=v2.preimage)
+    assert not quotient_val(opaque, triv, SampleUniverse(QQ, seed=9, count=80)).manis
+
+
 def test_quotient_val_precondition_failure():
     # the degree twist is not compatible with the coefficient minimum
     v, w = exp1_valuations()
@@ -481,11 +506,17 @@ def test_valmin_example():
 # coarsening and equivalence
 
 
+def is_coarsening_entry(v, w, U, samples=500):
+    """coarsening_check's verdict entry: both containments on the samples."""
+    results = coarsening_check(v, w, U, samples=samples)
+    return [r for r in results if r.name.endswith(".is-coarsening")][0]
+
+
 def test_coarsening_counterexample_gauss_twists():
     v, w = exp1_valuations()
     X = QX.var("X")
     U = SampleUniverse(QX, seed=4, count=100, distinguished=(X,))
-    assert not is_coarsening(v, w, U)
+    assert is_coarsening_entry(v, w, U).status == "fail"
     results = coarsening_check(v, w, U, samples=200)
     verdict = [r for r in results if r.name.endswith(".is-coarsening")][0]
     assert verdict.status == "fail"
@@ -496,7 +527,7 @@ def test_coarsening_counterexample_gauss_twists():
 def test_trivial_is_coarsening_of_everything_with_zero_support():
     triv = trivial_valuation(QQ, ZeroIdeal(QQ))
     U = SampleUniverse(QQ, seed=4, count=150)
-    assert is_coarsening(triv, v2, U)
+    assert is_coarsening_entry(triv, v2, U).status == PASS
 
 
 def test_deg_coarsens_composite():
