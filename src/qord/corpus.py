@@ -429,7 +429,7 @@ def diff_golden(report: Report, inst: CorpusInstance) -> List[str]:
     return out
 
 
-#: bytes per instance index in run_corpus's work queue
+#: bytes per index in _run_shared's work queue
 _RECORD = 4
 
 
@@ -438,17 +438,9 @@ def run_corpus(
 ) -> Report:
     """Run instances and diff each against its golden fragment.
 
-    The instances run on every usable CPU: this process and one forked
-    helper per further CPU (at most one process per instance) pull
-    instance indices from one queue, and the helpers send their reports
-    back.  The combined report is built in selection order, so its JSON
-    is byte-identical to a one-process run.  The run stays in this
-    process when there is one usable CPU, no ``os.fork``, one instance,
-    a profiler or tracer attached (a profile cannot follow a fork), or a
-    second thread running (a fork copies only the calling thread).
-    Memory is per process: each helper starts as a copy of this one.  An
-    instance whose helper delivered nothing runs again here, so a bug
-    raises here as the caller's exception.  No helper outlives the call.
+    The instances run on every usable CPU (see ``_in_order``).  The
+    combined report is built in selection order, so its JSON is
+    byte-identical to a one-process run.
     """
     insts = [get_instance(name) for name in selection or [inst.name for inst in CORPUS]]
 
@@ -456,11 +448,8 @@ def run_corpus(
         rep = run_instance(insts[i], seed=seed, samples=samples)
         return rep.checks, diff_golden(rep, insts[i]), rep.halted
 
-    helpers = _helper_count(len(insts))
-    done = _run_shared(run, len(insts), helpers) if helpers else {}
     combined = Report(seed=seed)
-    for i, inst in enumerate(insts):
-        checks, mismatches, halted = done[i] if i in done else run(i)
+    for inst, (checks, mismatches, halted) in zip(insts, _in_order(run, len(insts))):
         combined.checks.extend(checks)
         detail = "interpretation" if inst.interpretation else None
         combined.checks.append(
@@ -468,6 +457,24 @@ def run_corpus(
         )
         combined.halted = combined.halted or halted
     return combined
+
+
+def _in_order(run, n: int) -> list:
+    """``[run(i) for i in range(n)]``, on every usable CPU.
+
+    This process and one forked helper per further CPU (at most one
+    process per index) pull indices from one queue, and the helpers send
+    their results back pickled.  The run stays in this process when there
+    is one usable CPU, no ``os.fork``, one index, a profiler or tracer
+    attached (a profile cannot follow a fork), or a second thread running
+    (a fork copies only the calling thread).  Memory is per process: each
+    helper starts as a copy of this one.  An index whose helper delivered
+    nothing runs again here, in index order, so a bug raises here as the
+    caller's exception.  No helper outlives the call.
+    """
+    helpers = _helper_count(n)
+    done = _run_shared(run, n, helpers) if helpers else {}
+    return [done[i] if i in done else run(i) for i in range(n)]
 
 
 def _helper_count(instances: int) -> int:
@@ -519,7 +526,7 @@ def _run_shared(run, n: int, helpers: int) -> dict:
                     os.close(back)
                     with os.fdopen(send, "wb") as out:
                         for i in pull():
-                            pickle.dump((i, *run(i)), out)
+                            pickle.dump((i, run(i)), out)
                             out.flush()
                     code = 0
                 finally:
@@ -532,7 +539,7 @@ def _run_shared(run, n: int, helpers: int) -> dict:
             records = io.BytesIO(back.read())  # to EOF, before waitpid
             try:
                 while True:
-                    i, *record = pickle.load(records)
+                    i, record = pickle.load(records)
                     done[i] = record
             except (EOFError, pickle.UnpicklingError):
                 pass
@@ -696,12 +703,26 @@ def _table_report(inst: CorpusInstance, seed: int, samples: int) -> CompatReport
 
 
 def table_reports(seed: int = 42, samples: int = 500) -> Dict[str, CompatReport]:
-    """Flags of every table instance; PreconditionError if one has none."""
-    return {inst.name: _table_report(inst, seed, samples) for inst in CORPUS if inst.table}
+    """Flags of every table instance, in ``CORPUS`` order; PreconditionError
+    if one has none.
+
+    The instances run on every usable CPU, as ``run_corpus``'s do (see
+    ``_in_order``): on N CPUs in min(N, 9) processes, each helper sending
+    back one ``CompatReport`` per instance it ran, and in one process under
+    a profiler or tracer, on one CPU, without ``os.fork`` or beside a second
+    thread.  The reports are the same as a one-process run's.
+    """
+    insts = [inst for inst in CORPUS if inst.table]
+    reports = _in_order(lambda i: _table_report(insts[i], seed, samples), len(insts))
+    return {inst.name: rep for inst, rep in zip(insts, reports)}
 
 
 def implication_matrix(seed: int = 42, samples: int = 500):
-    """(checks, witnesses, flags-per-instance) for the printed matrix."""
+    """(checks, witnesses, flags-per-instance) for the printed matrix.
+
+    The flags come from ``table_reports``, on every usable CPU; the matrix
+    is built here from them in ``CORPUS`` order, so its text and JSON are
+    byte-identical to a one-process run."""
     reports = table_reports(seed=seed, samples=samples)
     checks, witnesses = implication_table(reports)
     return checks, witnesses, reports

@@ -1,6 +1,7 @@
-"""run_corpus shares its instances with forked helpers: the same bytes as
-a one-process run, no process left behind, and one process whenever a
-profiler, a tracer, one CPU, no fork or one instance rules the fork out."""
+"""run_corpus and table_reports share their instances with forked helpers:
+the same bytes as a one-process run, no process left behind, and one
+process whenever a profiler, a tracer, one CPU, no fork or one instance
+rules the fork out."""
 
 import hashlib
 import os
@@ -12,8 +13,18 @@ from pathlib import Path
 
 import pytest
 
+import test_corpus
 from qord import corpus
-from qord.corpus import CORPUS, diff_golden, get_instance, run_corpus, run_instance
+from qord.corpus import (
+    CORPUS,
+    diff_golden,
+    get_instance,
+    implication_matrix,
+    render_matrix,
+    run_corpus,
+    run_instance,
+    table_reports,
+)
 from qord.report import Report, render_json, result
 
 #: sha256 of `qord corpus run all --format json --seed 42` (see test_acceptance)
@@ -207,3 +218,89 @@ def test_one_instance_stays_in_one_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _forbid_fork(monkeypatch)
     assert render_json(run_corpus(["exp1"])) == render_json(_in_process(["exp1"]))
+
+
+# ---------------------------------------------------------------------------
+# the table instances
+
+
+def _table_entries(reports):
+    return {
+        name: (rep.format_flags(), rep.witnesses, _entries(rep))
+        for name, rep in reports.items()
+    }
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_shared_table_equals_in_process_runs(seed, two_cpus):
+    got = table_reports(seed=seed)
+    assert two_cpus, "the table did not fork"
+    want = {inst.name: corpus._table_report(inst, seed, 500) for inst in CORPUS if inst.table}
+    assert list(got) == list(want)
+    assert _table_entries(got) == _table_entries(want)
+    _assert_no_child_left()
+
+
+def test_fresh_process_table_digest():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qord", "table", "--seed", "42"],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == test_corpus.TABLE_TEXT_SHA256_SEED_42
+
+
+def _caller_waits(monkeypatch, fault=None):
+    """Each table instance waits in this process, so that the helper pulls
+    some; with ``fault``, each one the helper pulls raises or kills it."""
+    real, parent = corpus._table_report, os.getpid()
+
+    def table_report(inst, seed, samples):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        elif fault == "dies":
+            os._exit(3)
+        elif fault == "raises":
+            raise Boom(inst.name)
+        return real(inst, seed, samples)
+
+    monkeypatch.setattr(corpus, "_table_report", table_report)
+    return real
+
+
+@pytest.mark.parametrize("fault", ["raises", "dies"])
+def test_what_a_helper_does_not_deliver_runs_again_here_for_the_table(
+    fault, two_cpus, monkeypatch
+):
+    real = _caller_waits(monkeypatch, fault)
+    got = table_reports(seed=42)
+    assert two_cpus, "the table did not fork"
+    want = {inst.name: real(inst, 42, 500) for inst in CORPUS if inst.table}
+    assert _table_entries(got) == _table_entries(want)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", sorted(test_corpus._BROKEN_TABLE_SESSIONS))
+def test_a_table_instance_without_flags_is_an_error_beside_a_helper(
+    case, two_cpus, monkeypatch, capsys
+):
+    # the helper most likely runs the broken instance; its PreconditionError
+    # is raised again by the caller's rerun
+    _caller_waits(monkeypatch)
+    test_corpus.test_table_instance_without_flags_is_an_error(case, monkeypatch, capsys)
+    assert two_cpus, "the table did not fork"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("setting", [_profiled, _one_cpu], ids=["profiler", "one-cpu"])
+def test_the_table_stays_in_one_process(setting, monkeypatch):
+    _forbid_fork(monkeypatch)
+    profile = sys.getprofile()
+    setting(monkeypatch)
+    try:
+        text = render_matrix(*implication_matrix(seed=42))
+    finally:
+        sys.setprofile(profile)
+    assert hashlib.sha256(text.encode()).hexdigest() == test_corpus.TABLE_TEXT_SHA256_SEED_42

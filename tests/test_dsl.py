@@ -142,6 +142,22 @@ def test_witness_replay():
     assert not value_le(v(z), v(y))  # the failure reproduces exactly
 
 
+def test_val_agree_fail_carries_the_element_and_both_values():
+    report = run_text("""
+let v = padic(2) on Q
+let w = padic(3) on Q
+check val_agree(v, w)
+check val_agree(w, v) samples(count=300, seed=5)
+check val_agree(v, v)
+""")
+    got = [(c.name, c.status, c.witness, c.samples_used) for c in report.checks]
+    assert got == [
+        ("val_agree(v,w)", "fail", ("-2/3", "1", "-1"), 500),
+        ("val_agree(w,v)", "fail", ("-3/8", "1", "-3"), 300),
+        ("val_agree(v,v)", "pass", None, 500),
+    ]
+
+
 def test_let_precondition_failure_halts():
     text = """
 let u = padic(2) on Q

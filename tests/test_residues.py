@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import pytest
@@ -705,6 +706,8 @@ def shipped_residue_rules(monkeypatch):
         "table_conditions",
         lambda v, q, U, samples, label: cases.append((label, q, v, U)),
     )
+    # one CPU, so that every instance runs, and appends, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     corpus.table_reports()
     monkeypatch.undo()
     vals, qos = ({n: (x, U) for n, x, U in group} for group in corpus.shipped_objects())
@@ -713,6 +716,7 @@ def shipped_residue_rules(monkeypatch):
     for name, v in (("lift-v2-trivial", v2q), ("lift-deg-plus", nu),
                     ("lift-deg-minus", nu), ("lift-deg-v2", nu)):
         cases.append((name, qos[name][0], v, qos[name][1]))
+    assert len(cases) == sum(inst.table for inst in corpus.CORPUS) + 5
     return cases
 
 

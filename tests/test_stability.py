@@ -83,7 +83,7 @@ def test_corpus_statuses_do_not_depend_on_the_seed():
         assert runs[1] == runs[0] and runs[2] == runs[0], name
 
 
-def test_seed_stability_tool_reports_each_flip():
+def _seed_stability_tool():
     import importlib.util
     from pathlib import Path
 
@@ -91,6 +91,11 @@ def test_seed_stability_tool_reports_each_flip():
     spec = importlib.util.spec_from_file_location("seed_stability", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_seed_stability_tool_reports_each_flip():
+    tool = _seed_stability_tool()
     by_seed = {
         1: {"a": "pass", "b": "fail", "c": "pass"},
         2: {"a": "pass", "b": "pass"},
@@ -100,3 +105,12 @@ def test_seed_stability_tool_reports_each_flip():
         "c": {1: "pass", 2: "missing"},
     }
     assert tool.flips({1: by_seed[1], 2: dict(by_seed[1])}) == {}
+
+
+def test_seed_stability_tool_compares_the_table_flags():
+    # a .flags entry carries its flags in detail, not in its status, so
+    # the tool compares each table instance's flag string itself
+    found = _seed_stability_tool().statuses(42)
+    assert found["interp-table::table-flags"] == "c1=F c2=F c3=T c4=T c5=T"
+    assert found["table.1=>2"] == "pass"
+    assert found["exp1::golden-match"] == "pass"

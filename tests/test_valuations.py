@@ -1,4 +1,5 @@
 import gc
+import os
 import re
 import weakref
 from contextlib import contextmanager
@@ -612,6 +613,8 @@ def test_residue_payloads_are_canonical_fixed_points(monkeypatch):
     monkeypatch.setattr(
         corpus, "table_conditions", lambda v, q, u, samples, label: cases.append((v, u))
     )
+    # one CPU, so that every instance runs, and appends, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     corpus.table_reports()
     monkeypatch.undo()
     with_form = 0

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Check that every corpus verdict is the same at every seed.
+"""Check that every corpus verdict and table flag is the same at every seed.
 
     python3 tools/seed_stability.py [SEED ...]
 
-Runs ``run_corpus`` at each seed (default 1-20, 42 and 7), prints each
-report entry whose status is not the same at every seed, one line per
-entry with its status at each seed, and exits 1 if there is any such
-flip, 0 otherwise.  A check's samples follow the seed, so a flip is a
-sampled verdict that a different sample would change: a PASS that can
-turn into a FAIL was never proved.  An entry missing at a seed counts as
-a flip.  The full corpus at 22 seeds takes about 12 s on 2 vCPUs.
+Runs ``run_corpus`` and ``implication_matrix`` at each seed (default
+1-20, 42 and 7), prints each entry whose status is not the same at every
+seed, one line per entry with its status at each seed, and exits 1 if
+there is any such flip, 0 otherwise.  The entries are the corpus
+report's, the table's ``table.{i}=>{j}`` and ``table.{i}-x->{j}`` checks,
+and one ``<instance>::table-flags`` per table instance whose status is
+its ``format_flags()`` string, so a flag that flips counts even where
+the instance's ``.flags`` entry keeps its status.  A check's samples
+follow the seed, so a flip is a sampled verdict that a different sample
+would change: a PASS that can turn into a FAIL was never proved.  An
+entry missing at a seed counts as a flip.  The full corpus and the table
+at 22 seeds take about 12 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -19,13 +24,17 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qord.corpus import run_corpus
+from qord.corpus import implication_matrix, run_corpus
 
 DEFAULT_SEEDS = [*range(1, 21), 42, 7]
 
 
 def statuses(seed: int) -> dict:
-    return {c.name: c.status for c in run_corpus(seed=seed).checks}
+    found = {c.name: c.status for c in run_corpus(seed=seed).checks}
+    checks, _, reports = implication_matrix(seed=seed)
+    found.update((c.name, c.status) for c in checks)
+    found.update((f"{name}::table-flags", rep.format_flags()) for name, rep in reports.items())
+    return found
 
 
 def flips(by_seed: dict) -> dict:
